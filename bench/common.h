@@ -52,7 +52,7 @@ struct BackendOptions {
              "(0 = one per host core, clamped to the node count)")
         .i64("procs", &procs,
              "proc only: worker processes the nodes are partitioned "
-             "across (clamped to the node count)")
+             "across (at least 1; clamped to the node count)")
         .i64("watchdog-ms", &watchdog_ms,
              "native/proc only: abort (with a flight-recorder dump) if a "
              "phase outlives this many wall milliseconds or makes no "
@@ -127,7 +127,7 @@ struct BackendOptions {
     }
     if (proc()) {
       exec::ProcBackend::Config cfg = exec::ProcBackend::default_config();
-      cfg.procs = procs > 0 ? std::uint32_t(procs) : 1;
+      cfg.procs = std::uint32_t(procs);
       if (watchdog_ms > 0) cfg.watchdog = watchdog_config();
       exec::ProcBackend::set_default_config(cfg);
       return;
@@ -154,7 +154,7 @@ struct BackendOptions {
           "backend: proc (%lld worker processes over socketpairs, "
           "wall-clock; timings are host seconds, not modeled T3D "
           "seconds)\n\n",
-          (long long)(procs > 0 ? procs : 1));
+          (long long)procs);
   }
 };
 
@@ -331,6 +331,12 @@ inline bool BackendOptions::validate(const FaultOptions& faults) const {
     std::fprintf(stderr,
                  "error: unknown --backend=%s (want sim|native|proc)\n",
                  name.c_str());
+    return false;
+  }
+  if (procs < 1) {
+    std::fprintf(stderr,
+                 "error: --procs=%lld: want at least 1 worker process\n",
+                 (long long)procs);
     return false;
   }
   if ((native() || proc()) && faults.active()) {

@@ -748,16 +748,12 @@ void NativeBackend::run_node(std::uint32_t w, NodeId id) {
                   batch.size());
     // Incoming messages first, then self-posted scheduler work — the same
     // "yield to the inbox" policy the simulator's node processor has.
-    while (!batch.empty()) {
-      Task t = std::move(batch.front());
-      batch.pop_front();
-      run_task(n, id, std::move(t));
+    if (!batch.empty()) {
+      drain(n, id, sh, batch);
       ran = true;
     }
-    while (!n.local.empty()) {
-      Task t = std::move(n.local.front());
-      n.local.pop_front();
-      run_task(n, id, std::move(t));
+    if (!n.local.empty()) {
+      drain(n, id, sh, n.local);
       ran = true;
     }
     if (ran) continue;  // our own tasks may have posted more to us
@@ -790,26 +786,38 @@ void NativeBackend::run_node(std::uint32_t w, NodeId id) {
   tls_node = -1;
 }
 
-void NativeBackend::run_task(Node& n, NodeId id, Task task) {
-  const auto t0 = std::chrono::steady_clock::now();
-  Cpu cpu(id, since_phase_start(t0));
-  task(cpu);
-  const auto t1 = std::chrono::steady_clock::now();
-  for (int k = 0; k < kNumWorkKinds; ++k) n.stats.busy[k] += cpu.used(Work(k));
-  const Time wall =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-  n.stats.busy_total += wall;
-  n.stats.finish_time = since_phase_start(t1);
-  ++n.stats.tasks_run;
-  if (obs::TraceShard* const sh =
-          tls_worker >= 0 ? worker_shard(std::uint32_t(tls_worker)) : nullptr;
-      sh != nullptr) {
-    // Reuses the two clock reads the stats already paid for; with tracing
-    // attached a task costs one ring store and one histogram bump extra.
+void NativeBackend::drain(Node& n, NodeId id, obs::TraceShard* sh,
+                          std::deque<Task>& queue) {
+  const auto b0 = std::chrono::steady_clock::now();
+  const Time batch_start = since_phase_start(b0);
+  while (!queue.empty()) {
+    Task task = std::move(queue.front());
+    queue.pop_front();
+    if (sh == nullptr) {
+      run_task(n, id, batch_start, task);
+      continue;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    run_task(n, id, since_phase_start(t0), task);
+    const auto t1 = std::chrono::steady_clock::now();
     sh->span(obs::Ev::kWorkerRun, id, since_phase_start(t0),
              since_phase_start(t1));
-    sh->profile.task_service_ns.add(std::uint64_t(wall));
+    sh->profile.task_service_ns.add(std::uint64_t(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+            .count()));
   }
+  const auto b1 = std::chrono::steady_clock::now();
+  n.stats.busy_total +=
+      std::chrono::duration_cast<std::chrono::nanoseconds>(b1 - b0).count();
+  n.stats.finish_time = since_phase_start(b1);
+}
+
+void NativeBackend::run_task(Node& n, NodeId id, Time start,
+                             const Task& task) {
+  Cpu cpu(id, start);
+  task(cpu);
+  for (int k = 0; k < kNumWorkKinds; ++k) n.stats.busy[k] += cpu.used(Work(k));
+  ++n.stats.tasks_run;
   // Consume strictly after the task returned: while it ran (and possibly
   // produced more work) the scan kept seeing produced > consumed.
   n.consumed.fetch_add(1, std::memory_order_seq_cst);

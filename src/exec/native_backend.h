@@ -66,7 +66,12 @@
 // Time: task charges still accumulate *modeled* nanoseconds, so the
 // compute/runtime/comm attribution in NodeStats.busy[] keeps its meaning,
 // while busy_total and finish_time are *real* nanoseconds measured around
-// each task — idle = elapsed - busy_total is genuine wait time.
+// each drain batch (one swapped-out inbox, or the local queue run to
+// empty) — idle = elapsed - busy_total is genuine wait time. One clock
+// pair per batch, not per task: every task in a batch gets the batch start
+// as its Cpu start. With a trace shard attached each task is also timed on
+// its own, for its run span and service-time sample, and starts at its own
+// clock read.
 //
 // Observability: attach_shards() wires single-writer rings + histogram
 // sets (obs::ShardedTraceSink) laid out as [0, nodes) for engine-recorded
@@ -301,7 +306,14 @@ class NativeBackend final : public Backend,
   // Drains node `id` to empty and deactivates it (the whole-node unit of
   // scheduling; never preempted mid-mailbox).
   void run_node(std::uint32_t w, NodeId id);
-  void run_task(Node& n, NodeId id, Task task);
+  // Runs `queue` (the swapped-out inbox, or the local queue, which the
+  // tasks may append to) until it is empty. One clock pair times the whole
+  // batch for busy_total/finish_time; per-task clock reads happen only with
+  // a trace shard attached (run spans, task service times).
+  void drain(Node& n, NodeId id, obs::TraceShard* sh,
+             std::deque<Task>& queue);
+  // Runs one task on a Cpu starting at `start`, then counts it consumed.
+  void run_task(Node& n, NodeId id, Time start, const Task& task);
   // Makes `id` runnable if it is idle: CAS active 0 -> 1, enqueue on its
   // affinity worker, wake the worker if parked. Idempotent under races —
   // exactly one producer wins the CAS.

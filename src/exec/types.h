@@ -99,7 +99,8 @@ using Handler = InlineFn<void(Cpu&, const Packet&), 48>;
 
 // Per-node execution accounting for the last phase. On the simulator every
 // field is modeled time; on the native backend busy[] keeps the modeled
-// charge attribution while busy_total/finish_time are real wall-clock, so
+// charge attribution while busy_total/finish_time are real wall-clock,
+// measured per drain batch (a run of the node's queued tasks), so
 // idle = elapsed - busy_total stays meaningful.
 struct NodeStats {
   Time busy[kNumWorkKinds] = {0, 0, 0};

@@ -17,7 +17,7 @@ DpaEngine::DpaEngine(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
                      Arena& arena, fm::HandlerId h_req, fm::HandlerId h_reply,
                      fm::HandlerId h_accum, fm::HandlerId h_ack)
     : EngineBase(cluster, node, cfg, arena, h_req, h_reply, h_accum, h_ack),
-      ready_tiles_(ArenaAllocator<const void*>(&arena)),
+      ready_tiles_(ArenaAllocator<std::uint32_t>(&arena)),
       local_ready_(ArenaAllocator<std::pair<GlobalRef, ThreadFn>>(&arena)),
       order_(ArenaAllocator<OrderUnit>(&arena)),
       agg_(cluster.num_nodes()),
@@ -61,7 +61,7 @@ void DpaEngine::require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) {
     cpu.charge(cost.local_enqueue, sim::Work::kRuntime);
     ++stats_.local_threads;
     if (cfg_.deterministic) {
-      order_.push_back(OrderUnit{nullptr, ref, std::move(thread)});
+      order_.push_back(OrderUnit{kLocalThread, ref, std::move(thread)});
     } else {
       local_ready_.emplace_back(ref, std::move(thread));
     }
@@ -70,8 +70,11 @@ void DpaEngine::require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) {
 
   DPA_TRACE_EVT(trace_, instant(obs::Ev::kThreadSuspended, node_,
                                 cpu.logical_now()));
-  auto [it, inserted] = m_.try_emplace(ref.addr);
-  Tile& tile = it->second;
+  const auto [it, inserted] =
+      m_.try_emplace(ref.addr, std::uint32_t(tiles_.size()));
+  const std::uint32_t t = it->second;
+  if (inserted) tiles_.emplace_back();
+  Tile& tile = tiles_[t];
   if (inserted) {
     tile.ref = ref;
     tile.waiters.push_back(std::move(thread));
@@ -80,12 +83,12 @@ void DpaEngine::require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) {
                                   cpu.logical_now(), m_.size()));
     if (cfg_.deterministic) {
       tile.queued = true;
-      order_.push_back(OrderUnit{ref.addr, {}, {}});
+      order_.push_back(OrderUnit{t, {}, {}});
     }
     if (cfg_.aggregation) {
       cpu.charge(cost.req_marshal_per_ref, sim::Work::kComm);
       auto& buf = agg_[ref.home];
-      buf.push_back(ref);
+      buf.push_back(t);
       ++agg_total_;
       if (buf.size() >= cfg_.agg_max_refs) flush_dest(cpu, ref.home);
     } else {
@@ -96,7 +99,7 @@ void DpaEngine::require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) {
       tile.requested_at = cpu.logical_now();
       ++outstanding_;
       cpu.charge(cost.req_marshal_per_ref, sim::Work::kComm);
-      send_request(cpu, ref.home, {ref});
+      send_request(cpu, ref);
     }
   } else {
     ++stats_.dup_refs_avoided;
@@ -106,16 +109,16 @@ void DpaEngine::require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) {
       // already consumed (joins before that point share the entry).
       if (!tile.queued) {
         tile.queued = true;
-        order_.push_back(OrderUnit{ref.addr, {}, {}});
+        order_.push_back(OrderUnit{t, {}, {}});
       }
     } else if (tile.st == Tile::St::kReady && !tile.queued) {
       tile.queued = true;
-      ready_tiles_.push_back(ref.addr);
+      ready_tiles_.push_back(t);
     }
   }
 }
 
-void DpaEngine::on_reply(sim::Cpu& cpu, const ReplyPayload& reply) {
+void DpaEngine::on_reply(sim::Cpu& cpu, const RefsPayload& reply) {
   const auto& cost = cfg_.cost;
   ++stats_.replies_recv;
   DPA_TRACE_EVT(trace_,
@@ -125,7 +128,7 @@ void DpaEngine::on_reply(sim::Cpu& cpu, const ReplyPayload& reply) {
     cpu.charge(cost.reply_unmarshal_per_obj, sim::Work::kComm);
     auto it = m_.find(ref.addr);
     DPA_CHECK(it != m_.end()) << "reply for unknown ref on node " << node_;
-    Tile& tile = it->second;
+    Tile& tile = tiles_[it->second];
     DPA_CHECK(tile.st == Tile::St::kRequested);
     tile.st = Tile::St::kReady;
     if (h_ref_latency_ != nullptr)
@@ -138,16 +141,15 @@ void DpaEngine::on_reply(sim::Cpu& cpu, const ReplyPayload& reply) {
     // position; becoming ready only unblocks the head-of-line consumer.
     if (!cfg_.deterministic && !tile.waiters.empty() && !tile.queued) {
       tile.queued = true;
-      ready_tiles_.push_back(ref.addr);
+      ready_tiles_.push_back(it->second);
     }
   }
   kick();
 }
 
-void DpaEngine::dispatch_tile(sim::Cpu& cpu, const void* addr) {
-  auto it = m_.find(addr);
-  DPA_DCHECK(it != m_.end());
-  Tile& tile = it->second;
+void DpaEngine::dispatch_tile(sim::Cpu& cpu, std::uint32_t t) {
+  DPA_DCHECK(t < tiles_.size());
+  Tile& tile = tiles_[t];
   tile.queued = false;
   cpu.charge(cfg_.cost.tile_dispatch, sim::Work::kRuntime);
   ++stats_.tiles_run;
@@ -158,14 +160,14 @@ void DpaEngine::dispatch_tile(sim::Cpu& cpu, const void* addr) {
 
   // Take the waiters out: running them may append new waiters to this tile.
   // `tile` must not be touched past this point — a nested require() can grow
-  // m_, which relocates entries.
-  const GlobalRef ref = tile.ref;
+  // tiles_, which relocates them.
+  const void* const addr = tile.ref.addr;
   auto waiters = std::move(tile.waiters);
   tile.waiters.clear();
   for (const ThreadFn& fn : waiters) {
     DPA_TRACE_EVT(trace_, instant(obs::Ev::kThreadResumed, node_,
                                   cpu.logical_now()));
-    run_thread(cpu, fn, ref.addr);
+    run_thread(cpu, fn, addr);
     stats_.outstanding_threads.add(-1);
   }
   DPA_TRACE_EVT(trace_, instant(obs::Ev::kTileClosed, node_,
@@ -174,26 +176,24 @@ void DpaEngine::dispatch_tile(sim::Cpu& cpu, const void* addr) {
 
 bool DpaEngine::run_ready_tile(sim::Cpu& cpu) {
   if (ready_tiles_.empty()) return false;
-  const void* addr = ready_tiles_.front();
+  const std::uint32_t t = ready_tiles_.front();
   ready_tiles_.pop_front();
-  dispatch_tile(cpu, addr);
+  dispatch_tile(cpu, t);
   return true;
 }
 
 bool DpaEngine::run_in_order(sim::Cpu& cpu) {
   if (order_.empty()) return false;
   OrderUnit& head = order_.front();
-  if (head.tile == nullptr) {
+  if (head.tile == kLocalThread) {
     OrderUnit unit = std::move(head);
     order_.pop_front();
     run_thread(cpu, unit.fn, unit.ref.addr);
     stats_.outstanding_threads.add(-1);
     return true;
   }
-  const void* addr = head.tile;
-  auto it = m_.find(addr);
-  DPA_DCHECK(it != m_.end());
-  Tile& tile = it->second;
+  const std::uint32_t t = head.tile;
+  const Tile& tile = tiles_[t];
   // Shouldn't happen under the create-all template (buffers are flushed
   // before consumption), but make progress possible regardless. The head of
   // the order queue is blocking on this request, so push it all the way out
@@ -204,7 +204,7 @@ bool DpaEngine::run_in_order(sim::Cpu& cpu) {
   }
   if (tile.st != Tile::St::kReady) return false;  // head-of-line wait
   order_.pop_front();
-  dispatch_tile(cpu, addr);
+  dispatch_tile(cpu, t);
   return true;
 }
 
@@ -234,20 +234,21 @@ bool DpaEngine::create_next_root(sim::Cpu& cpu) {
 void DpaEngine::flush_dest(sim::Cpu& cpu, NodeId dest) {
   auto& buf = agg_[dest];
   if (buf.empty()) return;
-  std::vector<GlobalRef> refs = std::move(buf);
-  buf.clear();
-  DPA_DCHECK(agg_total_ >= refs.size());
-  agg_total_ -= std::uint32_t(refs.size());
-  for (const GlobalRef& ref : refs) {
-    auto it = m_.find(ref.addr);
-    DPA_DCHECK(it != m_.end());
-    DPA_DCHECK(it->second.st == Tile::St::kFresh);
-    it->second.st = Tile::St::kRequested;
-    it->second.requested_at = cpu.logical_now();
+  DPA_DCHECK(agg_total_ >= buf.size());
+  agg_total_ -= std::uint32_t(buf.size());
+  outstanding_ += buf.size();
+  std::shared_ptr<RefsPayload> req = request_payload();
+  req->refs.reserve(buf.size());
+  for (const std::uint32_t t : buf) {
+    Tile& tile = tiles_[t];
+    DPA_DCHECK(tile.st == Tile::St::kFresh);
+    tile.st = Tile::St::kRequested;
+    tile.requested_at = cpu.logical_now();
+    req->refs.push_back(tile.ref);
   }
-  outstanding_ += refs.size();
+  buf.clear();
   cpu.charge(cfg_.cost.flush_fixed, sim::Work::kComm);
-  send_request(cpu, dest, std::move(refs));
+  send_request(cpu, dest, std::move(req));
 }
 
 bool DpaEngine::flush_requests(sim::Cpu& cpu) {
@@ -282,14 +283,22 @@ bool DpaEngine::strip_boundary(sim::Cpu& cpu) {
   DPA_CHECK(ready_tiles_.empty() && local_ready_.empty() && order_.empty() &&
             outstanding_ == 0 && agg_total_ == 0 && acc_total_ == 0)
       << "strip boundary with live work on node " << node_;
-  if (!m_.empty()) {
+  if (!tiles_.empty()) {
     // End of strip: renamed objects and thread slots are released.
     if (h_m_residency_ != nullptr) h_m_residency_->add(m_.size());
     m_.clear();
+    tiles_.clear();
     stats_.m_entries.set(0);
   }
   if (next_root_ >= work_.count) {
     loop_done_ = true;
+    // Nothing more is created or requested this phase. Free the strip
+    // containers and spare payloads now, on the node's own worker: the
+    // next phase's engine teardown runs serially on the main thread.
+    tiles_ = std::vector<Tile>();
+    m_ = FlatMap<const void*, std::uint32_t>();
+    for (auto& buf : agg_) buf = std::vector<std::uint32_t>();
+    release_spares();
     return false;
   }
   cpu.charge(cfg_.cost.strip_setup, sim::Work::kRuntime);

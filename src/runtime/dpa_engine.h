@@ -3,17 +3,27 @@
 // State per node:
 //   M     — pointer -> tile {request state, waiting threads}. Updated at
 //           every thread-creation site; this is the explicit mapping the
-//           paper uses to schedule both threads and communication.
+//           paper uses to schedule both threads and communication. Stored
+//           as a dense array of the strip's tiles in creation order plus a
+//           flat hash from pointer to array index, so a probe walks small
+//           slots and every queue below names a tile by its index.
 //   ready — tiles whose data arrived: their threads execute back to back
 //           (tiling / data reuse).
 //   local — threads on node-local pointers (no communication needed).
-//   agg   — per-destination buffers of not-yet-requested refs (aggregation).
+//   agg   — per-destination buffers of not-yet-requested tiles
+//           (aggregation).
 //
 // Strip-mining: the node's top-level conc loop is executed strip_size
 // iterations at a time; M is cleared between strips, which bounds the memory
 // held by suspended threads and renamed objects (the paper's k-bounded
 // loops). Within a strip, every thread that names the same pointer shares
 // one fetch and executes in the same tile.
+//
+// Messages: a flush fills a request payload and the home sends that same
+// payload back as the reply. Returned replies become this engine's spare
+// payloads for later requests (EngineBase::request_payload), so a round
+// trip allocates nothing once spares exist. Under the reliability layer
+// the reply is a copy and nothing is recycled.
 //
 // Configurations:
 //   pipelining off  -> each new remote ref is requested synchronously; the
@@ -44,7 +54,6 @@ class DpaEngine final : public EngineBase {
 
   void require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) override;
   void accumulate(sim::Cpu& cpu, GlobalRef ref, AccumFn update) override;
-  void on_reply(sim::Cpu& cpu, const ReplyPayload& reply) override;
   bool done() const override;
   std::string state_dump() const override;
 
@@ -63,17 +72,19 @@ class DpaEngine final : public EngineBase {
   };
 
   // Deterministic mode (cfg.deterministic): one entry per dispatchable unit
-  // in thread-creation order — either a tile (by address) or a single
+  // in thread-creation order — either a tile (by index) or a single
   // local-pointer thread. Consumed strictly head-first; a head tile whose
   // reply has not arrived stalls consumption (head-of-line wait), which is
   // what makes the execution order — and the floating-point accumulation
   // order — independent of message timing.
+  static constexpr std::uint32_t kLocalThread = ~std::uint32_t(0);
   struct OrderUnit {
-    const void* tile = nullptr;  // null => local thread below
+    std::uint32_t tile = kLocalThread;  // kLocalThread => ref + fn below
     GlobalRef ref;
     ThreadFn fn;
   };
 
+  void on_reply(sim::Cpu& cpu, const RefsPayload& reply) override;
   void sched(sim::Cpu& cpu) override;
 
   // Scheduler actions; each returns true if it did a unit of work.
@@ -84,10 +95,10 @@ class DpaEngine final : public EngineBase {
   bool flush_all(sim::Cpu& cpu);       // requests + accumulations
   bool flush_requests(sim::Cpu& cpu);  // request buffers only
 
-  // Dispatches the tile at `addr`: runs its waiters back to back. Looks the
-  // tile up itself and drops the reference before running threads — a
-  // nested require() may grow m_, and the flat table relocates entries.
-  void dispatch_tile(sim::Cpu& cpu, const void* addr);
+  // Dispatches tile `t`: runs its waiters back to back. Drops its Tile&
+  // before running threads — a nested require() may grow tiles_, which
+  // relocates them.
+  void dispatch_tile(sim::Cpu& cpu, std::uint32_t t);
   void flush_dest(sim::Cpu& cpu, NodeId dest);
   bool strip_boundary(sim::Cpu& cpu);
   bool strip_has_uncreated() const;
@@ -98,11 +109,17 @@ class DpaEngine final : public EngineBase {
   template <class T>
   using ArenaDeque = std::deque<T, ArenaAllocator<T>>;
 
-  FlatMap<const void*, Tile> m_;
-  ArenaDeque<const void*> ready_tiles_;
+  // M: the strip's tiles in creation order, and pointer -> index into them.
+  // Both are cleared at the strip boundary, keeping their capacity, and
+  // freed when the conc loop completes.
+  std::vector<Tile> tiles_;
+  FlatMap<const void*, std::uint32_t> m_;
+  ArenaDeque<std::uint32_t> ready_tiles_;
   ArenaDeque<std::pair<GlobalRef, ThreadFn>> local_ready_;
   ArenaDeque<OrderUnit> order_;  // deterministic mode only
-  std::vector<std::vector<GlobalRef>> agg_;  // per-destination Fresh refs
+  // Per-destination Fresh tiles; flush_dest copies their refs into a
+  // request and clears the buffer, keeping its capacity.
+  std::vector<std::vector<std::uint32_t>> agg_;
   std::uint32_t agg_total_ = 0;
   // Per-destination buffered accumulations (flushed with the requests).
   std::vector<std::vector<std::pair<GlobalRef, AccumFn>>> acc_;

@@ -213,38 +213,56 @@ void EngineBase::kick() {
   });
 }
 
+std::shared_ptr<RefsPayload> EngineBase::request_payload() {
+  // Only the most recently returned spare is tried: the home or the fabric
+  // may still hold an older one for a moment, but never for long.
+  if (!spares_.empty() && spares_.back().use_count() == 1) {
+    std::shared_ptr<RefsPayload> req = std::move(spares_.back());
+    spares_.pop_back();
+    req->refs.clear();
+    return req;
+  }
+  return alloc_payload<RefsPayload>();
+}
+
 void EngineBase::send_request(sim::Cpu& cpu, NodeId home,
-                              std::vector<GlobalRef> refs) {
-  DPA_DCHECK(!refs.empty());
+                              std::shared_ptr<RefsPayload> req) {
+  DPA_DCHECK(!req->refs.empty());
   DPA_DCHECK(home != node_) << "request to self";
   const auto& cost = cfg_.cost;
-  stats_.refs_requested += refs.size();
+  const std::uint32_t n = std::uint32_t(req->refs.size());
+  stats_.refs_requested += n;
   ++stats_.request_msgs;
-  stats_.outstanding_refs.add(std::int64_t(refs.size()));
+  stats_.outstanding_refs.add(std::int64_t(n));
 
   const std::uint32_t bytes =
-      cost.msg_header_bytes +
-      cost.req_bytes_per_ref * std::uint32_t(refs.size());
+      cost.msg_header_bytes + cost.req_bytes_per_ref * n;
   if (h_msg_bytes_ != nullptr) h_msg_bytes_->add(bytes);
   DPA_TRACE_EVT(trace_, msg_event(obs::Ev::kMsgDepart, obs::MsgCause::kRequest,
                                   node_, home, bytes, cpu.logical_now()));
-  auto payload = alloc_payload<ReqPayload>();
-  payload->requester = node_;
-  payload->refs = std::move(refs);
-  rel_send(cpu, home, h_req_, std::move(payload), bytes,
+  req->requester = node_;
+  rel_send(cpu, home, h_req_, std::move(req), bytes,
            obs::MsgCause::kRequest);
 }
 
-void EngineBase::serve_request(sim::Cpu& cpu, const ReqPayload& req) {
+void EngineBase::send_request(sim::Cpu& cpu, const GlobalRef& ref) {
+  std::shared_ptr<RefsPayload> req = request_payload();
+  req->refs.push_back(ref);
+  send_request(cpu, ref.home, std::move(req));
+}
+
+void EngineBase::serve_request(sim::Cpu& cpu,
+                               std::shared_ptr<RefsPayload> req) {
   const auto& cost = cfg_.cost;
+  const NodeId requester = req->requester;
   ++stats_.requests_served;
-  stats_.refs_served += req.refs.size();
+  stats_.refs_served += req->refs.size();
   DPA_TRACE_EVT(trace_,
                 msg_event(obs::Ev::kMsgArrive, obs::MsgCause::kRequest, node_,
-                          req.requester, req.refs.size(), cpu.logical_now()));
+                          requester, req->refs.size(), cpu.logical_now()));
 
   std::uint32_t bytes = cost.msg_header_bytes;
-  for (const GlobalRef& ref : req.refs) {
+  for (const GlobalRef& ref : req->refs) {
     DPA_DCHECK(ref.home == node_)
         << "request for object homed on " << ref.home << " arrived at node "
         << node_;
@@ -254,11 +272,23 @@ void EngineBase::serve_request(sim::Cpu& cpu, const ReqPayload& req) {
   if (h_msg_bytes_ != nullptr) h_msg_bytes_->add(bytes);
   DPA_TRACE_EVT(trace_,
                 msg_event(obs::Ev::kMsgDepart, obs::MsgCause::kReply, node_,
-                          req.requester, bytes, cpu.logical_now()));
-  auto payload = alloc_payload<ReplyPayload>();
-  payload->refs = req.refs;
-  rel_send(cpu, req.requester, h_reply_, std::move(payload), bytes,
+                          requester, bytes, cpu.logical_now()));
+  if (rel_.engaged()) {
+    // The requester holds `req` for retransmission, and rel_send stamps
+    // the reply's own sequence number: the reply must be a separate object.
+    auto reply = alloc_payload<RefsPayload>();
+    reply->requester = requester;
+    reply->refs = req->refs;
+    req = std::move(reply);
+  }
+  rel_send(cpu, requester, h_reply_, std::move(req), bytes,
            obs::MsgCause::kReply);
+}
+
+void EngineBase::receive_reply(sim::Cpu& cpu,
+                               std::shared_ptr<RefsPayload> reply) {
+  on_reply(cpu, *reply);
+  if (!rel_.engaged()) spares_.push_back(std::move(reply));
 }
 
 void EngineBase::run_thread(sim::Cpu& cpu, const ThreadFn& fn,

@@ -129,13 +129,14 @@ struct Cluster {
 // `rel_seq` is the reliability layer's per-sender sequence number: 0 means
 // unsequenced (protocol off), otherwise the receiver acks it and dedups
 // retransmitted copies (see EngineBase::rel_accept).
-struct ReqPayload {
+//
+// A request and its reply are the same type, and off the reliability layer
+// the same object: the home serves a request in place and sends it back,
+// and the requester keeps the returned payload for its next request (see
+// EngineBase::serve_request and request_payload).
+struct RefsPayload {
   std::uint64_t rel_seq = 0;
   NodeId requester = 0;
-  std::vector<GlobalRef> refs;
-};
-struct ReplyPayload {
-  std::uint64_t rel_seq = 0;
   std::vector<GlobalRef> refs;
 };
 struct AccumPayload {
@@ -180,8 +181,9 @@ class EngineBase {
   // within a phase — updates must commute.
   virtual void accumulate(sim::Cpu& cpu, GlobalRef ref, AccumFn update);
 
-  // Reply arrived for refs this node requested.
-  virtual void on_reply(sim::Cpu& cpu, const ReplyPayload& reply) = 0;
+  // Reply arrived for refs this node requested: hands it to on_reply, then
+  // keeps the payload as a spare for a later request.
+  void receive_reply(sim::Cpu& cpu, std::shared_ptr<RefsPayload> reply);
 
   // True once the conc loop completed and all queues drained.
   virtual bool done() const = 0;
@@ -189,8 +191,10 @@ class EngineBase {
   // One-line state summary for deadlock diagnostics.
   virtual std::string state_dump() const = 0;
 
-  // Home side: serve a request message (shared by all engines).
-  void serve_request(sim::Cpu& cpu, const ReqPayload& req);
+  // Home side: serve a request message (shared by all engines). The reply
+  // is `req` itself, sent back to its requester; under the reliability
+  // layer it is a copy, since the requester holds `req` for retransmission.
+  void serve_request(sim::Cpu& cpu, std::shared_ptr<RefsPayload> req);
 
   // Home side: an accumulation message arrived. Charges the per-item apply
   // cost now (arrival-time costs are part of the model) but stages the
@@ -232,13 +236,25 @@ class EngineBase {
   const RtNodeStats& stats() const { return stats_; }
 
  protected:
+  // The engine's handling of a reply (see receive_reply).
+  virtual void on_reply(sim::Cpu& cpu, const RefsPayload& reply) = 0;
+
   // Posts a scheduler task if one is not already pending.
   void kick();
   // One scheduler task: processes up to cfg.poll_batch units.
   virtual void sched(sim::Cpu& cpu) = 0;
 
-  // Sends a request for `refs` to their (common) home node.
-  void send_request(sim::Cpu& cpu, NodeId home, std::vector<GlobalRef> refs);
+  // An empty request payload to fill with refs for send_request: a returned
+  // reply this engine solely owns when there is one, else a new payload.
+  std::shared_ptr<RefsPayload> request_payload();
+  // Sends `req` (refs with a common home) to `home`.
+  void send_request(sim::Cpu& cpu, NodeId home,
+                    std::shared_ptr<RefsPayload> req);
+  // Sends a request for the one ref `ref`.
+  void send_request(sim::Cpu& cpu, const GlobalRef& ref);
+  // Frees the spare payloads, once the engine sends no more requests this
+  // phase.
+  void release_spares() { spares_.clear(); }
 
   // Runs one thread with its data; charges dispatch cost.
   void run_thread(sim::Cpu& cpu, const ThreadFn& fn, const void* data);
@@ -265,9 +281,10 @@ class EngineBase {
   // Allocates a wire payload. On the sim backend (single host thread)
   // payloads are arena-pooled: allocate_shared puts object + control block
   // in one arena block that the free list recycles when the last reference
-  // drops, so a phase's million messages reuse a handful of blocks. The
-  // native backend releases payloads on the receiving thread, where the
-  // (single-owner) arena must not be touched — it keeps make_shared.
+  // drops. On the native and proc backends the last reference can drop on
+  // another node's worker thread, where this node's single-owner arena must
+  // not be touched, so they use make_shared. Request payloads mostly skip
+  // this on every backend: request_payload() reuses returned replies.
   template <class Payload>
   std::shared_ptr<Payload> alloc_payload() {
     if (pool_payloads_)
@@ -320,6 +337,11 @@ class EngineBase {
   };
   std::uint64_t accum_seq_next_ = 0;
   std::vector<StagedAccum> staged_accums_;
+
+  // Replies that came back to this node, reused by request_payload() once
+  // no other thread still holds them. Stays empty under the reliability
+  // layer, whose peers hold sent payloads for retransmission.
+  std::vector<std::shared_ptr<RefsPayload>> spares_;
 };
 
 // The per-thread execution context: thin wrapper over the node Cpu plus the

@@ -42,57 +42,34 @@ T get(const std::uint8_t*& p, const std::uint8_t* end) {
   return v;
 }
 
-// The runtime's four wire payloads, flattened for the multi-process
+// The runtime's three wire payloads, flattened for the multi-process
 // backend. GlobalRef is trivially copyable (a host pointer + home + size;
 // the pointer stays valid across fork — same address space layout), so
 // ref vectors travel as raw arrays. AccumFn closures travel as their
 // inline capture bytes plus the ops-table pointer as a type token — only
 // trivially marshallable closures may cross (DPA_CHECKed at marshal).
 
-exec::WireCodec req_codec() {
+exec::WireCodec refs_codec() {
   return exec::WireCodec{
       [](const void* data, std::uint32_t) {
-        const auto* req = static_cast<const ReqPayload*>(data);
+        const auto* msg = static_cast<const RefsPayload*>(data);
         std::vector<std::uint8_t> b;
-        put(b, req->rel_seq);
-        put(b, req->requester);
-        put(b, std::uint32_t(req->refs.size()));
-        put_raw(b, req->refs.data(), req->refs.size() * sizeof(GlobalRef));
+        put(b, msg->rel_seq);
+        put(b, msg->requester);
+        put(b, std::uint32_t(msg->refs.size()));
+        put_raw(b, msg->refs.data(), msg->refs.size() * sizeof(GlobalRef));
         return b;
       },
       [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
         const std::uint8_t* end = p + len;
-        auto req = std::make_shared<ReqPayload>();
-        req->rel_seq = get<std::uint64_t>(p, end);
-        req->requester = get<NodeId>(p, end);
+        auto msg = std::make_shared<RefsPayload>();
+        msg->rel_seq = get<std::uint64_t>(p, end);
+        msg->requester = get<NodeId>(p, end);
         const auto count = get<std::uint32_t>(p, end);
-        req->refs.resize(count);
         DPA_CHECK(std::size_t(end - p) == count * sizeof(GlobalRef));
-        std::memcpy(req->refs.data(), p, count * sizeof(GlobalRef));
-        return req;
-      }};
-}
-
-exec::WireCodec reply_codec() {
-  return exec::WireCodec{
-      [](const void* data, std::uint32_t) {
-        const auto* reply = static_cast<const ReplyPayload*>(data);
-        std::vector<std::uint8_t> b;
-        put(b, reply->rel_seq);
-        put(b, std::uint32_t(reply->refs.size()));
-        put_raw(b, reply->refs.data(),
-                reply->refs.size() * sizeof(GlobalRef));
-        return b;
-      },
-      [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
-        const std::uint8_t* end = p + len;
-        auto reply = std::make_shared<ReplyPayload>();
-        reply->rel_seq = get<std::uint64_t>(p, end);
-        const auto count = get<std::uint32_t>(p, end);
-        reply->refs.resize(count);
-        DPA_CHECK(std::size_t(end - p) == count * sizeof(GlobalRef));
-        std::memcpy(reply->refs.data(), p, count * sizeof(GlobalRef));
-        return reply;
+        msg->refs.resize(count);
+        std::memcpy(msg->refs.data(), p, count * sizeof(GlobalRef));
+        return msg;
       }};
 }
 
@@ -186,17 +163,17 @@ PhaseRunner::PhaseRunner(Cluster& cluster, RuntimeConfig cfg)
   auto& backend = cluster_.exec();
   h_req_ = backend.register_handler(
       "rt.request", [this](sim::Cpu& cpu, const fm::Packet& pkt) {
-        auto* req = static_cast<ReqPayload*>(pkt.data.get());
+        auto req = std::static_pointer_cast<RefsPayload>(pkt.data);
         auto& engine = *engines_[pkt.dst];
         if (!engine.rel_accept(cpu, pkt.src, req->rel_seq)) return;
-        engine.serve_request(cpu, *req);
+        engine.serve_request(cpu, std::move(req));
       });
   h_reply_ = backend.register_handler(
       "rt.reply", [this](sim::Cpu& cpu, const fm::Packet& pkt) {
-        auto* reply = static_cast<ReplyPayload*>(pkt.data.get());
+        auto reply = std::static_pointer_cast<RefsPayload>(pkt.data);
         auto& engine = *engines_[pkt.dst];
         if (!engine.rel_accept(cpu, pkt.src, reply->rel_seq)) return;
-        engine.on_reply(cpu, *reply);
+        engine.receive_reply(cpu, std::move(reply));
       });
   h_accum_ = backend.register_handler(
       "rt.accum", [this](sim::Cpu& cpu, const fm::Packet& pkt) {
@@ -213,8 +190,8 @@ PhaseRunner::PhaseRunner(Cluster& cluster, RuntimeConfig cfg)
   // Byte codecs for the multi-process backend (no-ops elsewhere): how each
   // payload crosses a process boundary when src and dst live in different
   // workers.
-  backend.set_wire_codec(h_req_, req_codec());
-  backend.set_wire_codec(h_reply_, reply_codec());
+  backend.set_wire_codec(h_req_, refs_codec());
+  backend.set_wire_codec(h_reply_, refs_codec());
   backend.set_wire_codec(h_accum_, accum_codec());
   backend.set_wire_codec(h_ack_, ack_codec());
 }

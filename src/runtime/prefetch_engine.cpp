@@ -46,7 +46,7 @@ void PrefetchEngine::prefetch_one(sim::Cpu& cpu, const GlobalRef& ref,
   if (cache_.count(ref.addr) != 0 || inflight_.count(ref.addr) != 0) return;
   cpu.charge(cfg_.cost.sync_issue, sim::Work::kComm);
   inflight_.insert(ref.addr);
-  send_request(cpu, ref.home, {ref});
+  send_request(cpu, ref);
 }
 
 void PrefetchEngine::issue_prefetches(sim::Cpu& cpu) {
@@ -118,14 +118,14 @@ void PrefetchEngine::sched(sim::Cpu& cpu) {
       // Not prefetched in time: demand fetch.
       cpu.charge(cfg_.cost.sync_issue, sim::Work::kComm);
       inflight_.insert(ref.addr);
-      send_request(cpu, ref.home, {ref});
+      send_request(cpu, ref);
     }
     return;  // stall until this object lands
   }
   kick();
 }
 
-void PrefetchEngine::on_reply(sim::Cpu& cpu, const ReplyPayload& reply) {
+void PrefetchEngine::on_reply(sim::Cpu& cpu, const RefsPayload& reply) {
   ++stats_.replies_recv;
   DPA_CHECK(reply.refs.size() == 1);
   const GlobalRef ref = reply.refs[0];

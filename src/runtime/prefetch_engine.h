@@ -26,11 +26,11 @@ class PrefetchEngine final : public EngineBase {
                  fm::HandlerId h_accum, fm::HandlerId h_ack);
 
   void require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) override;
-  void on_reply(sim::Cpu& cpu, const ReplyPayload& reply) override;
   bool done() const override;
   std::string state_dump() const override;
 
  private:
+  void on_reply(sim::Cpu& cpu, const RefsPayload& reply) override;
   void sched(sim::Cpu& cpu) override;
   void run_now(sim::Cpu& cpu, const ThreadFn& fn, const void* data);
   void issue_prefetches(sim::Cpu& cpu);

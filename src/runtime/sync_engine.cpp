@@ -94,13 +94,13 @@ void SyncEngine::sched(sim::Cpu& cpu) {
     wait_fn_ = std::move(fn);
     DPA_TRACE_EVT(trace_, instant(obs::Ev::kThreadSuspended, node_,
                                   cpu.logical_now()));
-    send_request(cpu, ref.home, {ref});
+    send_request(cpu, ref);
     return;
   }
   kick();  // yield to the inbox
 }
 
-void SyncEngine::on_reply(sim::Cpu& cpu, const ReplyPayload& reply) {
+void SyncEngine::on_reply(sim::Cpu& cpu, const RefsPayload& reply) {
   ++stats_.replies_recv;
   DPA_CHECK(waiting_ && reply.refs.size() == 1 &&
             reply.refs[0].addr == wait_ref_.addr)

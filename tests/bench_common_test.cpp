@@ -29,6 +29,22 @@ TEST(BackendOptions, ValidateRejectsFaultsOnNative) {
   EXPECT_FALSE(b.validate(faults));  // lossless fabric, no injector
 }
 
+TEST(BackendOptions, ValidateRejectsProcsBelowOne) {
+  bench::FaultOptions no_faults;
+  bench::BackendOptions b;
+  b.name = "proc";
+  b.procs = 1;
+  EXPECT_TRUE(b.validate(no_faults));
+  for (const std::int64_t bad : {0, -3}) {
+    b.procs = bad;
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(b.validate(no_faults)) << bad;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("--procs=" + std::to_string(bad)), std::string::npos)
+        << err;
+  }
+}
+
 TEST(BackendOptions, ClampJobsForcesSerialCellsOnNativeWithWarning) {
   bench::BackendOptions b;
   EXPECT_EQ(b.clamp_jobs(8), 8u);  // sim: pass-through

@@ -629,6 +629,53 @@ TEST(NativeBackend, PhaseResultReportsRealElapsedAndTasks) {
   }
 }
 
+TEST(NativeBackend, BatchAccountingStaysWithinThePhase) {
+  // busy_total and finish_time are measured once per drain batch, not per
+  // task. Whatever the batching, a node's batches run one after another
+  // inside the phase, so 0 < busy_total <= finish_time <= elapsed; and with
+  // shards attached every task is still timed on its own.
+  constexpr std::uint32_t kNodes = 32;
+  constexpr std::uint32_t kObjs = 48;  // per node
+  struct Cell {
+    std::uint64_t v = 0;
+  };
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    obs::Session session;  // outlives the cluster that reports into it
+    rt::Cluster cluster(kNodes, exec::BackendKind::kNative);
+    if (traced) cluster.attach_obs(&session);
+    std::vector<gas::GPtr<Cell>> objs;
+    for (std::uint32_t i = 0; i < kNodes * kObjs; ++i)
+      objs.push_back(cluster.heap.make<Cell>(i % kNodes, Cell{i}));
+    std::vector<rt::NodeWork> work(kNodes);
+    for (std::uint32_t n = 0; n < kNodes; ++n) {
+      work[n].count = kObjs;
+      work[n].item = [&objs, n](rt::Ctx& ctx, std::uint64_t i) {
+        // Object i*kNodes + h is homed on h; spread the reads over every
+        // other node.
+        const std::uint64_t h = (n + 1 + i % (kNodes - 1)) % kNodes;
+        ctx.require(objs[i * kNodes + h],
+                    [](rt::Ctx& c, const Cell&) { c.charge(10); });
+      };
+    }
+    rt::PhaseRunner runner(cluster, rt::RuntimeConfig::dpa(16));
+    const rt::PhaseResult r = runner.run(std::move(work));
+    ASSERT_TRUE(r.completed) << r.diagnostics;
+    for (std::uint32_t n = 0; n < kNodes; ++n) {
+      const exec::NodeStats& st = cluster.exec().node_stats(n);
+      EXPECT_GT(st.busy_total, 0) << "node " << n;
+      EXPECT_LE(st.busy_total, st.finish_time) << "node " << n;
+      EXPECT_LE(st.finish_time, r.elapsed) << "node " << n;
+    }
+    if (traced && obs::kTraceEnabled) {
+      auto* service = session.metrics.histogram("exec.task_service_ns");
+      ASSERT_NE(service, nullptr);
+      EXPECT_EQ(service->count(), r.sim_events);
+      EXPECT_EQ(service->count(), *session.metrics.counter("exec.tasks"));
+    }
+  }
+}
+
 TEST(ShardedSink, ConcurrentWritersMergeTimeSorted) {
   // The sharded sink's whole claim: N threads record into their own shards
   // with no locks, and the post-join merge is exact — count-preserving when

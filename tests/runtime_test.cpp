@@ -312,6 +312,97 @@ TEST(DpaEngine, ChainedThreadsWalkDistributedList) {
   EXPECT_EQ(r.rt.refs_requested, 30u);
 }
 
+// Threads of a dispatched tile that open fresh tiles grow M's tile array
+// while that tile is still running (the array relocates under it), and
+// re-joining their own tile appends to it mid-dispatch. Root iterations
+// come in pairs naming one object, so each first dispatch runs two
+// threads and the second starts after the first has grown the array.
+// Every thread must still run exactly once, against its own object, on
+// every backend.
+struct GrowPlan {
+  static constexpr std::uint32_t kNodes = 4;
+  static constexpr std::uint32_t kRoots = 40;  // per node, one strip
+  static constexpr std::uint32_t kFanout = 6;  // fresh refs per root thread
+
+  // roots[n][i / 2] is root iteration i's object; kids[n][i] are its
+  // kFanout children. All are homed off node n.
+  std::vector<std::vector<GPtr<Obj>>> roots;
+  std::vector<std::vector<std::vector<GPtr<Obj>>>> kids;
+  std::vector<std::uint64_t> sum;  // sum[n]: written by node n's threads
+
+  explicit GrowPlan(Cluster& cluster)
+      : roots(kNodes), kids(kNodes), sum(kNodes, 0) {
+    int id = 0;
+    const auto make = [&](std::uint32_t n, std::uint32_t salt) {
+      const sim::NodeId home = (n + 1 + salt % (kNodes - 1)) % kNodes;
+      return cluster.heap.make<Obj>(home, Obj{++id, 0.0});
+    };
+    for (std::uint32_t n = 0; n < kNodes; ++n) {
+      for (std::uint32_t i = 0; i < kRoots / 2; ++i)
+        roots[n].push_back(make(n, i));
+      for (std::uint32_t i = 0; i < kRoots; ++i) {
+        auto& row = kids[n].emplace_back();
+        for (std::uint32_t k = 0; k < kFanout; ++k)
+          row.push_back(make(n, i + k + 1));
+      }
+    }
+  }
+
+  // Host oracle: each iteration counts its root twice (its thread and the
+  // re-join) and each of its children once.
+  std::uint64_t expected(std::uint32_t n) const {
+    std::uint64_t s = 0;
+    for (std::uint32_t i = 0; i < kRoots; ++i) {
+      s += 2 * std::uint64_t(roots[n][i / 2].addr->id);
+      for (const GPtr<Obj>& kid : kids[n][i]) s += std::uint64_t(kid.addr->id);
+    }
+    return s;
+  }
+
+  std::vector<NodeWork> work() {
+    std::vector<NodeWork> w(kNodes);
+    for (std::uint32_t n = 0; n < kNodes; ++n) {
+      w[n].count = kRoots;
+      w[n].item = [this, n](Ctx& ctx, std::uint64_t i) {
+        const GPtr<Obj> root = roots[n][i / 2];
+        ctx.require(root, [this, n, i, root](Ctx& ctx2, const Obj& o) {
+          sum[n] += std::uint64_t(o.id);
+          for (const GPtr<Obj>& kid : kids[n][i]) {
+            ctx2.require(kid, [this, n](Ctx&, const Obj& c) {
+              sum[n] += std::uint64_t(c.id);
+            });
+          }
+          ctx2.require(root, [this, n](Ctx&, const Obj& again) {
+            sum[n] += std::uint64_t(again.id);
+          });
+        });
+      };
+    }
+    return w;
+  }
+};
+
+TEST(DpaEngine, TileArrayGrowsDuringDispatch) {
+  using exec::BackendKind;
+  for (const BackendKind kind : {BackendKind::kSim, BackendKind::kNative}) {
+    for (const RuntimeConfig& cfg :
+         {RuntimeConfig::dpa(50), RuntimeConfig::dpa_deterministic(50)}) {
+      SCOPED_TRACE(std::string(kind == BackendKind::kSim ? "sim " : "native ") +
+                   cfg.describe());
+      Cluster cluster(GrowPlan::kNodes, kind, test_net());
+      GrowPlan plan(cluster);
+      PhaseRunner runner(cluster, cfg);
+      const PhaseResult r = runner.run(plan.work());
+      ASSERT_TRUE(r.completed) << r.diagnostics;
+      EXPECT_EQ(r.rt.threads_created, r.rt.threads_run);
+      EXPECT_EQ(r.rt.threads_run, GrowPlan::kNodes * GrowPlan::kRoots *
+                                      (GrowPlan::kFanout + 2));
+      for (std::uint32_t n = 0; n < GrowPlan::kNodes; ++n)
+        EXPECT_EQ(plan.sum[n], plan.expected(n)) << "node " << n;
+    }
+  }
+}
+
 // ---------- sync engines ----------
 
 TEST(SyncEngine, CachingHitsAfterFirstMiss) {
