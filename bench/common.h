@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,10 +30,10 @@ namespace dpa::bench {
 // real wall-clock seconds), or on the multi-process backend ('proc': one
 // worker process per group of nodes, cross-process messages over
 // socketpairs, real wall-clock seconds). Native and proc runs are
-// incompatible with fault injection (their fabrics cannot lose messages —
-// proc's reliability layer lives inside the transport) and force --jobs=1
-// (a cell already fans out across workers, and co-scheduling cells would
-// corrupt each other's timings).
+// incompatible with fault injection (their fabrics — in-process mailboxes
+// and socketpairs — cannot lose messages; faults live in the modeled
+// network) and force --jobs=1 (a cell already fans out across workers, and
+// co-scheduling cells would corrupt each other's timings).
 struct BackendOptions {
   std::string name = "sim";
   std::int64_t workers = 0;      // native pool size; 0 = min(cores, nodes)
@@ -69,7 +70,8 @@ struct BackendOptions {
     return native() ? exec::BackendKind::kNative : exec::BackendKind::kSim;
   }
 
-  // Call after parse(); returns false (after printing why) on a bad combo.
+  // Call after parse(); returns false (after printing why) on a bad combo
+  // or an out-of-range count.
   bool validate(const struct FaultOptions& faults) const;
 
   std::size_t clamp_jobs(std::size_t jobs) const {
@@ -111,11 +113,6 @@ struct BackendOptions {
                      "warning: --workers=%lld ignored: the worker pool is a "
                      "native/proc-backend knob (--backend=sim is "
                      "single-threaded by construction)\n",
-                     (long long)workers);
-      } else if (workers < 0) {
-        std::fprintf(stderr,
-                     "warning: --workers=%lld ignored: want a positive pool "
-                     "size (or 0 = one worker per host core)\n",
                      (long long)workers);
       } else {
         // On proc this sizes each worker process's *inner* pool.
@@ -333,17 +330,27 @@ inline bool BackendOptions::validate(const FaultOptions& faults) const {
                  name.c_str());
     return false;
   }
-  if (procs < 1) {
+  // Counts are narrowed to std::uint32_t by install(); anything outside
+  // that range would silently wrap.
+  constexpr std::int64_t kMaxCount = std::numeric_limits<std::uint32_t>::max();
+  if (procs < 1 || procs > kMaxCount) {
     std::fprintf(stderr,
-                 "error: --procs=%lld: want at least 1 worker process\n",
-                 (long long)procs);
+                 "error: --procs=%lld: want 1 to %lld worker processes\n",
+                 (long long)procs, (long long)kMaxCount);
+    return false;
+  }
+  if (workers < 0 || workers > kMaxCount) {
+    std::fprintf(stderr,
+                 "error: --workers=%lld: want 0 (one per host core) to %lld "
+                 "pool threads\n",
+                 (long long)workers, (long long)kMaxCount);
     return false;
   }
   if ((native() || proc()) && faults.active()) {
     std::fprintf(stderr,
                  "error: --backend=%s cannot run under --faults= (its "
-                 "fabric is lossless; proc retransmission is transport-"
-                 "internal, not a modeled fault)\n",
+                 "fabric is lossless; fault injection needs the modeled "
+                 "network of --backend=sim)\n",
                  name.c_str());
     return false;
   }

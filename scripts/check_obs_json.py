@@ -73,34 +73,6 @@ def check_trace(path, require_events):
           f"{doc['dropped_events']} dropped")
 
 
-# Counters the transport layer republishes under transport.* next to
-# their legacy names (src/runtime/phase.cpp): each pair must stay equal,
-# and a legacy counter without its alias means the aliasing broke.
-TRANSPORT_ALIASES = (
-    ("transport.retries", "rt.retries"),
-    ("transport.acks_sent", "rt.acks_sent"),
-    ("transport.acks_recv", "rt.acks_recv"),
-    ("transport.dup_msgs_dropped", "rt.dup_msgs_dropped"),
-    ("transport.trains_sent", "exec.trains"),
-)
-
-
-def check_transport_aliases(block, origin):
-    counters = block["counters"]
-    # Only meaningful once a phase has published (mid-phase flight-recorder
-    # snapshots may predate any publication).
-    if counters.get("rt.phases", 0) == 0:
-        return
-    for alias, legacy in TRANSPORT_ALIASES:
-        if legacy in counters and alias not in counters:
-            fail(f"{origin}: {legacy!r} present without its transport "
-                 f"alias {alias!r}")
-        if alias in counters and legacy in counters \
-                and counters[alias] != counters[legacy]:
-            fail(f"{origin}: alias mismatch: {alias}={counters[alias]} "
-                 f"vs {legacy}={counters[legacy]}")
-
-
 # Wall-clock profile histograms the native backend publishes per phase
 # (bench/common.h --metrics-out with --backend=native).
 NATIVE_HISTOGRAMS = (
@@ -130,7 +102,6 @@ def check_metrics_block(block, origin, require_phases=True):
     if (require_phases and "rt.phases" in block["counters"]
             and block["counters"]["rt.phases"] == 0):
         fail(f"{origin}: rt.phases is zero — no phase published metrics")
-    check_transport_aliases(block, origin)
     print(f"check_obs_json: OK: {origin}: {len(block['counters'])} counters, "
           f"{len(block['gauges'])} gauges, "
           f"{len(block['histograms'])} histograms")

@@ -112,10 +112,6 @@ struct WireStatsTotal {
   std::uint64_t frames_recv = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t payloads_recv = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t acks_sent = 0;
-  std::uint64_t acks_recv = 0;
-  std::uint64_t dup_msgs_dropped = 0;
 };
 
 class Backend {
@@ -166,7 +162,7 @@ class Backend {
   virtual bool supports_timers() const = 0;
 
   // Schedules `fn` at absolute time `at` (reliability retransmit timers).
-  // Only valid when supports_timers(): the native fabric is in-process and
+  // Only valid when supports_timers(): the native and proc fabrics are
   // lossless, so the retry protocol — and therefore this hook — never
   // engages there.
   virtual void schedule_at(Time at, TimerFn fn) = 0;

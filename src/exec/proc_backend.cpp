@@ -22,10 +22,9 @@ namespace dpa::exec {
 
 namespace {
 
-// Control-channel message tags (all < transport::kAckTag). Every frame on
-// the control socketpair carries kFrameFlagControl (PipeChannel
-// set_control), which is the wire-visible marker the issue's termination
-// protocol requires.
+// Control-channel message tags. Every frame on the control socketpair
+// carries kFrameFlagControl (PipeChannel set_control), the wire-visible
+// marker of termination-protocol traffic.
 constexpr std::uint16_t kTagProbe = 1;     // coordinator -> worker: [round]
 constexpr std::uint16_t kTagReport = 2;    // worker -> coordinator
 constexpr std::uint16_t kTagDone = 3;      // coordinator -> worker
@@ -47,18 +46,9 @@ constexpr std::uint8_t kRunSum = 1;    // add: u64 delta lanes
 // Flush accumulated span-diff records to the wire at this payload size.
 constexpr std::size_t kSpanChunkBytes = 512 * 1024;
 
-// Retransmission policy for the data links. The socketpairs are lossless,
-// so retries only ever fire when a peer is slow to ack (mid-sub-phase);
-// generous settings keep the protocol quiet and let pipe-level
-// EPIPE/EOF detection — not retry exhaustion — be the death signal.
-transport::RetryPolicy data_retry_policy() {
-  transport::RetryPolicy p;
-  p.timeout_ns = 20 * kMillisecond;
-  p.backoff = 2.0;
-  p.max_timeout_ns = 200 * kMillisecond;
-  p.max_retries = 500;
-  return p;
-}
+// Depth at which a data link's per-(src, dst) train auto-flushes into one
+// frame (wire aggregation).
+constexpr std::uint32_t kTrainMax = 16;
 
 std::int64_t mono_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -135,11 +125,8 @@ ProcBackend::Config g_default_config;
 
 void send_ctl(transport::PipeChannel& ctl, NodeId src, NodeId dst,
               std::uint16_t tag, std::vector<std::uint8_t> bytes) {
-  transport::TrainItem item;
-  item.tag = tag;
-  item.wire = std::move(bytes);
-  ctl.send_train(nullptr, src, dst, std::move(item));
-  ctl.flush(nullptr, src);
+  ctl.send(src, dst, tag, std::move(bytes));
+  ctl.flush(src);
 }
 
 }  // namespace
@@ -231,10 +218,7 @@ void ProcBackend::send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
   remote_bytes_sent_.fetch_add(wire.size(), std::memory_order_relaxed);
   link.sent.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(link.mu);
-  transport::TrainItem item;
-  item.tag = handler;
-  item.wire = std::move(wire);
-  link.rel->send_train(nullptr, src, dst, std::move(item));
+  link.pipe->send(src, dst, handler, std::move(wire));
 }
 
 void ProcBackend::flush(Cpu& cpu, NodeId node) {
@@ -243,7 +227,7 @@ void ProcBackend::flush(Cpu& cpu, NodeId node) {
   for (auto& link : links_) {
     if (link == nullptr) continue;
     std::lock_guard<std::mutex> lk(link->mu);
-    link->rel->flush(nullptr, node);
+    link->pipe->flush(node);
   }
 }
 
@@ -251,7 +235,8 @@ void ProcBackend::schedule_at(Time at, TimerFn fn) {
   (void)at;
   (void)fn;
   DPA_PANIC("proc backend has no deferred timers (supports_timers() is "
-            "false); the reliability layer runs inside the transport");
+            "false); its socketpair fabric is lossless, so the retry "
+            "protocol never engages");
 }
 
 Time ProcBackend::begin_phase() {
@@ -555,10 +540,6 @@ void ProcBackend::coordinator_apply(std::uint32_t from, std::uint16_t tag,
       wire_total_.frames_recv += r.u64();
       wire_total_.bytes_sent += r.u64();
       wire_total_.payloads_recv += r.u64();
-      wire_total_.retries += r.u64();
-      wire_total_.acks_sent += r.u64();
-      wire_total_.acks_recv += r.u64();
-      wire_total_.dup_msgs_dropped += r.u64();
       const std::uint32_t n = r.u32();
       for (std::uint32_t i = 0; i < n; ++i) {
         const NodeId id = r.u32();
@@ -706,7 +687,7 @@ void ProcBackend::worker_main(std::uint32_t self) {
                                  ctl_fds_[self][1]});
   ctl.set_control(true);
 
-  // Data links: one framed + reliable channel per peer worker.
+  // Data links: one framed channel per peer worker.
   links_.clear();
   links_.resize(procs_);
   for (std::uint32_t v = 0; v < procs_; ++v) {
@@ -714,27 +695,13 @@ void ProcBackend::worker_main(std::uint32_t self) {
     const int fd = self < v ? data_fds_[self][v][0] : data_fds_[v][self][1];
     auto link = std::make_unique<PeerLink>();
     link->pipe = std::make_unique<transport::PipeChannel>(
-        num_nodes_, config_.train_max, transport::PipeChannel::Endpoint{fd});
-    link->rel = std::make_unique<transport::ReliableChannel>(
-        *link->pipe, num_nodes_, data_retry_policy());
-    // Prime the protocol clock: it starts at 0, and the first real pump
-    // jumps it to monotonic-now — without this, every in-flight message
-    // would look past-deadline once and be retransmitted needlessly.
-    link->rel->pump(mono_ns());
+        num_nodes_, kTrainMax, transport::PipeChannel::Endpoint{fd});
     PeerLink* raw = link.get();
-    link->rel->set_on_peer_dead(
-        [raw](NodeId dst, std::uint64_t seq, std::uint32_t sends) {
-          (void)dst;
-          (void)seq;
-          (void)sends;
-          raw->rel_gave_up.store(true, std::memory_order_relaxed);
-        });
-    link->rel->set_deliver([this, raw](const transport::FrameHeader& h,
-                                       const transport::FramePayload& p) {
+    link->pipe->set_deliver([this, raw](const transport::FrameHeader& h,
+                                        const transport::FramePayload& p) {
       // Application payload from another process: [u32 modeled_bytes]
       // [codec bytes] under the handler-id tag. Rebuild the packet and
-      // stage it as a post for the next sub-phase (post-dedup: the
-      // reliable wrapper already dropped duplicates).
+      // stage it as a post for the next sub-phase.
       DPA_CHECK(p.tag < handlers_.size()) << "unknown handler tag on wire";
       const WireCodec& codec = codecs_[p.tag];
       DPA_CHECK(bool(codec.unmarshal))
@@ -883,23 +850,20 @@ void ProcBackend::worker_main(std::uint32_t self) {
       for (auto& link : links_) {
         if (link == nullptr) continue;
         std::lock_guard<std::mutex> lk(link->mu);
-        for (NodeId n : owned) link->rel->flush(nullptr, n);
+        for (NodeId n : owned) link->pipe->flush(n);
       }
     }
     first = false;
 
-    // 2. Pump the data links: deliveries, acks, retransmit deadlines.
-    const std::int64_t now = mono_ns();
+    // 2. Pump the data links: inbound payloads become staged posts.
     for (std::uint32_t v = 0; v < procs_; ++v) {
       PeerLink* link = links_[v].get();
       if (link == nullptr) continue;
       bool down;
       {
         std::lock_guard<std::mutex> lk(link->mu);
-        link->rel->poll();
-        link->rel->pump(now);
-        down = link->pipe->status() == transport::ChannelStatus::kPeerDown ||
-               link->rel_gave_up.load(std::memory_order_relaxed);
+        link->pipe->poll();
+        down = link->pipe->status() == transport::ChannelStatus::kPeerDown;
       }
       if (down && !link->death_reported) {
         link->death_reported = true;
@@ -1063,11 +1027,6 @@ void ProcBackend::worker_finalize(
       wt.frames_recv += w.frames_recv;
       wt.bytes_sent += w.bytes_sent;
       wt.payloads_recv += w.payloads_recv;
-      const transport::ReliableChannel::Stats& rs = link->rel->stats();
-      wt.retries += rs.retries;
-      wt.acks_sent += rs.acks_sent;
-      wt.acks_recv += rs.acks_recv;
-      wt.dup_msgs_dropped += rs.dup_msgs_dropped;
     }
     Wr s;
     s.u64(tasks_acc);
@@ -1084,10 +1043,6 @@ void ProcBackend::worker_finalize(
     s.u64(wt.frames_recv);
     s.u64(wt.bytes_sent);
     s.u64(wt.payloads_recv);
-    s.u64(wt.retries);
-    s.u64(wt.acks_sent);
-    s.u64(wt.acks_recv);
-    s.u64(wt.dup_msgs_dropped);
     s.u32(std::uint32_t(owned.size()));
     for (NodeId n : owned) {
       s.u32(n);

@@ -1,4 +1,4 @@
-// ProcBackend: multi-process execution over the PR-9 transport layer.
+// ProcBackend: multi-process execution over the transport layer.
 //
 // A coordinator process forks one worker process per group of nodes at
 // each run_phase(); every worker runs the existing M:N NativeBackend pool
@@ -6,10 +6,15 @@
 // (owner(node) = node % procs — the same modular affinity the native
 // scheduler uses). Cross-process messages travel as encoded frames over
 // one AF_UNIX socketpair per process pair (transport::PipeChannel in
-// endpoint mode) wrapped in transport::ReliableChannel; a per-worker
-// control socketpair — every frame stamped kFrameFlagControl — carries
-// the coordinator-driven termination protocol, the span diffs, and the
-// result blobs.
+// endpoint mode); a per-worker control socketpair — every frame stamped
+// kFrameFlagControl — carries the coordinator-driven termination
+// protocol, the span diffs, and the result blobs.
+//
+// Reliability: none is layered on. A stream socket between live
+// processes is lossless and FIFO — exactly the guarantee the paper's
+// Illinois Fast Messages gave DPA — so the data links carry no sequence
+// numbers, acks or retransmissions. The only failure is a dead peer,
+// handled below.
 //
 // Execution model (fork-per-phase):
 //   * Between phases the coordinator is the only thread alive. post() and
@@ -27,10 +32,10 @@
 //     until the replies arrive and drive another sub-phase.
 //   * Termination is the PR-5/7 two-pass quiescence shape lifted to
 //     frame level: the coordinator broadcasts probe rounds; each worker
-//     reports (quiescent?, tasks run, per-peer sent/recv counts at the
-//     application level — retransmissions excluded). The phase is done
-//     when two consecutive rounds are identical, every worker is
-//     quiescent, and the sent/recv matrices match pairwise.
+//     reports (quiescent?, tasks run, per-peer sent/recv payload
+//     counts). The phase is done when two consecutive rounds are
+//     identical, every worker is quiescent, and the sent/recv matrices
+//     match pairwise.
 //   * After the done broadcast each worker runs the phase epilogue for
 //     its owned nodes (committing staged accumulations (src, seq)-sorted
 //     — the determinism-bearing step), diffs every registered span
@@ -66,7 +71,6 @@
 
 #include "exec/backend.h"
 #include "transport/pipe_channel.h"
-#include "transport/reliable_channel.h"
 
 namespace dpa::exec {
 
@@ -77,8 +81,6 @@ class ProcBackend final : public Backend {
   struct Config {
     // Worker process count; clamped to [1, num_nodes].
     std::uint32_t procs = 2;
-    // Depth at which a per-peer train auto-flushes (wire aggregation).
-    std::uint32_t train_max = 16;
     // Armed at construction when enabled() — the harness-flag path, same
     // plumbing as NativeBackend::set_default_watchdog. arm_watchdog()
     // overrides it per instance.
@@ -168,17 +170,14 @@ class ProcBackend final : public Backend {
   };
 
   // One worker's data link to a peer process: a duplex socketpair end
-  // speaking the frame codec, wrapped in the reliability protocol. `mu`
-  // serializes sends from concurrent inner-pool workers against the pump
-  // loop; `sent` counts application payloads (not retransmissions) for
-  // the termination protocol, `recv` counts post-dedup deliveries.
+  // speaking the frame codec. `mu` serializes sends from concurrent
+  // inner-pool workers against the pump loop; `sent` and `recv` count
+  // application payloads for the termination protocol.
   struct PeerLink {
     std::mutex mu;
     std::unique_ptr<transport::PipeChannel> pipe;
-    std::unique_ptr<transport::ReliableChannel> rel;
     std::atomic<std::uint64_t> sent{0};
     std::uint64_t recv = 0;
-    std::atomic<bool> rel_gave_up{false};  // retry exhaustion (on_peer_dead)
     bool death_reported = false;
   };
 

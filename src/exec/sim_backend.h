@@ -15,7 +15,6 @@
 #include "exec/backend.h"
 #include "fm/fm.h"
 #include "sim/machine.h"
-#include "transport/sim_channel.h"
 
 namespace dpa::exec {
 
@@ -36,12 +35,7 @@ class SimBackend final : public Backend {
 
   void send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
             std::shared_ptr<void> data, std::uint32_t bytes) override {
-    // Route through the transport::Channel view of the FM layer — one
-    // forwarding hop, same fm::FmLayer::send call as the pre-transport
-    // tree, so modeled time and goldens are unchanged.
-    transport::TrainItem item;
-    item.packet = Packet{src, dst, handler, std::move(data), bytes};
-    channel_.send_train(&cpu, src, dst, std::move(item));
+    fm_.send(cpu, src, dst, handler, std::move(data), bytes);
   }
 
   void post(NodeId node, Task task) override {
@@ -85,12 +79,10 @@ class SimBackend final : public Backend {
 
   sim::Machine* sim_machine() override { return &machine_; }
   fm::FmLayer& fm() { return fm_; }
-  transport::Channel& channel() { return channel_; }
 
  private:
   sim::Machine machine_;
   fm::FmLayer fm_;
-  transport::SimChannel channel_{fm_};  // declared after fm_: wraps it
 };
 
 }  // namespace dpa::exec

@@ -128,7 +128,9 @@ struct Cluster {
 //
 // `rel_seq` is the reliability layer's per-sender sequence number: 0 means
 // unsequenced (protocol off), otherwise the receiver acks it and dedups
-// retransmitted copies (see EngineBase::rel_accept).
+// retransmitted copies (see EngineBase::rel_accept). Only the faulted
+// simulator turns the protocol on, so the proc backend's wire codecs leave
+// rel_seq out.
 //
 // A request and its reply are the same type, and off the reliability layer
 // the same object: the home serves a request in place and sends it back,

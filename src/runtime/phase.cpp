@@ -42,19 +42,22 @@ T get(const std::uint8_t*& p, const std::uint8_t* end) {
   return v;
 }
 
-// The runtime's three wire payloads, flattened for the multi-process
-// backend. GlobalRef is trivially copyable (a host pointer + home + size;
-// the pointer stays valid across fork — same address space layout), so
-// ref vectors travel as raw arrays. AccumFn closures travel as their
-// inline capture bytes plus the ops-table pointer as a type token — only
+// The runtime's wire payloads, flattened for the multi-process backend.
+// GlobalRef is trivially copyable (a host pointer + home + size; the
+// pointer stays valid across fork — same address space layout), so ref
+// vectors travel as raw arrays. AccumFn closures travel as their inline
+// capture bytes plus the ops-table pointer as a type token — only
 // trivially marshallable closures may cross (DPA_CHECKed at marshal).
+// rel_seq does not cross: the reliability protocol engages only on a lossy
+// backend (the faulted simulator), so on proc it is always 0. Acks are
+// never sent there either, so they have no codec.
 
 exec::WireCodec refs_codec() {
   return exec::WireCodec{
       [](const void* data, std::uint32_t) {
         const auto* msg = static_cast<const RefsPayload*>(data);
+        DPA_DCHECK(msg->rel_seq == 0) << "sequenced payload on a lossless wire";
         std::vector<std::uint8_t> b;
-        put(b, msg->rel_seq);
         put(b, msg->requester);
         put(b, std::uint32_t(msg->refs.size()));
         put_raw(b, msg->refs.data(), msg->refs.size() * sizeof(GlobalRef));
@@ -63,7 +66,6 @@ exec::WireCodec refs_codec() {
       [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
         const std::uint8_t* end = p + len;
         auto msg = std::make_shared<RefsPayload>();
-        msg->rel_seq = get<std::uint64_t>(p, end);
         msg->requester = get<NodeId>(p, end);
         const auto count = get<std::uint32_t>(p, end);
         DPA_CHECK(std::size_t(end - p) == count * sizeof(GlobalRef));
@@ -77,8 +79,9 @@ exec::WireCodec accum_codec() {
   return exec::WireCodec{
       [](const void* data, std::uint32_t) {
         const auto* accum = static_cast<const AccumPayload*>(data);
+        DPA_DCHECK(accum->rel_seq == 0)
+            << "sequenced payload on a lossless wire";
         std::vector<std::uint8_t> b;
-        put(b, accum->rel_seq);
         put(b, accum->accum_seq);
         put(b, std::uint32_t(accum->items.size()));
         for (const auto& [ref, fn] : accum->items) {
@@ -95,7 +98,6 @@ exec::WireCodec accum_codec() {
       [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
         const std::uint8_t* end = p + len;
         auto accum = std::make_shared<AccumPayload>();
-        accum->rel_seq = get<std::uint64_t>(p, end);
         accum->accum_seq = get<std::uint64_t>(p, end);
         const auto count = get<std::uint32_t>(p, end);
         accum->items.reserve(count);
@@ -111,19 +113,6 @@ exec::WireCodec accum_codec() {
           accum->items.emplace_back(ref, std::move(fn));
         }
         return accum;
-      }};
-}
-
-exec::WireCodec ack_codec() {
-  return exec::WireCodec{
-      [](const void* data, std::uint32_t) {
-        std::vector<std::uint8_t> b;
-        put(b, *static_cast<const AckPayload*>(data));
-        return b;
-      },
-      [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
-        const std::uint8_t* end = p + len;
-        return std::make_shared<AckPayload>(get<AckPayload>(p, end));
       }};
 }
 }  // namespace
@@ -150,8 +139,8 @@ PhaseRunner::PhaseRunner(Cluster& cluster, RuntimeConfig cfg)
   DPA_CHECK(!cfg_.retry.enabled || cluster_.exec().supports_timers())
       << "retry/timeout reliability config needs a backend with deferred "
       << "timers; --backend=native and --backend=proc cannot honor it "
-      << "(their fabrics are lossless — proc's reliability lives inside "
-      << "the transport) — drop the retry config or run with --backend=sim";
+      << "(their fabrics — in-process mailboxes, socketpairs — are "
+      << "lossless) — drop the retry config or run with --backend=sim";
   arenas_.reserve(cluster_.num_nodes());
   for (std::uint32_t i = 0; i < cluster_.num_nodes(); ++i)
     arenas_.push_back(std::make_unique<Arena>());
@@ -193,7 +182,6 @@ PhaseRunner::PhaseRunner(Cluster& cluster, RuntimeConfig cfg)
   backend.set_wire_codec(h_req_, refs_codec());
   backend.set_wire_codec(h_reply_, refs_codec());
   backend.set_wire_codec(h_accum_, accum_codec());
-  backend.set_wire_codec(h_ack_, ack_codec());
 }
 
 std::unique_ptr<EngineBase> PhaseRunner::make_engine(NodeId node) {
@@ -317,29 +305,14 @@ PhaseResult PhaseRunner::run(std::vector<NodeWork> work,
     auto& m = cluster_.obs->metrics;
     result.rt.publish(m);
     *m.counter("rt.phases") += 1;
-    // Transport-layer aliases. The reliability protocol lives in
-    // transport::Reliable and trains depart through transport::Channel, so
-    // the same counters are published under transport.* alongside the
-    // legacy rt.* / exec.trains names (scripts/check_obs_json.py checks
-    // each pair stays equal). trains_sent covers both fabrics: mailbox
-    // hand-offs on native, FM-layer message trains on sim.
-    *m.counter("transport.retries") += result.rt.retries;
-    *m.counter("transport.acks_sent") += result.rt.acks_sent;
-    *m.counter("transport.acks_recv") += result.rt.acks_recv;
-    *m.counter("transport.dup_msgs_dropped") += result.rt.dup_msgs_dropped;
-    *m.counter("transport.trains_sent") += result.fm_total.trains_sent;
     if (backend.kind() == exec::BackendKind::kProc) {
       // Real bytes on the socketpair fabric, merged across all worker
-      // processes (frame codec + reliability decorator counters).
+      // processes.
       const exec::WireStatsTotal wt = backend.wire_stats_total();
       *m.counter("transport.wire_frames_sent") += wt.frames_sent;
       *m.counter("transport.wire_frames_recv") += wt.frames_recv;
       *m.counter("transport.wire_bytes_sent") += wt.bytes_sent;
       *m.counter("transport.wire_payloads_recv") += wt.payloads_recv;
-      *m.counter("transport.wire_retries") += wt.retries;
-      *m.counter("transport.wire_acks_sent") += wt.acks_sent;
-      *m.counter("transport.wire_acks_recv") += wt.acks_recv;
-      *m.counter("transport.wire_dup_dropped") += wt.dup_msgs_dropped;
     }
     if (backend.is_sim()) {
       *m.counter("sim.events") += result.sim_events;

@@ -5,9 +5,9 @@
 // pair departs as a single frame, so a socket write amortizes per-message
 // overhead exactly the way the in-memory mailbox hand-off amortizes the
 // per-message lock — the paper's aggregation idea applied to the wire
-// format itself. The same bytes work for any byte-stream transport: the
-// PipeChannel proof-of-concept writes them over a socketpair today; the
-// multi-process backend will write them over TCP tomorrow.
+// format itself. The same bytes work for any byte-stream transport;
+// transport::PipeChannel writes them over the multi-process backend's
+// socketpairs.
 //
 // Wire layout (all integers little-endian):
 //
@@ -19,13 +19,18 @@
 //        8     4  src node
 //       12     4  dst node
 //       16     8  phase epoch
-//       24     8  seq_first  (min reliability seq in the body; 0 = none)
-//       32     8  seq_last   (max reliability seq in the body; 0 = none)
+//       24     8  seq_first  (min payload seq in the body; 0 = none)
+//       32     8  seq_last   (max payload seq in the body; 0 = none)
 //       40     4  payload count
 //       44     4  body_len (bytes of the payload section)
 //       48     4  header_crc = CRC-32 of bytes [0, 48)
 //       52   ...  body: count x { tag u16, seq u64, len u32, bytes[len] }
 //      ...     4  body_crc = CRC-32 of the body section
+//
+// The seq fields are part of the format but unused by the runtime: a
+// stream socket is lossless and in order, so PipeChannel runs no
+// sequence/ack protocol and every payload crosses with seq 0 (range 0..0).
+// The codec still encodes, checks and returns whatever seqs it is given.
 //
 // Decoding is incremental (kNeedMore until a whole frame is buffered) and
 // defensive: every length is bounds-checked before use and the header CRC
@@ -56,13 +61,14 @@ constexpr std::size_t kPayloadHeaderBytes = 14;
 constexpr std::uint32_t kMaxFrameBody = 64u << 20;
 
 // Frame flags.
-constexpr std::uint16_t kFrameFlagControl = 1u << 0;  // ack/control frames
+// Control frames: the proc coordinator's termination protocol, told apart
+// from data without decoding bodies.
+constexpr std::uint16_t kFrameFlagControl = 1u << 0;
 
-// One length-prefixed payload in a frame body. `seq` is the reliability
-// layer's per-sender sequence number (0 = unsequenced), carried per payload
-// because a sender's train interleaves sequences bound for many
-// destinations — the header's [seq_first, seq_last] range is a summary,
-// not a substitute.
+// One length-prefixed payload in a frame body. `seq` is a per-sender
+// sequence number (0 = unsequenced), carried per payload because a
+// sender's train may interleave sequences bound for many destinations —
+// the header's [seq_first, seq_last] range is a summary, not a substitute.
 struct FramePayload {
   std::uint16_t tag = 0;  // handler id / message kind, opaque to transport
   std::uint64_t seq = 0;

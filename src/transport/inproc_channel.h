@@ -1,4 +1,4 @@
-// InProcChannel: the native backend's message-train fabric as a Channel.
+// InProcChannel: the native backend's message-train fabric.
 //
 // Owns the per-source, per-destination outbound train buffers and the
 // flush policy (depth limit / explicit flush / pre-deactivation flush);
@@ -16,14 +16,17 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "exec/types.h"
 #include "support/assert.h"
-#include "transport/channel.h"
 
 namespace dpa::transport {
 
-class InProcChannel final : public Channel {
+using exec::NodeId;
+
+class InProcChannel {
  public:
   // What the owning backend does with a departed train. `batch` is the
   // train's tasks in send order; the sink moves the elements out (the
@@ -42,28 +45,11 @@ class InProcChannel final : public Channel {
     for (auto& s : srcs_) s.train.resize(num_nodes);
   }
 
-  const char* name() const override { return "inproc"; }
-  ChannelCaps caps() const override {
-    return ChannelCaps{/*lossless=*/true, /*fifo=*/true, /*framed=*/false,
-                       /*buffered=*/true};
-  }
+  InProcChannel(const InProcChannel&) = delete;
+  InProcChannel& operator=(const InProcChannel&) = delete;
 
-  void send_train(exec::Cpu* cpu, NodeId src, NodeId dst,
-                  TrainItem item) override {
-    (void)cpu;  // in-process hand-off cost is measured, not charged
-    buffer(src, dst, std::move(item.task));
-  }
-
-  bool flush(exec::Cpu* cpu, NodeId src) override {
-    (void)cpu;
-    return flush_src(src);
-  }
-
-  std::uint64_t trains_sent(NodeId src) const override {
-    return srcs_[src].trains;
-  }
-
-  // Non-virtual hot-path entry (the backend holds the concrete type).
+  // Appends one message to src's train for dst; the train departs when it
+  // reaches train_max messages or at flush_src().
   void buffer(NodeId src, NodeId dst, exec::Task task) {
     SrcState& s = srcs_[src];
     auto& tr = s.train[dst];
@@ -92,6 +78,9 @@ class InProcChannel final : public Channel {
     DPA_DCHECK(s.pending == 0);
     return true;
   }
+
+  // Trains src has handed off since construction / the last reset_stats().
+  std::uint64_t trains_sent(NodeId src) const { return srcs_[src].trains; }
 
   // Messages buffered but not yet departed for src (zero between phases).
   std::uint32_t pending(NodeId src) const { return srcs_[src].pending; }

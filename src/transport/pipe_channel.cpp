@@ -24,7 +24,7 @@ void set_nonblocking(int fd) {
 }  // namespace
 
 PipeChannel::PipeChannel(std::uint32_t num_nodes, std::uint32_t train_max)
-    : train_max_(train_max), srcs_(num_nodes), fault_rng_(1) {
+    : train_max_(train_max), srcs_(num_nodes) {
   DPA_CHECK(train_max_ > 0);
   for (auto& s : srcs_) s.train.resize(num_nodes);
   DPA_CHECK(socketpair(AF_UNIX, SOCK_STREAM, 0, fds_) == 0)
@@ -35,7 +35,7 @@ PipeChannel::PipeChannel(std::uint32_t num_nodes, std::uint32_t train_max)
 
 PipeChannel::PipeChannel(std::uint32_t num_nodes, std::uint32_t train_max,
                          Endpoint ep)
-    : train_max_(train_max), srcs_(num_nodes), fault_rng_(1) {
+    : train_max_(train_max), srcs_(num_nodes) {
   DPA_CHECK(train_max_ > 0);
   DPA_CHECK(ep.fd >= 0) << "endpoint PipeChannel needs a valid fd";
   for (auto& s : srcs_) s.train.resize(num_nodes);
@@ -48,20 +48,13 @@ PipeChannel::~PipeChannel() {
   if (fds_[1] >= 0 && fds_[1] != fds_[0]) close(fds_[1]);
 }
 
-void PipeChannel::set_faults(const ChannelFaults& faults) {
-  faults_ = faults;
-  fault_rng_ = Rng(faults.seed);
-}
-
-void PipeChannel::send_train(exec::Cpu* cpu, NodeId src, NodeId dst,
-                             TrainItem item) {
-  (void)cpu;  // wall-clock fabric: costs are measured, not charged
+void PipeChannel::send(NodeId src, NodeId dst, std::uint16_t tag,
+                       std::vector<std::uint8_t> bytes) {
   SrcState& s = srcs_[src];
   auto& tr = s.train[dst];
   FramePayload p;
-  p.tag = item.tag;
-  p.seq = item.seq;
-  p.bytes = std::move(item.wire);
+  p.tag = tag;
+  p.bytes = std::move(bytes);
   tr.push_back(std::move(p));
   ++s.pending;
   if (tr.size() >= train_max_) flush_dest(src, dst);
@@ -75,58 +68,20 @@ void PipeChannel::flush_dest(NodeId src, NodeId dst) {
   s.pending -= std::uint32_t(tr.size());
   ++s.trains;
   std::vector<std::uint8_t> frame;
-  const std::uint16_t flags =
-      (mark_control_ || (tr.size() == 1 && tr[0].tag == 0xffff))
-          ? kFrameFlagControl
-          : 0;
-  encode_frame(src, dst, epoch_, flags, tr, &frame);
+  encode_frame(src, dst, epoch_, mark_control_ ? kFrameFlagControl : 0, tr,
+               &frame);
   tr.clear();
-  transmit(std::move(frame));
-}
-
-bool PipeChannel::flush(exec::Cpu* cpu, NodeId src) {
-  (void)cpu;
-  SrcState& s = srcs_[src];
-  if (s.pending == 0) return false;
-  for (NodeId d = 0; d < NodeId(s.train.size()); ++d) flush_dest(src, d);
-  DPA_DCHECK(s.pending == 0);
-  if (!pumping_) pump();
-  return true;
-}
-
-void PipeChannel::transmit(std::vector<std::uint8_t> frame) {
-  if (faults_.any()) {
-    if (fault_rng_.chance(faults_.drop)) {
-      ++stats_.dropped_frames;
-      return;
-    }
-    const bool dup = fault_rng_.chance(faults_.dup);
-    if (fault_rng_.chance(faults_.reorder) && held_.empty()) {
-      // Hold this frame back one slot: it departs right after the next
-      // frame (or at drain()). A retransmission also flushes it out.
-      ++stats_.reordered_frames;
-      held_ = std::move(frame);
-      if (dup) {
-        ++stats_.dup_frames;
-        enqueue_wire(held_);  // the duplicate copy jumps the held original
-      }
-      return;
-    }
-    enqueue_wire(frame);
-    if (dup) {
-      ++stats_.dup_frames;
-      enqueue_wire(frame);
-    }
-    if (!held_.empty()) enqueue_wire(std::exchange(held_, {}));
-    return;
-  }
-  enqueue_wire(std::move(frame));
-}
-
-void PipeChannel::enqueue_wire(std::vector<std::uint8_t> frame) {
   ++stats_.frames_sent;
   stats_.bytes_sent += frame.size();
   tx_.push_back(std::move(frame));
+}
+
+void PipeChannel::flush(NodeId src) {
+  SrcState& s = srcs_[src];
+  if (s.pending == 0) return;
+  for (NodeId d = 0; d < NodeId(s.train.size()); ++d) flush_dest(src, d);
+  DPA_DCHECK(s.pending == 0);
+  if (!pumping_) pump();
 }
 
 std::size_t PipeChannel::pump() {
@@ -142,8 +97,8 @@ std::size_t PipeChannel::pump() {
     // as EPIPE -> kPeerDown, not as a process-killing SIGPIPE.
     while (!tx_.empty()) {
       const auto& f = tx_.front();
-      const ssize_t n = send(fds_[0], f.data() + tx_off_,
-                             f.size() - tx_off_, MSG_NOSIGNAL);
+      const ssize_t n = ::send(fds_[0], f.data() + tx_off_,
+                               f.size() - tx_off_, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EPIPE || errno == ECONNRESET) {
@@ -165,7 +120,7 @@ std::size_t PipeChannel::pump() {
     // the peer closed its half — also kPeerDown, never an abort.
     while (!peer_down_) {
       std::uint8_t buf[65536];
-      const ssize_t n = read(fds_[1], buf, sizeof(buf));
+      const ssize_t n = ::read(fds_[1], buf, sizeof(buf));
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == ECONNRESET) {
@@ -183,9 +138,9 @@ std::size_t PipeChannel::pump() {
       progress = true;
       rx_.insert(rx_.end(), buf, buf + n);
     }
-    // Decode every complete frame in the buffer. Delivery callbacks may
-    // append new frames to the TX backlog (acks) — the outer loop's
-    // progress flag sends those before we give up.
+    // Decode every complete frame in the buffer. A delivery callback that
+    // sends appends to the TX backlog; the outer loop's progress flag
+    // writes it before we give up.
     for (;;) {
       DecodedFrame frame;
       std::size_t consumed = 0;
@@ -193,8 +148,8 @@ std::size_t PipeChannel::pump() {
                                            rx_.size() - rx_pos_, &frame,
                                            &consumed);
       if (st == DecodeStatus::kNeedMore) break;
-      // The fault injector reorders whole frames, never bytes: a decode
-      // failure here is a codec bug, not an injected fault.
+      // A stream socket delivers every byte once and in order: a decode
+      // failure here is a codec bug, not a transport fault.
       DPA_CHECK(st == DecodeStatus::kOk)
           << "pipe stream corrupt: " << to_string(st) << " at offset "
           << rx_pos_;
@@ -218,7 +173,6 @@ std::size_t PipeChannel::pump() {
 }
 
 void PipeChannel::drain() {
-  if (!held_.empty()) enqueue_wire(std::exchange(held_, {}));
   // Every pump with a non-empty backlog makes progress (a full kernel
   // buffer is drained by our own read side in the same call), so this
   // terminates once the wire is quiet and all deliveries ran. A dead peer

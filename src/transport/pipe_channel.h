@@ -1,63 +1,63 @@
-// PipeChannel: the frame codec exercised over a real byte stream — a
-// non-blocking AF_UNIX socketpair() on localhost.
+// PipeChannel: message trains as encoded frames over a byte stream — a
+// non-blocking AF_UNIX socketpair().
 //
-// Proof-of-concept for the multi-process backend: every train a node
-// flushes is encoded into one frame (transport/frame.h), written to the
-// socket, read back, reassembled from the byte stream, decoded, and
-// delivered payload by payload. All nodes share the one loopback stream;
-// the frame header's src/dst route delivery. The bytes on this wire are
-// exactly the bytes a TCP transport will carry.
+// Every train a node flushes is encoded into one frame (transport/frame.h),
+// written to the socket, read back on the other side, reassembled from the
+// byte stream, decoded, and delivered payload by payload. The frame
+// header's src/dst route delivery. Two modes:
+//   * loopback: the channel owns both halves of one socketpair, so every
+//     node shares one stream (the tests' configuration);
+//   * endpoint: the channel adopts one half of a socketpair whose other
+//     half lives in another process (the multi-process backend's data and
+//     control links).
+//
+// A stream socket between live processes neither drops, duplicates nor
+// reorders bytes, so the channel runs no sequence/ack protocol: what is
+// flushed arrives, once, in order. The one failure is the peer dying,
+// which surfaces as ChannelStatus::kPeerDown.
 //
 // I/O model — a miniature event loop, single-threaded and non-blocking:
-//   * transmit appends encoded frames to a TX backlog (after optional
-//     fault injection, below);
+//   * flush appends encoded frames to a TX backlog;
 //   * pump() writes as much backlog as the kernel buffer takes (partial
 //     writes resume mid-frame), then reads everything available,
 //     decodes complete frames from the reassembly buffer, and delivers.
-// Because writes never block and delivery callbacks only ever *append*
-// to the backlog (acks from ReliableChannel, say), re-entrancy cannot
-// deadlock: the loop makes progress as long as someone keeps pumping —
-// which is what the caller's poll() loop is.
-//
-// Fault injection (seeded, deterministic) corrupts the *schedule*, never
-// the bytes: whole encoded frames are dropped, duplicated, or held back
-// one slot before they reach the wire, so the stream stays well-formed
-// and any decode failure is a real codec bug (and panics). Byte-level
-// corruption is the fuzz suite's job, directly against decode_frame.
+// Writes never block, so the loop makes progress as long as someone keeps
+// pumping — which is what the caller's poll() loop is.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <utility>
 #include <vector>
 
-#include "support/rng.h"
-#include "transport/channel.h"
+#include "transport/frame.h"
 
 namespace dpa::transport {
 
-// Whole-frame fault schedule for PipeChannel (the transport-level analog
-// of sim::FaultPlan — same idea, applied to frames instead of fragments).
-struct ChannelFaults {
-  double drop = 0.0;     // P(frame silently discarded before the wire)
-  double dup = 0.0;      // P(frame written twice)
-  double reorder = 0.0;  // P(frame held back one slot — swaps with the next)
-  std::uint64_t seed = 1;
+// Liveness of the peer on the other end of a channel. A channel whose
+// counterpart process died (EPIPE/ECONNRESET on write, EOF on read)
+// reports kPeerDown instead of aborting, so a coordinator can detect the
+// loss, name the dead peer, and fail the phase cleanly. Once kPeerDown, a
+// channel stays down: sends are silently discarded and poll() makes no
+// further progress.
+enum class ChannelStatus : std::uint8_t { kOk, kPeerDown };
 
-  bool any() const { return drop > 0 || dup > 0 || reorder > 0; }
-};
+// Delivery callback: one decoded payload, with the frame header that
+// carried it (routing + epoch).
+using FrameDeliverFn =
+    std::function<void(const FrameHeader&, const FramePayload&)>;
 
-class PipeChannel final : public Channel {
+class PipeChannel {
  public:
   struct WireStats {
-    std::uint64_t frames_sent = 0;   // frames that reached the wire
+    std::uint64_t frames_sent = 0;
     std::uint64_t frames_recv = 0;
     std::uint64_t payloads_recv = 0;
     std::uint64_t bytes_sent = 0;
-    std::uint64_t dropped_frames = 0;
-    std::uint64_t dup_frames = 0;
-    std::uint64_t reordered_frames = 0;
   };
 
+  // Loopback mode: one in-process socketpair carries every node's trains.
   PipeChannel(std::uint32_t num_nodes, std::uint32_t train_max);
 
   // Endpoint mode: adopt one duplex fd (our half of a socketpair whose
@@ -69,7 +69,10 @@ class PipeChannel final : public Channel {
   };
   PipeChannel(std::uint32_t num_nodes, std::uint32_t train_max, Endpoint ep);
 
-  ~PipeChannel() override;
+  ~PipeChannel();
+
+  PipeChannel(const PipeChannel&) = delete;
+  PipeChannel& operator=(const PipeChannel&) = delete;
 
   // Frames carry the phase epoch; the phase driver stamps it.
   void set_epoch(std::uint64_t epoch) { epoch_ = epoch; }
@@ -78,45 +81,32 @@ class PipeChannel final : public Channel {
   // termination-protocol channel, whose traffic a prioritizing transport
   // must tell apart from data without decoding bodies.
   void set_control(bool control) { mark_control_ = control; }
-  // Arms (or disarms, with {}) the fault schedule. Faulted delivery is
-  // only exactly-once under a ReliableChannel wrapper.
-  void set_faults(const ChannelFaults& faults);
 
-  const char* name() const override { return "pipe"; }
-  ChannelCaps caps() const override {
-    return ChannelCaps{/*lossless=*/!(faults_.drop > 0 || faults_.dup > 0),
-                       /*fifo=*/!(faults_.reorder > 0),
-                       /*framed=*/true, /*buffered=*/true};
-  }
+  void set_deliver(FrameDeliverFn fn) { deliver_ = std::move(fn); }
 
-  void set_deliver(FrameDeliverFn fn) override { deliver_ = std::move(fn); }
-
-  // Buffers {tag, seq, wire} on src's train for dst (the Packet/Task
-  // representations are ignored — this fabric moves bytes).
-  void send_train(exec::Cpu* cpu, NodeId src, NodeId dst,
-                  TrainItem item) override;
+  // Appends one payload to src's train for dst; the train departs as one
+  // frame when it reaches train_max payloads or at flush().
+  void send(NodeId src, NodeId dst, std::uint16_t tag,
+            std::vector<std::uint8_t> bytes);
 
   // Encodes each non-empty train of src as one frame, queues it for the
-  // wire, and pumps. True if anything departed.
-  bool flush(exec::Cpu* cpu, NodeId src) override;
+  // wire, and pumps.
+  void flush(NodeId src);
 
   // Writes backlog / reads / decodes / delivers; returns payloads
   // delivered by this call. Once the peer is down this returns 0 forever
   // (status() says why) instead of aborting — see ChannelStatus.
-  std::size_t poll() override { return pump(); }
+  std::size_t poll() { return pump(); }
 
-  ChannelStatus status() const override {
+  ChannelStatus status() const {
     return peer_down_ ? ChannelStatus::kPeerDown : ChannelStatus::kOk;
   }
 
-  std::uint64_t trains_sent(NodeId src) const override {
-    return srcs_[src].trains;
-  }
+  // Trains (= frames) src has handed off since construction.
+  std::uint64_t trains_sent(NodeId src) const { return srcs_[src].trains; }
 
-  // Forces everything queued — including a fault-held frame — onto the
-  // wire and drains until no progress. Phase-end barrier for unfaulted
-  // runs; faulted runs converge through ReliableChannel retransmission
-  // instead.
+  // Forces everything queued onto the wire and drains until no progress:
+  // the phase-end barrier.
   void drain();
 
   const WireStats& wire_stats() const { return stats_; }
@@ -134,10 +124,6 @@ class PipeChannel final : public Channel {
   };
 
   void flush_dest(NodeId src, NodeId dst);
-  // Applies the fault schedule to one encoded frame, then queues the
-  // survivors (and any held-back predecessor) for the wire.
-  void transmit(std::vector<std::uint8_t> frame);
-  void enqueue_wire(std::vector<std::uint8_t> frame);
   std::size_t pump();
 
   std::uint32_t train_max_;
@@ -157,9 +143,6 @@ class PipeChannel final : public Channel {
   std::size_t rx_pos_ = 0;                    // decoded-up-to offset in rx_
   bool pumping_ = false;                      // re-entrancy guard
 
-  ChannelFaults faults_;
-  Rng fault_rng_;
-  std::vector<std::uint8_t> held_;  // reorder: frame held back one slot
   WireStats stats_;
 };
 

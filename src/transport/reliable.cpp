@@ -11,23 +11,12 @@ const Reliable::Pending* Reliable::retry(std::uint64_t seq) {
   if (it == pending_.end()) return nullptr;  // ack raced the timer
   Pending& p = it->second;
   if (p.attempts >= policy_.max_retries) {
-    // Give the message up: max_retries retransmissions (plus the original
-    // send) went unacked. Drop the entry first so the callback sees a
-    // consistent in-flight table, then let the owner decide what that
-    // means — the default is the historical abort, a multi-process
-    // coordinator turns it into a peer-dead report. `sends` counts actual
-    // transmissions (1 + p.attempts), not p.attempts + the increment the
-    // old message double-counted.
-    const NodeId dst = p.dst;
+    // `sends` counts actual transmissions: the original plus every
+    // retransmission.
     const std::uint32_t sends = 1 + p.attempts;
-    pending_.erase(seq);
-    if (on_peer_dead_) {
-      on_peer_dead_(dst, seq, sends);
-      return nullptr;
-    }
     DPA_PANIC("node " << self_ << " gave up on seq " << seq << " to node "
-                      << dst << " after " << sends << " sends (1 original + "
-                      << (sends - 1)
+                      << p.dst << " after " << sends
+                      << " sends (1 original + " << p.attempts
                       << " retransmissions) — fabric unusable or the "
                       << "reliability layer is broken");
   }

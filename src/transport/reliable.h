@@ -6,17 +6,12 @@
 // deadlines, and the per-source sets of delivered sequence numbers that
 // make retransmitted or fabric-duplicated copies droppable. What it
 // deliberately does NOT own is the clock and the wire: the caller charges
-// costs, sends bytes/payloads, and arms timers, because those are
-// substrate properties —
-//
-//   * the runtime engines drive it through exec::Backend::schedule_at on
-//     the simulator, where retransmission timing is part of the modeled
-//     phase and must stay byte-identical to the goldens;
-//   * ReliableChannel drives it with an explicit pump(now) over a framed
-//     channel, where retransmission is real I/O.
-//
-// Same protocol, one implementation, two substrates — the property the
-// multi-process backend needs.
+// costs, sends payloads, and arms timers, because those are substrate
+// properties. Its one user is the runtime engines on the simulator, the
+// only fabric that loses messages (an armed sim::FaultPlan): they drive it
+// through exec::Backend::schedule_at, where retransmission timing is part
+// of the modeled phase and must stay byte-identical to the goldens. The
+// native and proc fabrics are lossless and never engage it.
 //
 // Protocol invariants (unchanged from PR 2):
 //   * seq 0 means "unsequenced": the sender runs without the protocol and
@@ -27,15 +22,12 @@
 //   * accept() is exactly-once per (src, seq): the first copy is
 //     delivered, every later copy reports false and must be dropped.
 //   * retry() applies capped exponential backoff (attempt n waits
-//     timeout * backoff^n); after max_retries retransmissions it gives the
-//     message up through on_peer_dead. The default callback dies loudly —
-//     on a single-process fabric an undeliverable message is a bug, not a
-//     steady state — but a multi-process coordinator overrides it so one
-//     lost worker becomes a reported error instead of a crash.
+//     timeout * backoff^n); after max_retries retransmissions it dies
+//     loudly — on the modeled fabric an undeliverable message is a bug,
+//     not a steady state.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -58,15 +50,12 @@ struct RetryPolicy {
 
 class Reliable {
  public:
-  // One unacked in-flight message. Either `data` (in-memory payload, the
-  // engine path) or `wire` (encoded payload, the framed-channel path)
-  // keeps the bytes alive for retransmission; a retry re-sends the same
-  // representation under the same seq.
+  // One unacked in-flight message. `data` keeps the payload alive for
+  // retransmission; a retry re-sends it under the same seq.
   struct Pending {
     NodeId dst = 0;
-    std::uint16_t handler = 0;  // handler id / frame tag
+    std::uint16_t handler = 0;
     std::shared_ptr<void> data;
-    std::vector<std::uint8_t> wire;
     std::uint32_t bytes = 0;
     std::uint32_t attempts = 0;  // retransmissions so far
     Time timeout = 0;            // current (backed-off) timer interval
@@ -117,20 +106,11 @@ class Reliable {
     return pending_.find(seq) != pending_.end();
   }
 
-  // Invoked when a message exhausts max_retries: (dst, seq, sends) where
-  // `sends` counts every transmission attempted — 1 original plus
-  // max_retries retransmissions. The pending entry is already erased when
-  // this runs; the callback decides what giving up means (the default
-  // panics, a multi-process coordinator reports the peer dead).
-  using PeerDeadFn =
-      std::function<void(NodeId dst, std::uint64_t seq, std::uint32_t sends)>;
-  void set_on_peer_dead(PeerDeadFn fn) { on_peer_dead_ = std::move(fn); }
-
   // A retransmit deadline fired: bumps the attempt count, applies backoff,
   // and returns the record the caller must re-send — or null if the ack
-  // raced the timer, or if max_retries was exhausted (the entry is dropped
-  // and on_peer_dead runs before returning). The pointer is into the
-  // pending table: invalidated by the next track/retry/on_ack.
+  // raced the timer. Panics once a message has gone unacked through
+  // max_retries retransmissions. The pointer is into the pending table:
+  // invalidated by the next track/retry/on_ack.
   const Pending* retry(std::uint64_t seq);
 
   // An ack arrived for `seq`; true if it cleared an in-flight entry
@@ -155,7 +135,6 @@ class Reliable {
   NodeId self_ = 0;
   RetryPolicy policy_;
   std::uint64_t next_seq_ = 0;
-  PeerDeadFn on_peer_dead_;  // empty = the default abort in retry()
   FlatMap<std::uint64_t, Pending> pending_;
   // Per-source sets of delivered sequence numbers (receiver-side dedup).
   std::vector<FlatSet<std::uint64_t>> seen_;

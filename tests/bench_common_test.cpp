@@ -3,6 +3,7 @@
 // and warning behavior the CI harnesses rely on but no app test exercises.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "common.h"
@@ -29,18 +30,43 @@ TEST(BackendOptions, ValidateRejectsFaultsOnNative) {
   EXPECT_FALSE(b.validate(faults));  // lossless fabric, no injector
 }
 
-TEST(BackendOptions, ValidateRejectsProcsBelowOne) {
+TEST(BackendOptions, ValidateRejectsProcsOutOfRange) {
   bench::FaultOptions no_faults;
   bench::BackendOptions b;
   b.name = "proc";
-  b.procs = 1;
-  EXPECT_TRUE(b.validate(no_faults));
-  for (const std::int64_t bad : {0, -3}) {
+  for (const std::int64_t ok : {std::int64_t(1), std::int64_t(4294967295)}) {
+    b.procs = ok;
+    EXPECT_TRUE(b.validate(no_faults)) << ok;
+  }
+  // install() narrows to std::uint32_t: 2^32 would wrap to 0 and then be
+  // clamped to one process without a word.
+  for (const std::int64_t bad : {std::int64_t(0), std::int64_t(-3),
+                                 std::int64_t(4294967296), INT64_MAX}) {
     b.procs = bad;
     ::testing::internal::CaptureStderr();
     EXPECT_FALSE(b.validate(no_faults)) << bad;
     const std::string err = ::testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find("--procs=" + std::to_string(bad)), std::string::npos)
+        << err;
+  }
+}
+
+TEST(BackendOptions, ValidateRejectsNegativeAndOversizedWorkers) {
+  bench::FaultOptions no_faults;
+  bench::BackendOptions b;
+  b.name = "native";
+  for (const std::int64_t ok : {std::int64_t(0), std::int64_t(3),
+                                std::int64_t(4294967295)}) {
+    b.workers = ok;
+    EXPECT_TRUE(b.validate(no_faults)) << ok;
+  }
+  for (const std::int64_t bad :
+       {std::int64_t(-2), std::int64_t(4294967296), INT64_MAX}) {
+    b.workers = bad;
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(b.validate(no_faults)) << bad;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("--workers=" + std::to_string(bad)), std::string::npos)
         << err;
   }
 }
@@ -124,15 +150,6 @@ TEST(BackendOptions, InstallPublishesWorkerPoolSizeForNativeOnly) {
   b.install();
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("--workers=5 ignored"), std::string::npos) << err;
-  EXPECT_EQ(exec::NativeBackend::default_tuning().workers, 3u);
-
-  // Negative pool sizes warn and are ignored.
-  b.name = "native";
-  b.workers = -2;
-  ::testing::internal::CaptureStderr();
-  b.install();
-  const std::string err2 = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(err2.find("--workers=-2 ignored"), std::string::npos) << err2;
   EXPECT_EQ(exec::NativeBackend::default_tuning().workers, 3u);
 }
 

@@ -63,7 +63,8 @@ struct RingVal {
   double v = 0;
 };
 
-rt::PhaseResult run_ring_phase(std::vector<double>* out) {
+rt::PhaseResult run_ring_phase(std::vector<double>* out,
+                               exec::WireStatsTotal* wire = nullptr) {
   rt::Cluster cluster(4, exec::BackendKind::kProc);
   rt::PhaseRunner runner(cluster, rt::RuntimeConfig::dpa(32));
 
@@ -81,6 +82,7 @@ rt::PhaseResult run_ring_phase(std::vector<double>* out) {
     };
   }
   const rt::PhaseResult r = runner.run(std::move(work), "ring");
+  if (wire != nullptr) *wire = cluster.exec().wire_stats_total();
   if (out != nullptr) {
     out->clear();
     for (const auto& p : ptrs) out->push_back(p.addr->v);
@@ -100,6 +102,22 @@ TEST(ProcBackend, CrossProcessRingPhaseComputesTheRightValues) {
   EXPECT_EQ(vals, want);
   EXPECT_GT(r.elapsed, 0);
   EXPECT_GT(r.sim_events, 0u);
+}
+
+TEST(ProcBackend, RingPhaseFramesCarryOnlyApplicationPayloads) {
+  // Every ring dependency crosses the process boundary once each way: 4
+  // requests and 4 replies. The socketpairs are lossless, so nothing else
+  // rides the data links — no acks, no retransmissions — and every frame
+  // sent is a frame received.
+  exec::ProcBackend::Config cfg;
+  cfg.procs = 2;
+  const ScopedProcConfig guard(cfg);
+  exec::WireStatsTotal wire;
+  const rt::PhaseResult r = run_ring_phase(nullptr, &wire);
+  ASSERT_TRUE(r.completed) << r.diagnostics;
+  EXPECT_EQ(wire.payloads_recv, 8u);
+  EXPECT_EQ(wire.frames_recv, wire.frames_sent);
+  EXPECT_GT(wire.frames_sent, 0u);
 }
 
 TEST(ProcBackend, WorkerDeathFailsThePhaseInsteadOfHanging) {

@@ -396,24 +396,12 @@ TEST(Reliable, RetryBacksOffExponentiallyAndCapsAtMaxTimeout) {
   EXPECT_EQ(rel.retry(1), nullptr);
 }
 
-TEST(Reliable, GivesUpAfterMaxRetriesThroughThePeerDeadCallback) {
+TEST(ReliableDeathTest, GivesUpLoudlyAfterMaxRetries) {
   RetryPolicy policy;
   policy.timeout_ns = 1000;
   policy.max_retries = 3;
   Reliable rel;
   rel.engage(4, policy, 0);
-
-  NodeId dead_dst = 0;
-  std::uint64_t dead_seq = 0;
-  std::uint32_t dead_sends = 0;
-  int calls = 0;
-  rel.set_on_peer_dead([&](NodeId dst, std::uint64_t seq,
-                           std::uint32_t sends) {
-    ++calls;
-    dead_dst = dst;
-    dead_seq = seq;
-    dead_sends = sends;
-  });
 
   const std::uint64_t seq = rel.next_seq();
   rel.track(seq, make_pending(3), /*now=*/0);
@@ -424,23 +412,13 @@ TEST(Reliable, GivesUpAfterMaxRetriesThroughThePeerDeadCallback) {
     ASSERT_NE(p, nullptr) << "retry " << i;
     EXPECT_EQ(p->attempts, i);
   }
-  EXPECT_EQ(calls, 0);
   EXPECT_EQ(rel.in_flight(), 1u);
 
-  // ...and the next deadline gives the message up: null return, entry
-  // erased, and the callback sees every transmission ever made — the
-  // original send plus max_retries retransmissions.
-  EXPECT_EQ(rel.retry(seq), nullptr);
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(dead_dst, 3u);
-  EXPECT_EQ(dead_seq, seq);
-  EXPECT_EQ(dead_sends, 1u + policy.max_retries);
-  EXPECT_EQ(rel.in_flight(), 0u);
-  EXPECT_FALSE(rel.is_pending(seq));
-
-  // A later timer for the same seq finds nothing: no double-report.
-  EXPECT_EQ(rel.retry(seq), nullptr);
-  EXPECT_EQ(calls, 1);
+  // ...and the next deadline gives the message up by dying, naming every
+  // transmission ever made — the original send plus max_retries
+  // retransmissions.
+  EXPECT_DEATH(rel.retry(seq),
+               R"(after 4 sends \(1 original \+ 3 retransmissions\))");
 }
 
 TEST(Reliable, AcceptDedupsPerSourceSequences) {
