@@ -123,10 +123,18 @@ struct Report {
 std::mutex g_defaults_mu;
 ProcBackend::Config g_default_config;
 
+// Queues one control payload and pumps: it is on the wire when this
+// returns, and any frames that arrived meanwhile have been delivered.
 void send_ctl(transport::PipeChannel& ctl, NodeId src, NodeId dst,
               std::uint16_t tag, std::vector<std::uint8_t> bytes) {
   ctl.send(src, dst, tag, std::move(bytes));
   ctl.flush(src);
+}
+
+std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, 8);
+  return v;
 }
 
 }  // namespace
@@ -269,10 +277,19 @@ PhaseExec ProcBackend::run_phase() {
   events_total_ = 0;
 
   // Resolve the span list pre-fork so coordinator and workers share one
-  // indexing (the workers inherit it copy-on-write).
+  // indexing, then snapshot the spans. Nothing writes span memory between
+  // here and the fork, so the snapshot is exactly the phase-start state.
   spans_.clear();
   if (span_source_) span_source_(spans_);
   spans_.insert(spans_.end(), transient_spans_.begin(), transient_spans_.end());
+  std::uint64_t snapshot_bytes = 0;
+  for (const PhaseSpan& sp : spans_) snapshot_bytes += sp.bytes;
+  snapshot_.resize(snapshot_bytes);
+  std::uint8_t* at = snapshot_.data();
+  for (const PhaseSpan& sp : spans_) {
+    std::memcpy(at, sp.addr, sp.bytes);
+    at += sp.bytes;
+  }
 
   spawn_workers();
   coordinator_loop();
@@ -354,12 +371,16 @@ void ProcBackend::coordinator_loop() {
   };
   std::vector<WorkerState> ws(procs_);
   bool done_sent = false;
+  std::uint32_t round = 0;
 
+  // Deliveries run inside any poll() and inside every send_ctl(), whose
+  // flush pumps: the current report must be reset before a probe goes out.
   for (std::uint32_t w = 0; w < procs_; ++w) {
-    ctl_[w]->set_deliver([this, &ws, w](const transport::FrameHeader& h,
-                                        const transport::FramePayload& p) {
+    ctl_[w]->set_deliver([this, &ws, &round, w](
+                             const transport::FrameHeader& h,
+                             const transport::FramePayload& p) {
       (void)h;
-      coordinator_apply(w, p.tag, p.bytes, &ws[w].cur, &ws[w].bye);
+      coordinator_apply(w, p.tag, p.bytes, round, &ws[w].cur, &ws[w].bye);
     });
   }
 
@@ -403,7 +424,6 @@ void ProcBackend::coordinator_loop() {
     ::poll(fds.data(), nfds_t(fds.size()), timeout_ms);
   };
 
-  std::uint32_t round = 0;
   {
     Wr probe;
     probe.u32(round);
@@ -473,13 +493,18 @@ void ProcBackend::coordinator_loop() {
 
 void ProcBackend::coordinator_apply(std::uint32_t from, std::uint16_t tag,
                                     const std::vector<std::uint8_t>& bytes,
-                                    void* cur_report, bool* bye) {
+                                    std::uint32_t round, void* cur_report,
+                                    bool* bye) {
   Report& cur = *static_cast<Report*>(cur_report);
   switch (tag) {
     case kTagReport: {
       Rd r(bytes);
       const std::uint32_t rnd = r.u32();
-      (void)rnd;  // reports always answer the latest probe
+      // A worker answers only its newest probe, and the next probe goes out
+      // only once every worker answered this one. A report from any other
+      // round would feed the done decision stale counts.
+      DPA_CHECK(rnd == round) << "worker " << from << " reported round "
+                              << rnd << " during round " << round;
       cur.valid = true;
       cur.quiescent = r.u8();
       cur.tasks = r.u64();
@@ -749,19 +774,11 @@ void ProcBackend::worker_main(std::uint32_t self) {
     inner_->arm_watchdog(cfg);
   }
 
-  // Fork-time snapshot of every registered span: the diff base. Taken
-  // before any task runs, so it is exactly the coordinator's phase-start
-  // state.
-  std::vector<std::vector<std::uint8_t>> pristine(spans_.size());
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    pristine[i].resize(spans_[i].bytes);
-    std::memcpy(pristine[i].data(), spans_[i].addr, spans_[i].bytes);
-  }
-
   const std::vector<NodeId> owned = nodes_owned_by(self);
 
-  // Control-message flags, written by the delivery callback (runs inside
-  // ctl.poll() on this thread).
+  // Control-message flags, written by the delivery callback. It runs on
+  // this thread inside ctl.poll() and inside every send_ctl(), whose flush
+  // pumps the control link.
   bool got_done = false;
   bool got_abort = false;
   bool probe_pending = false;
@@ -885,8 +902,7 @@ void ProcBackend::worker_main(std::uint32_t self) {
 
     // 5. Done broadcast: commit, diff, ship, leave.
     if (got_done) {
-      worker_finalize(ctl, owned, pristine, acc, msg_acc, sched_acc,
-                      tasks_acc);
+      worker_finalize(ctl, owned, acc, msg_acc, sched_acc, tasks_acc);
       // not reached
     }
 
@@ -898,6 +914,10 @@ void ProcBackend::worker_main(std::uint32_t self) {
       quiescent = pending_inbound_.empty();
     }
     if (probe_pending && std::int64_t(probe_round) > last_reported) {
+      // Retire the round before sending: the report's own pump may deliver
+      // the next probe, which must stay pending.
+      last_reported = std::int64_t(probe_round);
+      probe_pending = false;
       Wr rep;
       rep.u32(probe_round);
       rep.u8(quiescent ? 1 : 0);
@@ -915,12 +935,11 @@ void ProcBackend::worker_main(std::uint32_t self) {
         rep.u64(links_[v]->recv);
       }
       send_ctl(ctl, kCtlWorker, kCtlCoord, kTagReport, std::move(rep.b));
-      last_reported = std::int64_t(probe_round);
-      probe_pending = false;
     }
 
-    // 7. Nothing to run: sleep on the wire.
-    if (quiescent) {
+    // 7. Nothing to run and nothing in hand: sleep on the wire. A probe or
+    // done broadcast that a send delivered goes round the loop at once.
+    if (quiescent && !probe_pending && !got_done && !got_abort) {
       std::vector<pollfd> fds;
       fds.push_back(pollfd{ctl.wire_fd(), POLLIN, 0});
       for (auto& link : links_)
@@ -933,7 +952,6 @@ void ProcBackend::worker_main(std::uint32_t self) {
 
 void ProcBackend::worker_finalize(
     transport::PipeChannel& ctl, const std::vector<NodeId>& owned,
-    const std::vector<std::vector<std::uint8_t>>& pristine,
     const std::vector<NodeStats>& acc, const MsgStats& msg_acc,
     const SchedStats& sched_acc, std::uint64_t tasks_acc) {
   // 1. Phase epilogues for the owned nodes, in node order: this is where
@@ -949,39 +967,38 @@ void ProcBackend::worker_finalize(
     send_ctl(ctl, kCtlWorker, kCtlCoord, kTagEpilogue, std::move(msg.b));
   }
 
-  // 2. Span diffs against the fork-time snapshot. Byte-exact runs only:
-  // workers own disjoint bytes, and shipping any unchanged neighbor byte
-  // would clobber another worker's write at the coordinator.
+  // 2. Span diffs against the coordinator's pre-fork snapshot (inherited
+  // copy-on-write; only read here). Byte-exact runs only: workers own
+  // disjoint bytes, and shipping any unchanged neighbor byte would clobber
+  // another worker's write at the coordinator.
   Wr diff;
   auto flush_diff = [&](bool force) {
     if (diff.b.empty() || (!force && diff.b.size() < kSpanChunkBytes)) return;
     send_ctl(ctl, kCtlWorker, kCtlCoord, kTagSpan, std::move(diff.b));
     diff = Wr{};
   };
+  std::uint64_t snapshot_off = 0;
   for (std::size_t i = 0; i < spans_.size(); ++i) {
     const auto* cur = static_cast<const std::uint8_t*>(spans_[i].addr);
-    const std::uint8_t* old = pristine[i].data();
+    const std::uint8_t* old = snapshot_.data() + snapshot_off;
     const std::uint64_t n = spans_[i].bytes;
+    snapshot_off += n;
     if (spans_[i].merge == SpanMerge::kSumU64) {
       // Contiguous non-zero u64 deltas, shipped as one add-record each.
       std::uint64_t lane = 0;
       const std::uint64_t lanes = n / 8;
       while (lane < lanes) {
-        std::uint64_t c = 0, o = 0;
-        std::memcpy(&c, cur + lane * 8, 8);
-        std::memcpy(&o, old + lane * 8, 8);
-        if (c == o) {
+        if (load_u64(cur + lane * 8) == load_u64(old + lane * 8)) {
           ++lane;
           continue;
         }
         const std::uint64_t start = lane;
         Wr deltas;
-        while (lane < lanes) {
-          std::memcpy(&c, cur + lane * 8, 8);
-          std::memcpy(&o, old + lane * 8, 8);
+        for (; lane < lanes; ++lane) {
+          const std::uint64_t c = load_u64(cur + lane * 8);
+          const std::uint64_t o = load_u64(old + lane * 8);
           if (c == o) break;
           deltas.u64(c - o);
-          ++lane;
         }
         diff.u8(kRunSum);
         diff.u32(std::uint32_t(i));
@@ -992,8 +1009,14 @@ void ProcBackend::worker_finalize(
       }
       continue;
     }
+    // Skip equal 8-byte words, then find the run boundaries byte by byte:
+    // the records are the maximal runs of changed bytes.
     std::uint64_t p = 0;
     while (p < n) {
+      if (p + 8 <= n && load_u64(cur + p) == load_u64(old + p)) {
+        p += 8;
+        continue;
+      }
       if (cur[p] == old[p]) {
         ++p;
         continue;

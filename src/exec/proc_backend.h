@@ -39,10 +39,17 @@
 //   * After the done broadcast each worker runs the phase epilogue for
 //     its owned nodes (committing staged accumulations (src, seq)-sorted
 //     — the determinism-bearing step), diffs every registered span
-//     against its fork-time snapshot, and ships only the changed runs
-//     home. The coordinator applies them directly: owned writes are
+//     against the phase-start snapshot, and ships only the changed runs
+//     home. The coordinator takes that snapshot once, into one buffer,
+//     just before the fork; the workers read it copy-on-write and never
+//     copy it. The coordinator applies the runs directly: owned writes are
 //     disjoint, so application order cannot matter, and kSumU64 spans
 //     travel as per-lane deltas that simply add.
+//   * Control sends pump their channel (send + PipeChannel::flush): a
+//     control frame is on the wire when the send returns, and frames that
+//     arrived meanwhile are delivered inside it. So a probe or the done
+//     broadcast can land during a worker's own send, and the worker loop
+//     sleeps on the wire only when it holds neither.
 //
 // Byte-identity across sim / native / proc: replies carry phase-start
 // object state (the fork snapshot) exactly as the single-process phases
@@ -185,16 +192,18 @@ class ProcBackend final : public Backend {
 
   void spawn_workers();
   [[noreturn]] void worker_main(std::uint32_t self);
-  [[noreturn]] void worker_finalize(
-      transport::PipeChannel& ctl, const std::vector<NodeId>& owned,
-      const std::vector<std::vector<std::uint8_t>>& pristine,
-      const std::vector<NodeStats>& acc, const MsgStats& msg_acc,
-      const SchedStats& sched_acc, std::uint64_t tasks_acc);
+  [[noreturn]] void worker_finalize(transport::PipeChannel& ctl,
+                                    const std::vector<NodeId>& owned,
+                                    const std::vector<NodeStats>& acc,
+                                    const MsgStats& msg_acc,
+                                    const SchedStats& sched_acc,
+                                    std::uint64_t tasks_acc);
   void coordinator_loop();
-  // Applies one control payload from worker `from` (ctl delivery callback).
+  // Applies one control payload from worker `from` (ctl delivery callback)
+  // during probe round `round`.
   void coordinator_apply(std::uint32_t from, std::uint16_t tag,
                          const std::vector<std::uint8_t>& bytes,
-                         void* cur_report, bool* bye);
+                         std::uint32_t round, void* cur_report, bool* bye);
   void fail_phase(const std::string& reason, std::int32_t dead_worker,
                   pid_t dead_pid, int wait_status);
   void kill_and_reap_all();
@@ -214,6 +223,10 @@ class ProcBackend final : public Backend {
   std::function<void(std::vector<PhaseSpan>&)> span_source_;
   std::vector<PhaseSpan> transient_spans_;  // app-registered, per step
   std::vector<PhaseSpan> spans_;            // resolved per phase, pre-fork
+  // Phase-start bytes of spans_, back to back in span order: taken by the
+  // coordinator just before the fork, read copy-on-write by the workers as
+  // their diff base, and kept (with its capacity) across phases.
+  std::vector<std::uint8_t> snapshot_;
 
   // Coordinator staging between begin_phase and run_phase (pre-phase
   // seeds from engine start()). Inherited copy-on-write by the workers.

@@ -78,10 +78,12 @@ void PipeChannel::flush_dest(NodeId src, NodeId dst) {
 
 void PipeChannel::flush(NodeId src) {
   SrcState& s = srcs_[src];
-  if (s.pending == 0) return;
-  for (NodeId d = 0; d < NodeId(s.train.size()); ++d) flush_dest(src, d);
+  if (s.pending > 0)
+    for (NodeId d = 0; d < NodeId(s.train.size()); ++d) flush_dest(src, d);
   DPA_DCHECK(s.pending == 0);
-  if (!pumping_) pump();
+  // Pump on any backlog, not only on trains encoded just now: a train that
+  // filled inside send() is already queued with nothing left pending.
+  if (!tx_.empty() && !pumping_) pump();
 }
 
 std::size_t PipeChannel::pump() {

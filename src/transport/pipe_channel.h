@@ -84,13 +84,18 @@ class PipeChannel {
 
   void set_deliver(FrameDeliverFn fn) { deliver_ = std::move(fn); }
 
-  // Appends one payload to src's train for dst; the train departs as one
-  // frame when it reaches train_max payloads or at flush().
+  // Appends one payload to src's train for dst. A train that reaches
+  // train_max payloads is encoded into the TX backlog at once; it leaves
+  // at the next flush() or poll().
   void send(NodeId src, NodeId dst, std::uint16_t tag,
             std::vector<std::uint8_t> bytes);
 
-  // Encodes each non-empty train of src as one frame, queues it for the
-  // wire, and pumps.
+  // Encodes each non-empty train of src as one frame, queues it, and pumps
+  // whenever the TX backlog is non-empty. Contract: a queued frame leaves
+  // on this call unless the kernel buffer is full (a later pump writes the
+  // rest); called from inside a delivery callback, the enclosing pump
+  // writes it. The pump also reads, so send()+flush() may run the
+  // delivery callback before flush() returns.
   void flush(NodeId src);
 
   // Writes backlog / reads / decodes / delivers; returns payloads

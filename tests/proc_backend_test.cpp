@@ -10,10 +10,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "exec/native_backend.h"
 #include "exec/proc_backend.h"
 #include "runtime/engine.h"
 #include "runtime/phase.h"
@@ -118,6 +120,133 @@ TEST(ProcBackend, RingPhaseFramesCarryOnlyApplicationPayloads) {
   EXPECT_EQ(wire.payloads_recv, 8u);
   EXPECT_EQ(wire.frames_recv, wire.frames_sent);
   EXPECT_GT(wire.frames_sent, 0u);
+}
+
+// Two value slots per node, read and written in alternate phases: phase k
+// reads slot k%2 everywhere and writes only slot (k+1)%2, so every remote
+// read sees phase-start state however the processes interleave.
+struct PingPong {
+  double slot[2] = {0, 0};
+};
+
+TEST(ProcBackend, BackToBackPhasesAllTerminate) {
+  // Termination rounds back to back: one cluster runs a 6-node ring phase
+  // after phase, and every dependency crosses a process boundary at both
+  // process counts. Control sends pump their channel, so a worker's report
+  // can deliver the next probe; a worker that lost it would leave the
+  // coordinator waiting, and the phase deadline turns that into a failed
+  // phase with a diagnosis instead of a hang. One inner thread per worker
+  // process keeps the 400 forks light next to concurrently running tests.
+  constexpr std::uint32_t kNodes = 6;
+  constexpr int kPhases = 200;
+  exec::NativeBackend::Tuning one_thread;
+  one_thread.workers = 1;
+  const exec::ScopedDefaultTuning inner_pool(one_thread);
+  for (const std::uint32_t procs : {2u, 3u}) {
+    exec::ProcBackend::Config cfg;
+    cfg.procs = procs;
+    cfg.watchdog.phase_deadline = 30'000'000'000;
+    const ScopedProcConfig guard(cfg);
+    rt::Cluster cluster(kNodes, exec::BackendKind::kProc);
+    rt::PhaseRunner runner(cluster, rt::RuntimeConfig::dpa(32));
+
+    std::vector<gas::GPtr<PingPong>> ptrs;
+    std::vector<double> want(kNodes);
+    for (std::uint32_t n = 0; n < kNodes; ++n) {
+      want[n] = double(n + 1);
+      ptrs.push_back(cluster.heap.make<PingPong>(n, PingPong{{want[n], 0}}));
+    }
+    for (int k = 0; k < kPhases; ++k) {
+      const int cur = k % 2;
+      const int next = 1 - cur;
+      std::vector<rt::NodeWork> work(kNodes);
+      for (std::uint32_t n = 0; n < kNodes; ++n) {
+        work[n].count = 1;
+        work[n].item = [&ptrs, n, cur, next](rt::Ctx& ctx, std::uint64_t) {
+          PingPong* mine = gas::GlobalHeap::mutate(ptrs[n]);
+          ctx.require(ptrs[(n + 1) % kNodes],
+                      [mine, cur, next](rt::Ctx&, const PingPong& dep) {
+                        mine->slot[next] = dep.slot[cur] + 1;
+                      });
+        };
+      }
+      const rt::PhaseResult r = runner.run(std::move(work), "ring");
+      ASSERT_TRUE(r.completed)
+          << "procs=" << procs << " phase " << k << ": " << r.diagnostics;
+
+      std::vector<double> ref(kNodes);
+      for (std::uint32_t n = 0; n < kNodes; ++n)
+        ref[n] = want[(n + 1) % kNodes] + 1;
+      want = ref;
+      for (std::uint32_t n = 0; n < kNodes; ++n)
+        ASSERT_EQ(ptrs[n].addr->slot[next], want[n])
+            << "procs=" << procs << " phase " << k << " node " << n;
+    }
+  }
+}
+
+TEST(ProcBackend, SpanMergeShipsExactlyTheChangedBytes) {
+  // Byte spans written by both workers inside every 8-byte word: the
+  // workers' diffs interleave byte by byte, so a record that carried one
+  // unchanged neighbour byte would clobber the other worker's write. The
+  // lengths (3, 67, 256) leave tails shorter than a word; one span moves
+  // ownership in 3-byte chunks, so runs straddle word boundaries; every
+  // third word is left alone, and some bytes are rewritten with their old
+  // value (unchanged, so not shipped).
+  constexpr std::uint32_t kNodes = 4;  // procs=2: nodes 0,2 vs 1,3
+  exec::ProcBackend::Config cfg;
+  cfg.procs = 2;
+  const ScopedProcConfig guard(cfg);
+  rt::Cluster cluster(kNodes, exec::BackendKind::kProc);
+  rt::PhaseRunner runner(cluster, rt::RuntimeConfig::dpa(32));
+
+  struct Case {
+    std::vector<std::uint8_t> bytes;
+    std::uint32_t chunk;  // consecutive bytes one node owns
+  };
+  std::vector<Case> cases = {{std::vector<std::uint8_t>(3), 1},
+                             {std::vector<std::uint8_t>(67), 1},
+                             {std::vector<std::uint8_t>(256), 3}};
+  auto owner = [](const Case& c, std::size_t i) {
+    return std::uint32_t(i / c.chunk % kNodes);
+  };
+  // Outside the untouched words the owner writes every byte it owns:
+  // bytes i % 7 == 3 with their old value, the rest flipped.
+  auto untouched = [](std::size_t i) { return i / 8 % 3 == 2; };
+  auto written = [](std::size_t i, std::uint8_t old) {
+    return i % 7 == 3 ? old : std::uint8_t(old ^ 0xA5);
+  };
+
+  std::vector<std::vector<std::uint8_t>> want;
+  std::vector<std::unique_ptr<exec::ScopedPhaseSpan>> spans;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    auto& b = cases[c].bytes;
+    for (std::size_t i = 0; i < b.size(); ++i)
+      b[i] = std::uint8_t(i * 37 + 11 * c + 1);
+    std::vector<std::uint8_t> ref = b;
+    for (std::size_t i = 0; i < b.size(); ++i)
+      if (!untouched(i)) ref[i] = written(i, b[i]);
+    want.push_back(std::move(ref));
+    spans.push_back(std::make_unique<exec::ScopedPhaseSpan>(
+        cluster.exec(),
+        exec::PhaseSpan{b.data(), b.size(), exec::SpanMerge::kBytes}));
+  }
+
+  std::vector<rt::NodeWork> work(kNodes);
+  for (std::uint32_t n = 0; n < kNodes; ++n) {
+    work[n].count = 1;
+    work[n].item = [&cases, owner, untouched, written, n](rt::Ctx&,
+                                                          std::uint64_t) {
+      for (Case& c : cases)
+        for (std::size_t i = 0; i < c.bytes.size(); ++i)
+          if (owner(c, i) == n && !untouched(i))
+            c.bytes[i] = written(i, c.bytes[i]);
+    };
+  }
+  const rt::PhaseResult r = runner.run(std::move(work), "span-merge");
+  ASSERT_TRUE(r.completed) << r.diagnostics;
+  for (std::size_t c = 0; c < cases.size(); ++c)
+    EXPECT_EQ(cases[c].bytes, want[c]) << "span of " << want[c].size();
 }
 
 TEST(ProcBackend, WorkerDeathFailsThePhaseInsteadOfHanging) {

@@ -257,6 +257,26 @@ TEST(PipeEndpoint, TwoChannelsRoundTripOverOneSocketpair) {
   EXPECT_EQ(b->status(), ChannelStatus::kOk);
 }
 
+TEST(PipeEndpoint, FrameQueuedAtTrainMaxLeavesOnFlush) {
+  // train_max = 1 is the proc control channel's setting: send() itself
+  // encodes the one-payload train into the TX backlog, so flush() finds
+  // nothing pending. The frame must still leave on that flush, not wait
+  // for the sender's next poll().
+  auto [a, b] = make_endpoint_pair(2, /*train_max=*/1);
+  std::vector<std::vector<std::uint8_t>> got;
+  b->set_deliver([&](const FrameHeader&, const FramePayload& p) {
+    got.push_back(p.bytes);
+  });
+  a->set_deliver([](const FrameHeader&, const FramePayload&) {});
+
+  a->send(0, 1, 7, {5, 6, 7});
+  a->flush(0);
+  EXPECT_EQ(a->tx_backlog(), 0u);
+  EXPECT_EQ(b->poll(), 1u);  // one non-blocking poll: already in the socket
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], (std::vector<std::uint8_t>{5, 6, 7}));
+}
+
 TEST(PipeEndpoint, PeerCloseSurfacesAsPeerDownOnRead) {
   auto [a, b] = make_endpoint_pair(2, /*train_max=*/4);
   b.reset();  // peer vanishes: its destructor closes the other half
