@@ -318,7 +318,7 @@ struct FaultOptions {
     if (spec.empty()) return;
     sim::NetParams p;
     apply(&p);
-    std::printf("fault injection: %s (retry protocol engaged)\n\n",
+    std::printf("fault injection: %s (FM recovers: exactly-once delivery)\n\n",
                 p.faults.describe().c_str());
   }
 };

@@ -11,7 +11,9 @@ Validates that a Chrome trace is loadable (well-formed traceEvents with
 monotone-ready timestamps, per-worker drop counts consistent with the
 total), that a metrics snapshot follows dpa.metrics.v1 (--require-native
 additionally demands the native backend's exec.* wall-clock histograms),
-that bench --json output embeds a metrics block, and that a watchdog
+that bench --json output embeds a metrics block, that any metrics block
+whose run dropped messages (net.fault.dropped_msgs > 0) shows FM's
+recovery covering them, and that a watchdog
 flight-recorder dump follows dpa.flightrec.v2 (per-node quiescence state
 plus the M:N pool's per-worker scheduler state). Exits non-zero on the
 first violation.
@@ -84,6 +86,25 @@ NATIVE_HISTOGRAMS = (
 )
 
 
+def check_recovery(counters, origin):
+    """A faulted run that lost messages must show FM recovering them: every
+    drop is covered by a retransmission or by a fabric duplicate that got
+    through, and acks flowed."""
+    dropped = counters.get("net.fault.dropped_msgs", 0)
+    if dropped == 0:
+        return
+    retries = counters.get("fm.retries", 0)
+    dups = counters.get("net.fault.dup_msgs", 0)
+    if retries + dups < dropped:
+        fail(f"{origin}: fm.retries {retries} + net.fault.dup_msgs {dups} < "
+             f"net.fault.dropped_msgs {dropped} — drops went unrecovered")
+    acks_sent = counters.get("fm.acks_sent", 0)
+    acks_recv = counters.get("fm.acks_recv", 0)
+    if not acks_sent >= acks_recv > 0:
+        fail(f"{origin}: need fm.acks_sent >= fm.acks_recv > 0 under "
+             f"faults, got {acks_sent} sent / {acks_recv} received")
+
+
 def check_metrics_block(block, origin, require_phases=True):
     for key in ("counters", "gauges", "histograms"):
         if key not in block or not isinstance(block[key], dict):
@@ -102,6 +123,7 @@ def check_metrics_block(block, origin, require_phases=True):
     if (require_phases and "rt.phases" in block["counters"]
             and block["counters"]["rt.phases"] == 0):
         fail(f"{origin}: rt.phases is zero — no phase published metrics")
+    check_recovery(block["counters"], origin)
     print(f"check_obs_json: OK: {origin}: {len(block['counters'])} counters, "
           f"{len(block['gauges'])} gauges, "
           f"{len(block['histograms'])} histograms")

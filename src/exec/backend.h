@@ -2,8 +2,8 @@
 //
 // Everything the runtime layer used to hardwire against sim::Machine +
 // fm::FmLayer goes through this interface instead: node count, task spawn,
-// active-message send + handler registration, the time source for
-// reliability timers, and the phase barrier. Two implementations:
+// active-message send + handler registration, and the phase barrier. Two
+// implementations:
 //
 //   * SimBackend    — the deterministic discrete-event simulator. Modeled
 //                     LogGP network, modeled time, byte-identical to the
@@ -19,7 +19,8 @@
 // The contract the runtime relies on:
 //   * Tasks posted to a node run serially, in post order, on that node.
 //   * A handler runs as a task on the destination node; a message sent
-//     during a phase is delivered within the same phase.
+//     during a phase is delivered within the same phase, exactly once (on
+//     a faulted simulator FM's own recovery protocol makes it so).
 //   * begin_phase() zeroes per-node and messaging stats; run_phase()
 //     returns only when the whole machine is quiescent (no queued tasks,
 //     no in-flight messages).
@@ -154,19 +155,6 @@ class Backend {
     (void)node;
   }
 
-  // --- Time source ---------------------------------------------------
-  // Whether schedule_at() works here. The reliability/retry protocol needs
-  // deferred timers; configurations that enable it must check this up
-  // front (PhaseRunner does, at construction) instead of finding out from
-  // a mid-phase panic.
-  virtual bool supports_timers() const = 0;
-
-  // Schedules `fn` at absolute time `at` (reliability retransmit timers).
-  // Only valid when supports_timers(): the native and proc fabrics are
-  // lossless, so the retry protocol — and therefore this hook — never
-  // engages there.
-  virtual void schedule_at(Time at, TimerFn fn) = 0;
-
   // --- Phase barrier -------------------------------------------------
   // Marks the start of a timed phase (zeroes node + messaging stats);
   // returns the phase-start timestamp in this backend's clock.
@@ -183,11 +171,6 @@ class Backend {
   // Per-node idle time for the last phase: elapsed - busy, clamped at 0.
   virtual Time idle_time(NodeId node, Time phase_elapsed) const = 0;
   virtual MsgStats msg_stats_total() const = 0;
-  virtual void reset_msg_stats() = 0;
-
-  // True when a fault injector is armed (messages may be dropped /
-  // duplicated / delayed); engages the runtime's reliability layer.
-  virtual bool lossy() const = 0;
 
   // --- Observability ---------------------------------------------------
   // Whether this backend can record structured trace events. The sim

@@ -346,7 +346,7 @@ void NativeBackend::send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
   sn.msg.bytes_sent += bytes;
 
   const HandlerEntry* e = handlers_[handler].get();
-  Packet pkt{src, dst, handler, std::move(data), bytes};
+  Packet pkt{src, dst, handler, bytes, std::move(data)};
   Node* dn = nodes_[dst].get();
   post(dst, [e, dn, pkt = std::move(pkt)](Cpu& task_cpu) {
     ++dn->msg.msgs_recv;
@@ -361,15 +361,6 @@ void NativeBackend::flush(Cpu& cpu, NodeId node) {
   DPA_DCHECK(tls_node == std::int32_t(node))
       << "Backend::flush must run on the node it flushes";
   trains_.flush_src(node);
-}
-
-void NativeBackend::schedule_at(Time at, TimerFn fn) {
-  (void)at;
-  (void)fn;
-  DPA_PANIC(
-      "NativeBackend has no deferred timers (supports_timers() is false): "
-      "the in-process fabric is lossless, so the reliability/retry protocol "
-      "(the only schedule_at user) must stay on the sim backend");
 }
 
 Time NativeBackend::begin_phase() {
@@ -835,11 +826,6 @@ MsgStats NativeBackend::msg_stats_total() const {
     total.trains_sent += trains_.trains_sent(i);
   }
   return total;
-}
-
-void NativeBackend::reset_msg_stats() {
-  for (auto& n : nodes_) n->msg.reset();
-  trains_.reset_stats();
 }
 
 SchedStats NativeBackend::sched_stats() const {

@@ -85,9 +85,8 @@
 // starts a monitor thread that sweeps the per-node quiescence counters and
 // dumps a flight-recorder JSON instead of letting a wedged phase hang CI.
 //
-// Not supported (sim-only by design): reliability retransmit timers
-// (supports_timers() is false; schedule_at panics as a backstop — the
-// fabric cannot lose messages) and fault injection.
+// Not supported (sim-only by design): fault injection — the fabric cannot
+// lose messages, so it needs no recovery protocol.
 #pragma once
 
 #include <atomic>
@@ -181,9 +180,6 @@ class NativeBackend final : public Backend,
 
   void flush(Cpu& cpu, NodeId node) override;
 
-  bool supports_timers() const override { return false; }
-  void schedule_at(Time at, TimerFn fn) override;
-
   Time begin_phase() override;
   PhaseExec run_phase() override;
 
@@ -195,10 +191,7 @@ class NativeBackend final : public Backend,
     return idle > 0 ? idle : 0;
   }
   MsgStats msg_stats_total() const override;
-  void reset_msg_stats() override;
   SchedStats sched_stats() const override;
-
-  bool lossy() const override { return false; }
 
   bool supports_tracing() const override { return true; }
   void attach_shards(obs::ShardedTraceSink* shards) override;

@@ -239,14 +239,6 @@ void ProcBackend::flush(Cpu& cpu, NodeId node) {
   }
 }
 
-void ProcBackend::schedule_at(Time at, TimerFn fn) {
-  (void)at;
-  (void)fn;
-  DPA_PANIC("proc backend has no deferred timers (supports_timers() is "
-            "false); its socketpair fabric is lossless, so the retry "
-            "protocol never engages");
-}
-
 Time ProcBackend::begin_phase() {
   DPA_CHECK(role_ == Role::kCoordinator);
   for (auto& q : staged_posts_) q.clear();

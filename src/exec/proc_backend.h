@@ -127,9 +127,6 @@ class ProcBackend final : public Backend {
   void post(NodeId node, Task task) override;
   void flush(Cpu& cpu, NodeId node) override;
 
-  bool supports_timers() const override { return false; }
-  void schedule_at(Time at, TimerFn fn) override;
-
   Time begin_phase() override;
   PhaseExec run_phase() override;
 
@@ -141,10 +138,7 @@ class ProcBackend final : public Backend {
     return idle > 0 ? idle : 0;
   }
   MsgStats msg_stats_total() const override { return msg_total_; }
-  void reset_msg_stats() override { msg_total_ = MsgStats{}; }
   SchedStats sched_stats() const override { return sched_total_; }
-
-  bool lossy() const override { return false; }
 
   // Stores the policy; the coordinator enforces phase_deadline itself and
   // forwards the config to each worker's inner pool, so an intra-worker

@@ -42,15 +42,9 @@ class SimBackend final : public Backend {
     machine_.node(node).post(std::move(task));
   }
 
-  bool supports_timers() const override { return true; }
-
-  void schedule_at(Time at, TimerFn fn) override {
-    machine_.engine().schedule_at(at, std::move(fn));
-  }
-
   Time begin_phase() override {
     machine_.begin_phase();
-    fm_.reset_stats();
+    fm_.begin_phase();
     return machine_.phase_start();
   }
 
@@ -69,9 +63,6 @@ class SimBackend final : public Backend {
     return machine_.idle_time(node, phase_elapsed);
   }
   MsgStats msg_stats_total() const override { return fm_.aggregate_stats(); }
-  void reset_msg_stats() override { fm_.reset_stats(); }
-
-  bool lossy() const override { return machine_.network().injector() != nullptr; }
 
   // Traces through sim_machine()->set_trace() (the Tracer path), not
   // worker shards — there are no worker threads here.

@@ -72,26 +72,24 @@ class Cpu {
   Time used_[kNumWorkKinds] = {0, 0, 0};
 };
 
-// Node tasks capture a handler pointer plus a Packet (message delivery) at
-// most; like the simulator's events they stay inline and never
-// heap-allocate in-tree.
+// Node tasks capture at most FM's delivery state (the layer, a sequence
+// number and a Packet; fm.cpp static_asserts it fits); like the
+// simulator's events they stay inline and never heap-allocate in-tree.
 using Task = InlineFn<void(Cpu&), 64>;
-
-// Raw deferred event for the reliability layer's retransmit timers
-// (sim backend only; the native fabric is in-process and lossless).
-using TimerFn = InlineFn<void(), 64>;
 
 using HandlerId = std::uint16_t;
 
 // An active message as the destination handler sees it. The whole
 // reproduction shares one host address space, so payloads travel as
-// shared_ptr<void> plus a declared byte size used for costing.
+// shared_ptr<void> plus a declared byte size used for costing. `bytes`
+// sits before `data` so the struct has no padding (32 bytes): FM's
+// fragment closure, a Packet plus its bookkeeping, must fit in 64.
 struct Packet {
   NodeId src = 0;
   NodeId dst = 0;
   HandlerId handler = 0;
-  std::shared_ptr<void> data;  // handler-defined payload
   std::uint32_t bytes = 0;     // modeled wire size (payload incl. headers)
+  std::shared_ptr<void> data;  // handler-defined payload
 };
 
 // Runs on the destination node, in a destination-node task context.
@@ -138,6 +136,13 @@ struct MsgStats {
   // the per-message locking the trains amortized away. Zero on the
   // simulator, whose FM layer delivers through the modeled network instead.
   std::uint64_t trains_sent = 0;
+  // Simulator only, and zero unless a FaultPlan is armed: FM's exactly-once
+  // recovery (timeout-driven retransmissions, acks, and duplicate copies
+  // the receiver dropped by sequence number).
+  std::uint64_t retries = 0;
+  std::uint64_t acks_sent = 0;
+  std::uint64_t acks_recv = 0;
+  std::uint64_t dup_msgs_dropped = 0;
 
   void reset() { *this = MsgStats{}; }
 };

@@ -7,28 +7,65 @@
 
 namespace dpa::fm {
 
+namespace {
+// An ack is a header-only message, and re-sending an unacked message costs
+// the sender what closing out one message does (rt::CostModel's
+// msg_header_bytes and flush_fixed defaults) before the send path's own
+// per-fragment overhead.
+constexpr std::uint32_t kAckBytes = 32;
+constexpr Time kRetransmitCost = 300;
+}  // namespace
+
 FmLayer::FmLayer(sim::Machine& machine)
-    : machine_(machine), stats_(machine.num_nodes()) {}
+    : machine_(machine), stats_(machine.num_nodes()) {
+  begin_phase();
+}
 
 HandlerId FmLayer::register_handler(std::string name, Handler fn) {
-  DPA_CHECK(handlers_.size() < 0xffff) << "handler table full";
+  DPA_CHECK(handlers_.size() < kAckHandler) << "handler table full";
   handlers_.push_back(Entry{std::move(name), std::move(fn)});
   return HandlerId(handlers_.size() - 1);
+}
+
+void FmLayer::begin_phase() {
+  for (auto& s : stats_) s.reset();
+  if (machine_.network().injector() == nullptr) return;
+  for (const transport::Reliable& r : rel_)
+    DPA_CHECK(r.in_flight() == 0) << "phase began with unacked messages";
+  rel_.clear();
+  const std::uint32_t n = machine_.num_nodes();
+  rel_.reserve(n);
+  for (NodeId i = 0; i < n; ++i)
+    rel_.emplace_back(n, transport::RetryPolicy{}, i);
 }
 
 void FmLayer::send(sim::Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
                    std::shared_ptr<void> data, std::uint32_t bytes) {
   DPA_CHECK(handler < handlers_.size()) << "unregistered handler " << handler;
   DPA_CHECK(src < machine_.num_nodes() && dst < machine_.num_nodes());
+  Packet packet{src, dst, handler, bytes, std::move(data)};
+  std::uint64_t seq = 0;
+  if (!rel_.empty()) {
+    // The retransmit timer is armed before the first copy leaves.
+    seq = rel_[src].next_seq();
+    const Time deadline = rel_[src].track(
+        seq, {dst, handler, packet.data, bytes}, cpu.logical_now());
+    arm_retransmit(src, seq, deadline);
+  }
+  transmit(cpu, packet, seq);
+}
 
+void FmLayer::transmit(sim::Cpu& cpu, const Packet& packet,
+                       std::uint64_t seq) {
   auto& net = machine_.network();
   const std::uint32_t mtu = net.params().mtu_bytes;
-  const std::uint32_t nfrags = bytes == 0 ? 1 : (bytes + mtu - 1) / mtu;
+  const std::uint32_t nfrags =
+      packet.bytes == 0 ? 1 : (packet.bytes + mtu - 1) / mtu;
 
-  auto& st = stats_[src];
+  auto& st = stats_[packet.src];
   ++st.msgs_sent;
   st.frags_sent += nfrags;
-  st.bytes_sent += bytes;
+  st.bytes_sent += packet.bytes;
 
   ++sends_seen_;
   bool lost = false;
@@ -39,23 +76,24 @@ void FmLayer::send(sim::Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
     lost = true;
   }
 
-  Packet packet{src, dst, handler, std::move(data), bytes};
-
   auto* injector = net.injector();
-  if (injector != nullptr && !lost && injector->roll_msg_drop(src, dst)) {
+  if (injector != nullptr && !lost &&
+      injector->roll_msg_drop(packet.src, packet.dst)) {
     ++dropped_;
     lost = true;
   }
-  send_train(&cpu, cpu.logical_now(), packet, nfrags, lost);
-  if (injector != nullptr && !lost && injector->roll_msg_dup(src, dst)) {
+  send_train(&cpu, cpu.logical_now(), packet, nfrags, lost, seq);
+  if (injector != nullptr && !lost &&
+      injector->roll_msg_dup(packet.src, packet.dst)) {
     // The fabric duplicated the message: the copy occupies the NIC and wire
     // but costs the sending processor nothing (it never re-entered software).
-    send_train(nullptr, cpu.logical_now(), packet, nfrags, /*lost=*/false);
+    send_train(nullptr, cpu.logical_now(), packet, nfrags, /*lost=*/false,
+               seq);
   }
 }
 
 void FmLayer::send_train(sim::Cpu* cpu, sim::Time depart, const Packet& packet,
-                         std::uint32_t nfrags, bool lost) {
+                         std::uint32_t nfrags, bool lost, std::uint64_t seq) {
   auto& net = machine_.network();
   const std::uint32_t mtu = net.params().mtu_bytes;
   const std::uint64_t train = ++next_train_;
@@ -72,32 +110,81 @@ void FmLayer::send_train(sim::Cpu* cpu, sim::Time depart, const Packet& packet,
       net.send_lost(packet.src, packet.dst, frag_bytes, depart);
       continue;
     }
-    Packet copy = packet;  // shared_ptr copy; payload itself is shared
-    net.send(packet.src, packet.dst, frag_bytes, depart,
-             [this, copy = std::move(copy), train, nfrags,
-              frag_bytes]() mutable { deliver(copy, train, nfrags, frag_bytes); });
+    auto arrive = [this, copy = packet, train, nfrags, frag_bytes, seq] {
+      deliver(copy, train, nfrags, frag_bytes, seq);
+    };
+    static_assert(sizeof(arrive) <= 64,
+                  "fragment delivery must fit sim::Engine::EventFn inline");
+    net.send(packet.src, packet.dst, frag_bytes, depart, std::move(arrive));
   }
 }
 
 void FmLayer::deliver(const Packet& packet, std::uint64_t train,
-                      std::uint32_t nfrags, std::uint32_t frag_bytes) {
+                      std::uint32_t nfrags, std::uint32_t frag_bytes,
+                      std::uint64_t seq) {
   auto& node = machine_.node(packet.dst);
   auto& st = stats_[packet.dst];
   st.bytes_recv += frag_bytes;
-  bool complete = true;
   if (nfrags > 1) {
-    const std::uint32_t got = ++partial_[train];
-    complete = (got == nfrags);
-    if (complete) partial_.erase(train);
+    if (++partial_[train] < nfrags) {
+      // A non-final fragment costs the receiver its overhead, nothing more.
+      node.post([recv = machine_.network().params().recv_overhead](
+                    sim::Cpu& cpu) { cpu.charge(recv, sim::Work::kComm); });
+      return;
+    }
+    partial_.erase(train);
   }
-  if (complete) ++st.msgs_recv;
+  ++st.msgs_recv;
+  auto task = [this, seq, packet](sim::Cpu& cpu) {
+    receive(cpu, packet, seq);
+  };
+  static_assert(sizeof(task) <= 64, "delivery must fit sim::Task inline");
+  node.post(std::move(task));
+}
 
-  const Time recv_overhead = machine_.network().params().recv_overhead;
-  const Handler* fn = complete ? &handlers_[packet.handler].fn : nullptr;
-  node.post([recv_overhead, fn, packet](sim::Cpu& cpu) {
-    cpu.charge(recv_overhead, sim::Work::kComm);
-    if (fn != nullptr) (*fn)(cpu, packet);
+void FmLayer::receive(sim::Cpu& cpu, const Packet& packet, std::uint64_t seq) {
+  cpu.charge(machine_.network().params().recv_overhead, sim::Work::kComm);
+  if (seq != 0) {
+    auto& st = stats_[packet.dst];
+    transport::Reliable& rel = rel_[packet.dst];
+    if (packet.handler == kAckHandler) {
+      if (rel.on_ack(seq)) ++st.acks_recv;
+      return;
+    }
+    // Ack every copy, duplicates included: the ack for an earlier copy may
+    // itself have been lost, and acks are idempotent at the sender.
+    ++st.acks_sent;
+    transmit(cpu,
+             Packet{packet.dst, packet.src, kAckHandler, kAckBytes, nullptr},
+             seq);
+    if (!rel.accept(packet.src, seq)) {
+      ++st.dup_msgs_dropped;
+      return;
+    }
+  }
+  handlers_[packet.handler].fn(cpu, packet);
+}
+
+void FmLayer::arm_retransmit(NodeId src, std::uint64_t seq, Time at) {
+  machine_.engine().schedule_at(at, [this, src, seq] {
+    // A timer for an acked message does nothing and charges nothing, so it
+    // cannot perturb phase timing.
+    if (!rel_[src].is_pending(seq)) return;
+    machine_.node(src).post(
+        [this, src, seq](sim::Cpu& cpu) { retransmit(cpu, src, seq); });
   });
+}
+
+void FmLayer::retransmit(sim::Cpu& cpu, NodeId src, std::uint64_t seq) {
+  // retry() bumps the attempt count (fatal past max_retries) and applies
+  // the capped exponential backoff.
+  const transport::Reliable::Pending* p = rel_[src].retry(seq);
+  if (p == nullptr) return;  // the ack raced this task
+  ++stats_[src].retries;
+  cpu.charge(kRetransmitCost, sim::Work::kComm);
+  const Time timeout = p->timeout;
+  transmit(cpu, Packet{src, p->dst, p->handler, p->bytes, p->data}, seq);
+  arm_retransmit(src, seq, cpu.logical_now() + timeout);
 }
 
 FmNodeStats FmLayer::aggregate_stats() const {
@@ -108,12 +195,12 @@ FmNodeStats FmLayer::aggregate_stats() const {
     total.msgs_recv += s.msgs_recv;
     total.bytes_sent += s.bytes_sent;
     total.bytes_recv += s.bytes_recv;
+    total.retries += s.retries;
+    total.acks_sent += s.acks_sent;
+    total.acks_recv += s.acks_recv;
+    total.dup_msgs_dropped += s.dup_msgs_dropped;
   }
   return total;
-}
-
-void FmLayer::reset_stats() {
-  for (auto& s : stats_) s.reset();
 }
 
 }  // namespace dpa::fm

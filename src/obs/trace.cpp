@@ -43,8 +43,6 @@ const char* to_string(MsgCause cause) {
     case MsgCause::kRequest: return "request";
     case MsgCause::kReply: return "reply";
     case MsgCause::kAccum: return "accum";
-    case MsgCause::kAck: return "ack";
-    case MsgCause::kRetry: return "retry";
   }
   return "unknown";
 }

@@ -85,8 +85,6 @@ enum class MsgCause : std::uint8_t {
   kRequest,   // remote-ref fetch request
   kReply,     // object reply
   kAccum,     // remote accumulation
-  kAck,       // delivery acknowledgement (reliability layer)
-  kRetry,     // timeout-driven retransmission of an unacked message
 };
 
 const char* to_string(Ev kind);

@@ -21,11 +21,6 @@ void RuntimeConfig::validate() const {
            "consumption order is the creation order, so all of a strip's "
            "threads must exist before any tile runs";
   }
-  DPA_CHECK(retry.timeout_ns > 0);
-  DPA_CHECK(retry.backoff >= 1.0)
-      << "retry backoff < 1 would retransmit ever faster";
-  DPA_CHECK(retry.max_timeout_ns >= retry.timeout_ns);
-  DPA_CHECK(retry.max_retries > 0);
 }
 
 std::string RuntimeConfig::describe() const {

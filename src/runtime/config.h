@@ -9,25 +9,6 @@
 
 namespace dpa::rt {
 
-// Reliable-delivery protocol knobs (see EngineBase in runtime/engine.h:
-// sequence-numbered messages, receiver-side dedup + acks, sender-side
-// timeout/retransmit with exponential backoff). Engages automatically when
-// the cluster's network carries a FaultPlan; `enabled` forces it on over a
-// reliable fabric (useful for measuring the protocol's own overhead).
-struct RetryParams {
-  bool enabled = false;
-  // First retransmit fires this long after a send with no ack.
-  sim::Time timeout_ns = 2'000'000;
-  // Each unanswered attempt multiplies the timeout by this factor...
-  double backoff = 2.0;
-  // ...up to this ceiling.
-  sim::Time max_timeout_ns = 64'000'000;
-  // A message unacked after this many retransmissions aborts the run: with
-  // exponential backoff the fabric had seconds to deliver one message, so
-  // this is a livelock/bug guard, not a tuning knob.
-  std::uint32_t max_retries = 100;
-};
-
 enum class EngineKind : std::uint8_t {
   kDpa,       // the paper's contribution
   kCaching,   // Olden-style software caching (the paper's comparator)
@@ -83,8 +64,6 @@ struct RuntimeConfig {
   // Scheduling units processed per node task before re-polling the inbox
   // (models FM poll placement granularity).
   std::uint32_t poll_batch = 32;
-
-  RetryParams retry;
 
   CostModel cost;
 

@@ -15,8 +15,8 @@ constexpr std::size_t kLocalBatch = 8;
 
 DpaEngine::DpaEngine(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
                      Arena& arena, fm::HandlerId h_req, fm::HandlerId h_reply,
-                     fm::HandlerId h_accum, fm::HandlerId h_ack)
-    : EngineBase(cluster, node, cfg, arena, h_req, h_reply, h_accum, h_ack),
+                     fm::HandlerId h_accum)
+    : EngineBase(cluster, node, cfg, arena, h_req, h_reply, h_accum),
       ready_tiles_(ArenaAllocator<std::uint32_t>(&arena)),
       local_ready_(ArenaAllocator<std::pair<GlobalRef, ThreadFn>>(&arena)),
       order_(ArenaAllocator<OrderUnit>(&arena)),

@@ -22,8 +22,7 @@
 // Messages: a flush fills a request payload and the home sends that same
 // payload back as the reply. Returned replies become this engine's spare
 // payloads for later requests (EngineBase::request_payload), so a round
-// trip allocates nothing once spares exist. Under the reliability layer
-// the reply is a copy and nothing is recycled.
+// trip allocates nothing once spares exist.
 //
 // Configurations:
 //   pipelining off  -> each new remote ref is requested synchronously; the
@@ -50,7 +49,7 @@ class DpaEngine final : public EngineBase {
  public:
   DpaEngine(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
             Arena& arena, fm::HandlerId h_req, fm::HandlerId h_reply,
-            fm::HandlerId h_accum, fm::HandlerId h_ack);
+            fm::HandlerId h_accum);
 
   void require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) override;
   void accumulate(sim::Cpu& cpu, GlobalRef ref, AccumFn update) override;

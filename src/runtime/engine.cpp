@@ -8,19 +8,6 @@
 
 namespace dpa::rt {
 
-namespace {
-// RetryParams (runtime config surface) -> RetryPolicy (transport core).
-// Field-for-field; the two exist so transport/ carries no config.h dep.
-transport::RetryPolicy retry_policy(const RetryParams& r) {
-  transport::RetryPolicy p;
-  p.timeout_ns = r.timeout_ns;
-  p.backoff = r.backoff;
-  p.max_timeout_ns = r.max_timeout_ns;
-  p.max_retries = r.max_retries;
-  return p;
-}
-}  // namespace
-
 fm::FmLayer& Cluster::fm() {
   DPA_CHECK(backend->is_sim()) << "cluster is not on the sim backend";
   return static_cast<exec::SimBackend*>(backend.get())->fm();
@@ -29,15 +16,14 @@ fm::FmLayer& Cluster::fm() {
 EngineBase::EngineBase(Cluster& cluster, NodeId node,
                        const RuntimeConfig& cfg, Arena& arena,
                        fm::HandlerId h_req, fm::HandlerId h_reply,
-                       fm::HandlerId h_accum, fm::HandlerId h_ack)
+                       fm::HandlerId h_accum)
     : cluster_(cluster),
       node_(node),
       cfg_(cfg),
       arena_(arena),
       h_req_(h_req),
       h_reply_(h_reply),
-      h_accum_(h_accum),
-      h_ack_(h_ack) {
+      h_accum_(h_accum) {
   // Both trace sinks are single-writer structures. On the sim backend all
   // engines run on the one simulator thread and share the session tracer;
   // on the native backend each engine runs on its own worker thread and
@@ -53,80 +39,6 @@ EngineBase::EngineBase(Cluster& cluster, NodeId node,
     }
   }
   pool_payloads_ = cluster.exec().is_sim();
-  const bool rel_enabled = cfg.retry.enabled || cluster.exec().lossy();
-  // PhaseRunner already rejected this combination at construction; keep a
-  // backstop for engines built outside a PhaseRunner.
-  DPA_CHECK(!rel_enabled || cluster.exec().supports_timers())
-      << "the reliability/retry protocol needs a backend with deferred "
-      << "timers (retransmit deadlines); this one has none";
-  if (rel_enabled)
-    rel_.engage(cluster.num_nodes(), retry_policy(cfg.retry), node_);
-}
-
-void EngineBase::rel_track(sim::Cpu& cpu, NodeId dst, fm::HandlerId handler,
-                           std::shared_ptr<void> data, std::uint32_t bytes,
-                           std::uint64_t seq, obs::MsgCause cause) {
-  (void)cause;
-  transport::Reliable::Pending pending;
-  pending.dst = dst;
-  pending.handler = handler;
-  pending.data = std::move(data);
-  pending.bytes = bytes;
-  const Time deadline = rel_.track(seq, std::move(pending), cpu.logical_now());
-  cluster_.backend->schedule_at(deadline, [this, seq] { rel_timer(seq); });
-}
-
-void EngineBase::rel_timer(std::uint64_t seq) {
-  if (!rel_.is_pending(seq)) return;  // acked
-  cluster_.backend->post(node_,
-                         [this, seq](sim::Cpu& cpu) { rel_retry(cpu, seq); });
-}
-
-void EngineBase::rel_retry(sim::Cpu& cpu, std::uint64_t seq) {
-  // retry() bumps attempts (fatal past max_retries) and applies the capped
-  // exponential backoff; this side re-sends and re-arms — the substrate
-  // half the protocol core does not own. The returned pointer is stable
-  // here: nothing below touches the in-flight table.
-  const transport::Reliable::Pending* p = rel_.retry(seq);
-  if (p == nullptr) return;  // ack raced the posted task
-  ++stats_.retries;
-  cpu.charge(cfg_.cost.flush_fixed, sim::Work::kComm);
-  DPA_TRACE_EVT(trace_, msg_event(obs::Ev::kMsgDepart, obs::MsgCause::kRetry,
-                                  node_, p->dst, p->bytes, cpu.logical_now()));
-  cluster_.backend->send(cpu, node_, p->dst, fm::HandlerId(p->handler),
-                         p->data, p->bytes);
-  cluster_.backend->schedule_at(cpu.logical_now() + p->timeout,
-                                [this, seq] { rel_timer(seq); });
-}
-
-bool EngineBase::rel_accept(sim::Cpu& cpu, NodeId src, std::uint64_t seq) {
-  if (seq == 0) return true;  // unsequenced: sender runs without the protocol
-  DPA_CHECK(rel_.engaged())
-      << "sequenced message on node " << node_ << " but its engine has the "
-      << "reliability layer off — mismatched RuntimeConfigs?";
-  // Ack every copy, duplicates included: the ack for an earlier copy may
-  // itself have been lost, and acks are idempotent at the sender.
-  ++stats_.acks_sent;
-  auto ack = alloc_payload<AckPayload>();
-  ack->from = node_;
-  ack->seq = seq;
-  DPA_TRACE_EVT(trace_, msg_event(obs::Ev::kMsgDepart, obs::MsgCause::kAck,
-                                  node_, src, cfg_.cost.msg_header_bytes,
-                                  cpu.logical_now()));
-  cluster_.backend->send(cpu, node_, src, h_ack_, std::move(ack),
-                         cfg_.cost.msg_header_bytes);
-  if (!rel_.accept(src, seq)) {
-    ++stats_.dup_msgs_dropped;
-    return false;
-  }
-  return true;
-}
-
-void EngineBase::on_ack(sim::Cpu& cpu, const AckPayload& ack) {
-  (void)cpu;  // recv overhead is already charged by the FM layer
-  DPA_TRACE_EVT(trace_, msg_event(obs::Ev::kMsgArrive, obs::MsgCause::kAck,
-                                  node_, ack.from, 0, cpu.logical_now()));
-  if (rel_.on_ack(ack.seq)) ++stats_.acks_recv;
 }
 
 void EngineBase::accumulate(sim::Cpu& cpu, GlobalRef ref, AccumFn update) {
@@ -162,8 +74,8 @@ void EngineBase::send_accum(
   auto payload = alloc_payload<AccumPayload>();
   payload->accum_seq = ++accum_seq_next_;
   payload->items = std::move(items);
-  rel_send(cpu, home, h_accum_, std::move(payload), bytes,
-           obs::MsgCause::kAccum);
+  cluster_.backend->send(cpu, node_, home, h_accum_, std::move(payload),
+                         bytes);
 }
 
 void EngineBase::serve_accum(sim::Cpu& cpu, NodeId src,
@@ -214,9 +126,13 @@ void EngineBase::kick() {
 }
 
 std::shared_ptr<RefsPayload> EngineBase::request_payload() {
-  // Only the most recently returned spare is tried: the home or the fabric
-  // may still hold an older one for a moment, but never for long.
-  if (!spares_.empty() && spares_.back().use_count() == 1) {
+  // The newest free spare is reused; fault-free that is nearly always the
+  // top one. On a faulted simulator FM holds each reply until its ack
+  // comes back, so the top spares may still be held while older ones are
+  // free; looking past them keeps held replies from piling up.
+  for (std::size_t i = spares_.size(); i-- > 0;) {
+    if (spares_[i].use_count() != 1) continue;
+    std::swap(spares_[i], spares_.back());
     std::shared_ptr<RefsPayload> req = std::move(spares_.back());
     spares_.pop_back();
     req->refs.clear();
@@ -241,8 +157,7 @@ void EngineBase::send_request(sim::Cpu& cpu, NodeId home,
   DPA_TRACE_EVT(trace_, msg_event(obs::Ev::kMsgDepart, obs::MsgCause::kRequest,
                                   node_, home, bytes, cpu.logical_now()));
   req->requester = node_;
-  rel_send(cpu, home, h_req_, std::move(req), bytes,
-           obs::MsgCause::kRequest);
+  cluster_.backend->send(cpu, node_, home, h_req_, std::move(req), bytes);
 }
 
 void EngineBase::send_request(sim::Cpu& cpu, const GlobalRef& ref) {
@@ -273,22 +188,14 @@ void EngineBase::serve_request(sim::Cpu& cpu,
   DPA_TRACE_EVT(trace_,
                 msg_event(obs::Ev::kMsgDepart, obs::MsgCause::kReply, node_,
                           requester, bytes, cpu.logical_now()));
-  if (rel_.engaged()) {
-    // The requester holds `req` for retransmission, and rel_send stamps
-    // the reply's own sequence number: the reply must be a separate object.
-    auto reply = alloc_payload<RefsPayload>();
-    reply->requester = requester;
-    reply->refs = req->refs;
-    req = std::move(reply);
-  }
-  rel_send(cpu, requester, h_reply_, std::move(req), bytes,
-           obs::MsgCause::kReply);
+  cluster_.backend->send(cpu, node_, requester, h_reply_, std::move(req),
+                         bytes);
 }
 
 void EngineBase::receive_reply(sim::Cpu& cpu,
                                std::shared_ptr<RefsPayload> reply) {
   on_reply(cpu, *reply);
-  if (!rel_.engaged()) spares_.push_back(std::move(reply));
+  spares_.push_back(std::move(reply));
 }
 
 void EngineBase::run_thread(sim::Cpu& cpu, const ThreadFn& fn,

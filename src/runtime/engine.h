@@ -33,7 +33,6 @@
 #include "support/arena.h"
 #include "support/flat_map.h"
 #include "support/inline_fn.h"
-#include "transport/reliable.h"
 
 namespace dpa::rt {
 
@@ -126,23 +125,15 @@ struct Cluster {
 // Wire payloads. The simulation shares one address space; `bytes` on the FM
 // packet models the marshalled size.
 //
-// `rel_seq` is the reliability layer's per-sender sequence number: 0 means
-// unsequenced (protocol off), otherwise the receiver acks it and dedups
-// retransmitted copies (see EngineBase::rel_accept). Only the faulted
-// simulator turns the protocol on, so the proc backend's wire codecs leave
-// rel_seq out.
-//
-// A request and its reply are the same type, and off the reliability layer
-// the same object: the home serves a request in place and sends it back,
-// and the requester keeps the returned payload for its next request (see
-// EngineBase::serve_request and request_payload).
+// A request and its reply are the same type and the same object: the home
+// serves a request in place and sends it back, and the requester keeps the
+// returned payload for its next request (see EngineBase::serve_request and
+// request_payload).
 struct RefsPayload {
-  std::uint64_t rel_seq = 0;
   NodeId requester = 0;
   std::vector<GlobalRef> refs;
 };
 struct AccumPayload {
-  std::uint64_t rel_seq = 0;
   // Per-sender accumulation sequence number: the receiver stages arriving
   // messages and commits them in (src, accum_seq) order at the phase
   // barrier, so floating-point reduction order is a function of the
@@ -150,12 +141,6 @@ struct AccumPayload {
   // byte-identical across the sim and native backends.
   std::uint64_t accum_seq = 0;
   std::vector<std::pair<GlobalRef, AccumFn>> items;
-};
-// Acks are themselves unsequenced and never retried: a lost ack simply
-// means the original message is retransmitted and re-acked.
-struct AckPayload {
-  NodeId from = 0;  // the node that received the acked message
-  std::uint64_t seq = 0;
 };
 
 class EngineBase {
@@ -165,7 +150,7 @@ class EngineBase {
   // never touches the general-purpose allocator inside a timed phase.
   EngineBase(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
              Arena& arena, fm::HandlerId h_req, fm::HandlerId h_reply,
-             fm::HandlerId h_accum, fm::HandlerId h_ack);
+             fm::HandlerId h_accum);
   virtual ~EngineBase() = default;
 
   EngineBase(const EngineBase&) = delete;
@@ -194,8 +179,7 @@ class EngineBase {
   virtual std::string state_dump() const = 0;
 
   // Home side: serve a request message (shared by all engines). The reply
-  // is `req` itself, sent back to its requester; under the reliability
-  // layer it is a copy, since the requester holds `req` for retransmission.
+  // is `req` itself, sent back to its requester.
   void serve_request(sim::Cpu& cpu, std::shared_ptr<RefsPayload> req);
 
   // Home side: an accumulation message arrived. Charges the per-item apply
@@ -208,29 +192,6 @@ class EngineBase {
   // the phase runner at the phase barrier, after global quiescence — the
   // deterministic half of the two-level reduction.
   void commit_accums();
-
-  // --- Reliability layer (sequence numbers + ack/timeout/retry) ---
-  //
-  // The protocol state machine lives in transport::Reliable (seq space,
-  // in-flight table, backoff, receiver dedup); the engine supplies the
-  // substrate — modeled cost charges, arena-pooled ack payloads, backend
-  // sends, and schedule_at retransmit timers — so the sim's event schedule
-  // is byte-identical to when the state lived here.
-  //
-  // Engaged when the network carries a FaultPlan or cfg.retry.enabled is
-  // set; otherwise every path below is dead and messages fly exactly as on
-  // the reliable fabric (rel_seq stays 0, no acks, no timers).
-  //
-  // Receiver side, called by the phase runner's handlers before dispatching
-  // a sequenced message: acks it and returns false if this sequence number
-  // was already delivered (a retransmitted or fabric-duplicated copy the
-  // caller must drop).
-  bool rel_accept(sim::Cpu& cpu, NodeId src, std::uint64_t seq);
-
-  // Sender side: an ack arrived for one of our in-flight messages.
-  void on_ack(sim::Cpu& cpu, const AckPayload& ack);
-
-  bool rel_enabled() const { return rel_.engaged(); }
 
   NodeId node_id() const { return node_; }
   Cluster& cluster() { return cluster_; }
@@ -265,21 +226,6 @@ class EngineBase {
   void send_accum(sim::Cpu& cpu, NodeId home,
                   std::vector<std::pair<GlobalRef, AccumFn>> items);
 
-  // Sends `payload` to `dst` through the reliability layer: stamps a
-  // sequence number and arms the retransmit timer when the protocol is
-  // engaged, otherwise degenerates to a bare backend send.
-  template <class Payload>
-  void rel_send(sim::Cpu& cpu, NodeId dst, fm::HandlerId handler,
-                std::shared_ptr<Payload> payload, std::uint32_t bytes,
-                obs::MsgCause cause) {
-    if (rel_.engaged() && dst != node_) {
-      payload->rel_seq = rel_.next_seq();
-      rel_track(cpu, dst, handler, payload, bytes, payload->rel_seq, cause);
-    }
-    cluster_.backend->send(cpu, node_, dst, handler, std::move(payload),
-                           bytes);
-  }
-
   // Allocates a wire payload. On the sim backend (single host thread)
   // payloads are arena-pooled: allocate_shared puts object + control block
   // in one arena block that the free list recycles when the last reference
@@ -301,7 +247,6 @@ class EngineBase {
   fm::HandlerId h_req_;
   fm::HandlerId h_reply_;
   fm::HandlerId h_accum_;
-  fm::HandlerId h_ack_;
   NodeWork work_;
   std::uint64_t next_root_ = 0;
   bool sched_pending_ = false;
@@ -316,20 +261,6 @@ class EngineBase {
   Pow2Histogram* h_msg_bytes_ = nullptr;  // request/reply/accum wire sizes
 
  private:
-  void rel_track(sim::Cpu& cpu, NodeId dst, fm::HandlerId handler,
-                 std::shared_ptr<void> data, std::uint32_t bytes,
-                 std::uint64_t seq, obs::MsgCause cause);
-  // Raw engine event at timer expiry: re-posts onto the node if still
-  // pending (a stale timer for an acked message does nothing and charges
-  // nothing, so it cannot perturb phase timing).
-  void rel_timer(std::uint64_t seq);
-  void rel_retry(sim::Cpu& cpu, std::uint64_t seq);
-
-  // The relocated PR-2 protocol: seq space, unacked in-flight table,
-  // receiver dedup sets. All seq/ack/retransmit *state* lives there; the
-  // engine only glues it to the backend (sends, timers, cost charges).
-  transport::Reliable rel_;
-
   // Outgoing accumulation-message sequence (stamped into accum_seq) and
   // the home-side staging buffer for the two-level reduction.
   struct StagedAccum {
@@ -341,8 +272,8 @@ class EngineBase {
   std::vector<StagedAccum> staged_accums_;
 
   // Replies that came back to this node, reused by request_payload() once
-  // no other thread still holds them. Stays empty under the reliability
-  // layer, whose peers hold sent payloads for retransmission.
+  // no other thread still holds them (on a faulted simulator, FM holds each
+  // sent payload until its ack arrives).
   std::vector<std::shared_ptr<RefsPayload>> spares_;
 };
 

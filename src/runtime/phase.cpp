@@ -48,15 +48,11 @@ T get(const std::uint8_t*& p, const std::uint8_t* end) {
 // vectors travel as raw arrays. AccumFn closures travel as their inline
 // capture bytes plus the ops-table pointer as a type token — only
 // trivially marshallable closures may cross (DPA_CHECKed at marshal).
-// rel_seq does not cross: the reliability protocol engages only on a lossy
-// backend (the faulted simulator), so on proc it is always 0. Acks are
-// never sent there either, so they have no codec.
 
 exec::WireCodec refs_codec() {
   return exec::WireCodec{
       [](const void* data, std::uint32_t) {
         const auto* msg = static_cast<const RefsPayload*>(data);
-        DPA_DCHECK(msg->rel_seq == 0) << "sequenced payload on a lossless wire";
         std::vector<std::uint8_t> b;
         put(b, msg->requester);
         put(b, std::uint32_t(msg->refs.size()));
@@ -79,8 +75,6 @@ exec::WireCodec accum_codec() {
   return exec::WireCodec{
       [](const void* data, std::uint32_t) {
         const auto* accum = static_cast<const AccumPayload*>(data);
-        DPA_DCHECK(accum->rel_seq == 0)
-            << "sequenced payload on a lossless wire";
         std::vector<std::uint8_t> b;
         put(b, accum->accum_seq);
         put(b, std::uint32_t(accum->items.size()));
@@ -133,48 +127,27 @@ double PhaseResult::mean_idle_s() const {
 PhaseRunner::PhaseRunner(Cluster& cluster, RuntimeConfig cfg)
     : cluster_(cluster), cfg_(std::move(cfg)) {
   cfg_.validate();
-  // Fail at construction, not from a schedule_at panic mid-phase: the
-  // retry/timeout protocol arms retransmit timers, which only a backend
-  // with deferred timers (the simulator) can run.
-  DPA_CHECK(!cfg_.retry.enabled || cluster_.exec().supports_timers())
-      << "retry/timeout reliability config needs a backend with deferred "
-      << "timers; --backend=native and --backend=proc cannot honor it "
-      << "(their fabrics — in-process mailboxes, socketpairs — are "
-      << "lossless) — drop the retry config or run with --backend=sim";
   arenas_.reserve(cluster_.num_nodes());
   for (std::uint32_t i = 0; i < cluster_.num_nodes(); ++i)
     arenas_.push_back(std::make_unique<Arena>());
-  // Every sequenced message passes rel_accept first: it acks the copy and
-  // rejects retransmitted / fabric-duplicated deliveries, so the engine
-  // proper sees exactly-once semantics even on a lossy network. Handlers
-  // run as tasks on the destination node — on the native backend that is
-  // the destination's worker thread, so each touches only its own engine.
+  // Handlers run as tasks on the destination node — on the native backend
+  // that is the destination's worker thread, so each touches only its own
+  // engine. Every backend delivers each message exactly once.
   auto& backend = cluster_.exec();
   h_req_ = backend.register_handler(
       "rt.request", [this](sim::Cpu& cpu, const fm::Packet& pkt) {
-        auto req = std::static_pointer_cast<RefsPayload>(pkt.data);
-        auto& engine = *engines_[pkt.dst];
-        if (!engine.rel_accept(cpu, pkt.src, req->rel_seq)) return;
-        engine.serve_request(cpu, std::move(req));
+        engines_[pkt.dst]->serve_request(
+            cpu, std::static_pointer_cast<RefsPayload>(pkt.data));
       });
   h_reply_ = backend.register_handler(
       "rt.reply", [this](sim::Cpu& cpu, const fm::Packet& pkt) {
-        auto reply = std::static_pointer_cast<RefsPayload>(pkt.data);
-        auto& engine = *engines_[pkt.dst];
-        if (!engine.rel_accept(cpu, pkt.src, reply->rel_seq)) return;
-        engine.receive_reply(cpu, std::move(reply));
+        engines_[pkt.dst]->receive_reply(
+            cpu, std::static_pointer_cast<RefsPayload>(pkt.data));
       });
   h_accum_ = backend.register_handler(
       "rt.accum", [this](sim::Cpu& cpu, const fm::Packet& pkt) {
-        auto payload = std::static_pointer_cast<AccumPayload>(pkt.data);
-        auto& engine = *engines_[pkt.dst];
-        if (!engine.rel_accept(cpu, pkt.src, payload->rel_seq)) return;
-        engine.serve_accum(cpu, pkt.src, std::move(payload));
-      });
-  h_ack_ = backend.register_handler(
-      "rt.ack", [this](sim::Cpu& cpu, const fm::Packet& pkt) {
-        auto* ack = static_cast<AckPayload*>(pkt.data.get());
-        engines_[pkt.dst]->on_ack(cpu, *ack);
+        engines_[pkt.dst]->serve_accum(
+            cpu, pkt.src, std::static_pointer_cast<AccumPayload>(pkt.data));
       });
   // Byte codecs for the multi-process backend (no-ops elsewhere): how each
   // payload crosses a process boundary when src and dst live in different
@@ -189,19 +162,18 @@ std::unique_ptr<EngineBase> PhaseRunner::make_engine(NodeId node) {
   switch (cfg_.kind) {
     case EngineKind::kDpa:
       return std::make_unique<DpaEngine>(cluster_, node, cfg_, arena, h_req_,
-                                         h_reply_, h_accum_, h_ack_);
+                                         h_reply_, h_accum_);
     case EngineKind::kCaching:
       return std::make_unique<SyncEngine>(cluster_, node, cfg_, arena,
-                                          h_req_, h_reply_, h_accum_, h_ack_,
+                                          h_req_, h_reply_, h_accum_,
                                           /*use_cache=*/true);
     case EngineKind::kBlocking:
       return std::make_unique<SyncEngine>(cluster_, node, cfg_, arena,
-                                          h_req_, h_reply_, h_accum_, h_ack_,
+                                          h_req_, h_reply_, h_accum_,
                                           /*use_cache=*/false);
     case EngineKind::kPrefetch:
       return std::make_unique<PrefetchEngine>(cluster_, node, cfg_, arena,
-                                              h_req_, h_reply_, h_accum_,
-                                              h_ack_);
+                                              h_req_, h_reply_, h_accum_);
   }
   DPA_PANIC("unknown engine kind");
 }
@@ -294,10 +266,11 @@ PhaseResult PhaseRunner::run(std::vector<NodeWork> work,
     nb.idle = backend.idle_time(i, result.elapsed);
     result.rt.absorb(node_rt[i]);
   }
+  const sim::FaultInjector* injector = nullptr;
   if (sim::Machine* m = backend.sim_machine()) {
     result.net = m->network().stats();
-    if (const auto* injector = m->network().injector())
-      result.faults = injector->stats();
+    injector = m->network().injector();
+    if (injector != nullptr) result.faults = injector->stats();
   }
   result.fm_total = backend.msg_stats_total();
 
@@ -342,11 +315,16 @@ PhaseResult PhaseRunner::run(std::vector<NodeWork> work,
     *m.counter("fm.msgs_recv") += result.fm_total.msgs_recv;
     *m.counter("fm.bytes_sent") += result.fm_total.bytes_sent;
     *m.counter("fm.bytes_recv") += result.fm_total.bytes_recv;
-    if (backend.lossy()) {
+    if (injector != nullptr) {
       *m.counter("net.fault.dropped_msgs") += result.faults.dropped_msgs;
       *m.counter("net.fault.dup_msgs") += result.faults.dup_msgs;
       *m.counter("net.fault.delayed_frags") += result.faults.delayed_frags;
       *m.counter("net.fault.pauses") += result.faults.pauses;
+      // FM's exactly-once recovery traffic.
+      *m.counter("fm.retries") += result.fm_total.retries;
+      *m.counter("fm.acks_sent") += result.fm_total.acks_sent;
+      *m.counter("fm.acks_recv") += result.fm_total.acks_recv;
+      *m.counter("fm.dup_msgs_dropped") += result.fm_total.dup_msgs_dropped;
     }
   }
   return result;

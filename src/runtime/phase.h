@@ -85,7 +85,6 @@ class PhaseRunner {
   fm::HandlerId h_req_;
   fm::HandlerId h_reply_;
   fm::HandlerId h_accum_;
-  fm::HandlerId h_ack_;
 };
 
 }  // namespace dpa::rt

@@ -11,8 +11,8 @@ namespace dpa::rt {
 PrefetchEngine::PrefetchEngine(Cluster& cluster, NodeId node,
                                const RuntimeConfig& cfg, Arena& arena,
                                fm::HandlerId h_req, fm::HandlerId h_reply,
-                               fm::HandlerId h_accum, fm::HandlerId h_ack)
-    : EngineBase(cluster, node, cfg, arena, h_req, h_reply, h_accum, h_ack),
+                               fm::HandlerId h_accum)
+    : EngineBase(cluster, node, cfg, arena, h_req, h_reply, h_accum),
       stack_(ArenaAllocator<StackEntry>(&arena)),
       root_window_(ArenaAllocator<StackEntry>(&arena)) {}
 

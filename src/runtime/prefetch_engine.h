@@ -23,7 +23,7 @@ class PrefetchEngine final : public EngineBase {
  public:
   PrefetchEngine(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
                  Arena& arena, fm::HandlerId h_req, fm::HandlerId h_reply,
-                 fm::HandlerId h_accum, fm::HandlerId h_ack);
+                 fm::HandlerId h_accum);
 
   void require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) override;
   bool done() const override;

@@ -43,12 +43,7 @@ namespace dpa::rt {
   X(accums_issued)  /* updates sent to remote homes */                     \
   X(accum_msgs)     /* messages carrying them */                           \
   X(accums_applied) /* updates applied at this home */                     \
-  X(accums_local)   /* updates applied directly (local home) */            \
-  /* Reliability layer (zero unless retry protocol engaged). */            \
-  X(retries)          /* timeout-driven retransmissions */                 \
-  X(acks_sent)                                                             \
-  X(acks_recv)                                                             \
-  X(dup_msgs_dropped) /* receiver-side sequence-number dedups */
+  X(accums_local)   /* updates applied directly (local home) */
 
 // One X(name) per resource gauge (current level + high-water mark; totals
 // keep the max high-water across nodes as max_<name>).

@@ -10,9 +10,8 @@ namespace dpa::rt {
 SyncEngine::SyncEngine(Cluster& cluster, NodeId node,
                        const RuntimeConfig& cfg, Arena& arena,
                        fm::HandlerId h_req, fm::HandlerId h_reply,
-                       fm::HandlerId h_accum, fm::HandlerId h_ack,
-                       bool use_cache)
-    : EngineBase(cluster, node, cfg, arena, h_req, h_reply, h_accum, h_ack),
+                       fm::HandlerId h_accum, bool use_cache)
+    : EngineBase(cluster, node, cfg, arena, h_req, h_reply, h_accum),
       stack_(ArenaAllocator<std::pair<GlobalRef, ThreadFn>>(&arena)),
       use_cache_(use_cache) {}
 

@@ -24,7 +24,7 @@ class SyncEngine final : public EngineBase {
   // use_cache=false -> EngineKind::kBlocking
   SyncEngine(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
              Arena& arena, fm::HandlerId h_req, fm::HandlerId h_reply,
-             fm::HandlerId h_accum, fm::HandlerId h_ack, bool use_cache);
+             fm::HandlerId h_accum, bool use_cache);
 
   void require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) override;
   bool done() const override;

@@ -8,7 +8,8 @@
 //   * 4-ary beats binary here: sift-down does half the levels, and the four
 //     children share a cache line's worth of (time, seq) keys.
 //   * EventFn is an InlineFn, so scheduling a closure does not heap-allocate
-//     unless the capture exceeds the inline buffer (none in-tree does).
+//     unless the capture exceeds the inline buffer. FM's fragment delivery,
+//     the largest in-tree, static_asserts that it fits.
 #pragma once
 
 #include <cstdint>

@@ -15,9 +15,9 @@
 // segmented message would otherwise leave the receiver waiting on a train
 // that can never complete, which is not how lossy fabrics lose packets.
 //
-// The runtime survives all of this with sequence numbers + ack/retry (see
-// runtime/engine.h); the invariant tested by chaos_test.cpp is that faults
-// cost time, never correctness.
+// FM survives all of this with sequence numbers + ack/retry (see fm/fm.h),
+// so the runtime above it sees exactly-once delivery; the invariant tested
+// by chaos_test.cpp is that faults cost time, never correctness.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
 // transport::Reliable — the seq/ack/timeout/retransmit + receiver-dedup
-// protocol core, relocated out of the runtime's EngineBase.
+// protocol core.
 //
 // This is the substrate-agnostic state machine: per-sender sequence
 // numbers, the in-flight (unacked) message table with exponential-backoff
@@ -7,15 +7,13 @@
 // make retransmitted or fabric-duplicated copies droppable. What it
 // deliberately does NOT own is the clock and the wire: the caller charges
 // costs, sends payloads, and arms timers, because those are substrate
-// properties. Its one user is the runtime engines on the simulator, the
-// only fabric that loses messages (an armed sim::FaultPlan): they drive it
-// through exec::Backend::schedule_at, where retransmission timing is part
-// of the modeled phase and must stay byte-identical to the goldens. The
-// native and proc fabrics are lossless and never engage it.
+// properties. Its one user is fm::FmLayer on the simulator, the only fabric
+// that loses messages (an armed sim::FaultPlan): FM builds one per node
+// when a plan is armed, and retransmission timing is part of the modeled
+// phase. The native and proc fabrics are lossless and never build one.
 //
-// Protocol invariants (unchanged from PR 2):
-//   * seq 0 means "unsequenced": the sender runs without the protocol and
-//     receivers pass the message straight through.
+// Protocol invariants:
+//   * Sequence numbers are per sender and start at 1.
 //   * Every sequenced copy is acked, duplicates included — the ack for an
 //     earlier copy may itself have been lost, and acks are idempotent at
 //     the sender. Acks are unsequenced and never retried.
@@ -39,8 +37,7 @@ namespace dpa::transport {
 using exec::NodeId;
 using exec::Time;
 
-// Retransmission policy. Field-compatible with the runtime's RetryParams
-// (rt::retry_policy() converts); defaults match it.
+// Retransmission policy.
 struct RetryPolicy {
   Time timeout_ns = 2'000'000;        // first retransmit deadline
   double backoff = 2.0;               // deadline multiplier per attempt
@@ -61,34 +58,19 @@ class Reliable {
     Time timeout = 0;            // current (backed-off) timer interval
   };
 
-  Reliable() = default;
+  // The protocol state of node `self` talking to num_nodes peers.
+  Reliable(std::uint32_t num_nodes, const RetryPolicy& policy, NodeId self)
+      : self_(self), policy_(policy), seen_(num_nodes) {}
 
   Reliable(const Reliable&) = delete;
   Reliable& operator=(const Reliable&) = delete;
   Reliable(Reliable&&) = default;
   Reliable& operator=(Reliable&&) = default;
 
-  // Turns the protocol on for a node talking to num_nodes peers. Before
-  // engage() every path is dead: next_seq() panics, accept() only passes
-  // unsequenced messages.
-  void engage(std::uint32_t num_nodes, const RetryPolicy& policy,
-              NodeId self) {
-    engaged_ = true;
-    policy_ = policy;
-    self_ = self;
-    seen_.resize(num_nodes);
-  }
-
-  bool engaged() const { return engaged_; }
-  const RetryPolicy& policy() const { return policy_; }
-
   // --- Sender side ---------------------------------------------------
 
-  // Next per-sender sequence number (1-based; 0 stays "unsequenced").
-  std::uint64_t next_seq() {
-    DPA_DCHECK(engaged_);
-    return ++next_seq_;
-  }
+  // Next per-sender sequence number (1-based).
+  std::uint64_t next_seq() { return ++next_seq_; }
 
   // Registers an in-flight message under `seq`; returns the absolute
   // deadline (now + the policy's initial timeout) the caller must arm a
@@ -123,16 +105,13 @@ class Reliable {
 
   // First delivery of (src, seq)? The caller acks every copy *before*
   // asking (ack-always, see header comment) and drops the message when
-  // this returns false. seq 0 always passes.
+  // this returns false.
   bool accept(NodeId src, std::uint64_t seq) {
-    if (seq == 0) return true;
-    DPA_DCHECK(engaged_);
     return seen_[src].insert(seq).second;
   }
 
  private:
-  bool engaged_ = false;
-  NodeId self_ = 0;
+  NodeId self_;
   RetryPolicy policy_;
   std::uint64_t next_seq_ = 0;
   FlatMap<std::uint64_t, Pending> pending_;

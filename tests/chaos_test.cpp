@@ -1,6 +1,6 @@
 // Chaos suite: end-to-end runs of barnes / fmm / em3d on a faulty fabric.
 //
-// The contract under test (see sim/fault.h and runtime/engine.h): with the
+// The contract under test (see sim/fault.h and fm/fm.h): with the
 // deterministic in-order schedule, a run under any fault plan produces
 // *bit-identical* physics to the fault-free run — drops, duplicates,
 // reordering and pauses cost simulated time, never correctness. Each app is
@@ -50,7 +50,7 @@ sim::NetParams faulty_net(std::uint64_t seed) {
   return p;
 }
 
-// Sums fault + reliability counters across a run's phases.
+// Sums fault counters and FM's recovery counters across a run's phases.
 struct ChaosTotals {
   sim::FaultStats faults;
   std::uint64_t retries = 0;
@@ -66,10 +66,10 @@ struct ChaosTotals {
       t.faults.dup_msgs += step.phase.faults.dup_msgs;
       t.faults.delayed_frags += step.phase.faults.delayed_frags;
       t.faults.pauses += step.phase.faults.pauses;
-      t.retries += step.phase.rt.retries;
-      t.acks_sent += step.phase.rt.acks_sent;
-      t.acks_recv += step.phase.rt.acks_recv;
-      t.dup_msgs_dropped += step.phase.rt.dup_msgs_dropped;
+      t.retries += step.phase.fm_total.retries;
+      t.acks_sent += step.phase.fm_total.acks_sent;
+      t.acks_recv += step.phase.fm_total.acks_recv;
+      t.dup_msgs_dropped += step.phase.fm_total.dup_msgs_dropped;
     }
     return t;
   }
@@ -235,7 +235,8 @@ TEST(Chaos, SameFaultSeedReplaysBitIdentically) {
     EXPECT_EQ(a.steps[i].phase.elapsed, b.steps[i].phase.elapsed);
     EXPECT_EQ(a.steps[i].phase.faults.dropped_msgs,
               b.steps[i].phase.faults.dropped_msgs);
-    EXPECT_EQ(a.steps[i].phase.rt.retries, b.steps[i].phase.rt.retries);
+    EXPECT_EQ(a.steps[i].phase.fm_total.retries,
+              b.steps[i].phase.fm_total.retries);
   }
   // Different seed => (almost surely) a different fault schedule.
   const auto c = app.run(faulty_net(8), rcfg);

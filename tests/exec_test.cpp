@@ -66,7 +66,6 @@ TEST(NativeBackend, FactoryAndKind) {
   EXPECT_FALSE(native->is_sim());
   EXPECT_EQ(native->num_nodes(), 3u);
   EXPECT_EQ(native->sim_machine(), nullptr);
-  EXPECT_FALSE(native->lossy());
 
   auto sim = exec::make_backend(exec::BackendKind::kSim, 3, sim::NetParams{});
   EXPECT_TRUE(sim->is_sim());
@@ -506,42 +505,6 @@ TEST(NativeBackend, WatchdogStaysQuietWhileStolenNodeMakesProgress) {
   EXPECT_EQ(backend.last_worker(2), 1);
   EXPECT_FALSE(backend.watchdog_fired());
 }
-
-TEST(Backend, TimerCapabilityMatchesSubstrate) {
-  auto sim = exec::make_backend(exec::BackendKind::kSim, 2, sim::NetParams{});
-  EXPECT_TRUE(sim->supports_timers());
-  auto native =
-      exec::make_backend(exec::BackendKind::kNative, 2, sim::NetParams{});
-  EXPECT_FALSE(native->supports_timers());
-}
-
-// TSan's runtime is incompatible with gtest death tests (fork with live
-// worker threads), so the fail-fast check is pinned in regular builds only.
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DPA_TEST_TSAN 1
-#endif
-#endif
-#if defined(__SANITIZE_THREAD__)
-#define DPA_TEST_TSAN 1
-#endif
-
-#if !defined(DPA_TEST_TSAN)
-TEST(NativeBackendDeathTest, RetryConfigFailsFastAtConstruction) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // The retry protocol needs schedule_at timers; on the native backend the
-  // PhaseRunner must refuse at construction with an actionable message, not
-  // panic from inside a phase.
-  EXPECT_DEATH(
-      {
-        rt::Cluster cluster(2, exec::BackendKind::kNative);
-        rt::RuntimeConfig cfg = rt::RuntimeConfig::dpa(32);
-        cfg.retry.enabled = true;
-        rt::PhaseRunner runner(cluster, cfg);
-      },
-      "deferred timers");
-}
-#endif  // !DPA_TEST_TSAN
 
 rt::RuntimeConfig engine_config(std::size_t which) {
   switch (which) {

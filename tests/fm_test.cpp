@@ -140,13 +140,13 @@ TEST(Fm, StatsPerNodeAndAggregate) {
   EXPECT_EQ(total.bytes_sent, 60u);
 }
 
-TEST(Fm, ResetStatsClears) {
+TEST(Fm, BeginPhaseClearsStats) {
   Machine m(2, test_params());
   FmLayer fm(m);
   const HandlerId h = fm.register_handler("s", [](Cpu&, const Packet&) {});
   m.node(0).post([&](Cpu& cpu) { fm.send(cpu, 0, 1, h, nullptr, 10); });
   m.engine().run();
-  fm.reset_stats();
+  fm.begin_phase();
   EXPECT_EQ(fm.node_stats(0).msgs_sent, 0u);
   EXPECT_EQ(fm.aggregate_stats().bytes_recv, 0u);
 }
@@ -171,21 +171,23 @@ TEST(Fm, LoopbackSendDeliversToSelf) {
   EXPECT_EQ(fm.node_stats(0).msgs_recv, 1u);
 }
 
-// ---------- Faults at message granularity ----------
+// ---------- Loss and exactly-once delivery ----------
 
-TEST(Fm, DroppedMessageNeverReachesTheHandler) {
-  auto p = test_params();
-  p.faults.drop = 1.0;  // every message dies on the wire
-  Machine m(2, p);
+TEST(Fm, TargetedDropIsLostForGood) {
+  // No fault plan, so no recovery protocol: a targeted drop is a loss
+  // nothing repairs.
+  Machine m(2, test_params());
   FmLayer fm(m);
   int deliveries = 0;
   const HandlerId h =
       fm.register_handler("d", [&](Cpu&, const Packet&) { ++deliveries; });
+  fm.drop_nth_message(1);
   m.node(0).post([&](Cpu& cpu) { fm.send(cpu, 0, 1, h, nullptr, 600); });
   m.engine().run();
   EXPECT_EQ(deliveries, 0);
+  EXPECT_EQ(fm.dropped_messages(), 1u);
   EXPECT_EQ(fm.node_stats(1).msgs_recv, 0u);
-  EXPECT_EQ(m.network().injector()->stats().dropped_msgs, 1u);
+  EXPECT_EQ(fm.node_stats(0).retries, 0u);
   // The loss is physical, not accounting: the sender still paid its
   // per-fragment software overhead and the fragments occupied the wire.
   EXPECT_EQ(fm.node_stats(0).msgs_sent, 1u);
@@ -194,9 +196,32 @@ TEST(Fm, DroppedMessageNeverReachesTheHandler) {
   EXPECT_EQ(m.node(0).stats().busy[int(Work::kComm)], 300);
 }
 
-TEST(Fm, DuplicatedMessageDeliversTwice) {
+TEST(Fm, LossyFabricDeliversEachMessageExactlyOnce) {
   auto p = test_params();
-  p.faults.dup = 1.0;  // every message is doubled
+  p.faults.drop = 0.5;  // data and acks alike
+  Machine m(2, p);
+  FmLayer fm(m);
+  std::vector<int> got(20, 0);
+  const HandlerId h =
+      fm.register_handler("d", [&](Cpu&, const Packet& pkt) {
+        ++got[static_cast<IntPayload*>(pkt.data.get())->value];
+      });
+  m.node(0).post([&](Cpu& cpu) {
+    for (int i = 0; i < 20; ++i)
+      fm.send(cpu, 0, 1, h, std::make_shared<IntPayload>(IntPayload{i}), 16);
+  });
+  m.engine().run();
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(got[i], 1) << "message " << i;
+  EXPECT_GT(m.network().injector()->stats().dropped_msgs, 0u);
+  const FmNodeStats total = fm.aggregate_stats();
+  EXPECT_GE(total.retries, 1u);
+  EXPECT_EQ(total.acks_recv, 20u);  // every message acked, each once
+  EXPECT_GE(total.acks_sent, total.acks_recv);
+}
+
+TEST(Fm, DuplicatedMessageDeliversOnce) {
+  auto p = test_params();
+  p.faults.dup = 1.0;  // every message, acks included, is doubled
   Machine m(2, p);
   FmLayer fm(m);
   int deliveries = 0;
@@ -204,16 +229,21 @@ TEST(Fm, DuplicatedMessageDeliversTwice) {
       fm.register_handler("d", [&](Cpu&, const Packet&) { ++deliveries; });
   m.node(0).post([&](Cpu& cpu) { fm.send(cpu, 0, 1, h, nullptr, 16); });
   m.engine().run();
-  EXPECT_EQ(deliveries, 2);
-  EXPECT_EQ(m.network().injector()->stats().dup_msgs, 1u);
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(m.network().injector()->stats().dup_msgs, 3u);  // data + 2 acks
+  EXPECT_EQ(fm.node_stats(1).dup_msgs_dropped, 1u);
+  EXPECT_EQ(fm.node_stats(1).acks_sent, 2u);  // every copy is acked
+  EXPECT_EQ(fm.node_stats(0).acks_recv, 1u);  // the first ack clears it
+  EXPECT_EQ(fm.node_stats(0).retries, 0u);
   // The duplicate is the NIC's doing: the sender charged software overhead
-  // for one message only.
-  EXPECT_EQ(m.node(0).stats().busy[int(Work::kComm)], 100);
+  // for one send, plus receive overhead for the four ack copies.
+  EXPECT_EQ(m.node(0).stats().busy[int(Work::kComm)], 100 + 4 * 200);
 }
 
-TEST(Fm, SegmentedDuplicateDeliversCompleteTrains) {
-  // Both the original and the duplicate are full multi-fragment trains with
-  // distinct train ids; each completes independently.
+TEST(Fm, SegmentedDuplicateDeliversOnce) {
+  // The original and the duplicate are full multi-fragment trains with
+  // distinct train ids and one sequence number; whichever completes second
+  // is dropped.
   auto p = test_params();
   p.faults.dup = 1.0;
   Machine m(2, p);
@@ -223,8 +253,20 @@ TEST(Fm, SegmentedDuplicateDeliversCompleteTrains) {
       fm.register_handler("d", [&](Cpu&, const Packet&) { ++deliveries; });
   m.node(0).post([&](Cpu& cpu) { fm.send(cpu, 0, 1, h, nullptr, 1000); });
   m.engine().run();
-  EXPECT_EQ(deliveries, 2);
-  EXPECT_EQ(m.network().stats().messages, 8u);  // 2 trains x 4 fragments
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(fm.node_stats(1).dup_msgs_dropped, 1u);
+  // 2 data trains x 4 fragments, plus 2 one-fragment acks, each doubled.
+  EXPECT_EQ(m.network().stats().messages, 12u);
+}
+
+TEST(FmDeathTest, GivesUpWhenEveryCopyIsLost) {
+  auto p = test_params();
+  p.faults.drop = 1.0;
+  Machine m(2, p);
+  FmLayer fm(m);
+  const HandlerId h = fm.register_handler("d", [](Cpu&, const Packet&) {});
+  m.node(0).post([&](Cpu& cpu) { fm.send(cpu, 0, 1, h, nullptr, 16); });
+  EXPECT_DEATH(m.engine().run(), "gave up on seq 1 to node 1");
 }
 
 TEST(Fm, FaultFreePlanKeepsDeliveryExact) {

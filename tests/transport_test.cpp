@@ -335,7 +335,7 @@ TEST(FrameFuzz, RandomByteSoupNeverCrashes) {
   }
 }
 
-// ---------- the relocated reliability core ----------
+// ---------- the reliability core ----------
 
 Reliable::Pending make_pending(NodeId dst) {
   Reliable::Pending p;
@@ -345,16 +345,9 @@ Reliable::Pending make_pending(NodeId dst) {
   return p;
 }
 
-TEST(Reliable, DisengagedAcceptsEverythingAndTracksNothing) {
-  Reliable rel;
-  EXPECT_FALSE(rel.engaged());
-  EXPECT_EQ(rel.in_flight(), 0u);
-}
-
 TEST(Reliable, SequencesTrackAckAndDrain) {
-  Reliable rel;
-  rel.engage(4, RetryPolicy{}, /*self=*/0);
-  ASSERT_TRUE(rel.engaged());
+  Reliable rel(4, RetryPolicy{}, /*self=*/0);
+  EXPECT_EQ(rel.in_flight(), 0u);
   EXPECT_EQ(rel.next_seq(), 1u);
   EXPECT_EQ(rel.next_seq(), 2u);
 
@@ -377,8 +370,7 @@ TEST(Reliable, RetryBacksOffExponentiallyAndCapsAtMaxTimeout) {
   policy.timeout_ns = 1000;
   policy.backoff = 2.0;
   policy.max_timeout_ns = 3500;
-  Reliable rel;
-  rel.engage(2, policy, 0);
+  Reliable rel(2, policy, 0);
   rel.track(rel.next_seq(), make_pending(1), 0);
 
   const Reliable::Pending* p = rel.retry(1);
@@ -400,8 +392,7 @@ TEST(ReliableDeathTest, GivesUpLoudlyAfterMaxRetries) {
   RetryPolicy policy;
   policy.timeout_ns = 1000;
   policy.max_retries = 3;
-  Reliable rel;
-  rel.engage(4, policy, 0);
+  Reliable rel(4, policy, 0);
 
   const std::uint64_t seq = rel.next_seq();
   rel.track(seq, make_pending(3), /*now=*/0);
@@ -422,15 +413,11 @@ TEST(ReliableDeathTest, GivesUpLoudlyAfterMaxRetries) {
 }
 
 TEST(Reliable, AcceptDedupsPerSourceSequences) {
-  Reliable rel;
-  rel.engage(3, RetryPolicy{}, /*self=*/2);
+  Reliable rel(3, RetryPolicy{}, /*self=*/2);
   EXPECT_TRUE(rel.accept(0, 1));
   EXPECT_FALSE(rel.accept(0, 1));  // duplicate from the same source
   EXPECT_TRUE(rel.accept(1, 1));   // same seq, different source: distinct
   EXPECT_TRUE(rel.accept(0, 2));
-  // seq 0 = unsequenced (acks, pre-protocol messages): always accepted.
-  EXPECT_TRUE(rel.accept(0, 0));
-  EXPECT_TRUE(rel.accept(0, 0));
 }
 
 }  // namespace
