@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "gas/heap.h"
+#include "obs/session.h"
 #include "runtime/phase.h"
-#include "sim/trace.h"
 #include "support/options.h"
 #include "support/rng.h"
 
@@ -74,8 +74,8 @@ int main(int argc, char** argv) {
               (unsigned long long)cluster.heap.total_objects(),
               cluster.num_nodes());
 
-  sim::Timeline timeline;
-  if (trace) cluster.machine().set_trace(&timeline);
+  obs::Session session;
+  if (trace) cluster.attach_obs(&session);
 
   const auto cfg =
       caching ? rt::RuntimeConfig::caching() : rt::RuntimeConfig::dpa(64);
@@ -107,8 +107,22 @@ int main(int argc, char** argv) {
   std::printf("cache hit rate    %.1f%%\n",
               100.0 * result.rt.cache_hit_rate());
   if (trace) {
-    std::printf("\n--- execution trace (first 30 events) ---\n%s",
-                timeline.dump(30).c_str());
+    std::printf("\n--- execution trace (first 30 events) ---\n");
+    if (!obs::kTraceEnabled) std::printf("(built with DPA_TRACE=OFF)\n");
+    const std::vector<obs::TraceEvent> events = session.tracer.snapshot();
+    for (std::size_t i = 0; i < events.size() && i < 30; ++i) {
+      const obs::TraceEvent& ev = events[i];
+      std::printf("%8lld ns  node %u  %-16s", (long long)ev.at, ev.node,
+                  ev.label != nullptr ? ev.label : obs::to_string(ev.kind));
+      if (ev.end != 0) std::printf("  until %lld", (long long)ev.end);
+      if (ev.kind == obs::Ev::kWire || ev.kind == obs::Ev::kMsgDepart ||
+          ev.kind == obs::Ev::kMsgArrive)
+        std::printf("  peer %u", ev.peer);
+      if (ev.arg != 0) std::printf("  arg %llu", (unsigned long long)ev.arg);
+      std::printf("\n");
+    }
+    if (events.size() > 30)
+      std::printf("... (%zu more)\n", events.size() - 30);
   }
   return 0;
 }

@@ -9,7 +9,9 @@ Usage:
 
 Validates that a Chrome trace is loadable (well-formed traceEvents with
 monotone-ready timestamps, per-worker drop counts consistent with the
-total), that a metrics snapshot follows dpa.metrics.v1 (--require-native
+total; with --require-events, the spans its recorder must have written:
+`task` and `wire` in a single-ring sim trace, `run` in a sharded native
+one), that a metrics snapshot follows dpa.metrics.v1 (--require-native
 additionally demands the native backend's exec.* wall-clock histograms),
 that bench --json output embeds a metrics block, that any metrics block
 whose run dropped messages (net.fault.dropped_msgs > 0) shows FM's
@@ -41,6 +43,7 @@ def check_trace(path, require_events):
     valid_ph = {"X", "B", "E", "i", "M"}
     last_ts = None
     timed = 0
+    spans = {}
     for i, ev in enumerate(events):
         if ev.get("ph") not in valid_ph:
             fail(f"{path}: event {i} has unexpected ph {ev.get('ph')!r}")
@@ -56,10 +59,22 @@ def check_trace(path, require_events):
                  f"{ts} < {last_ts}")
         last_ts = ts
         timed += 1
-        if ev["ph"] == "X" and not isinstance(ev.get("dur"), (int, float)):
-            fail(f"{path}: X event {i} missing dur")
+        if ev["ph"] == "X":
+            if not isinstance(ev.get("dur"), (int, float)):
+                fail(f"{path}: X event {i} missing dur")
+            spans[ev["name"]] = spans.get(ev["name"], 0) + 1
     if require_events and timed == 0:
         fail(f"{path}: no timed events (expected some with DPA_TRACE=ON)")
+    if require_events:
+        # Phase markers alone do not make a trace: the sim machine and
+        # network record task and wire spans into the single tracer ring;
+        # a sharded (native) trace carries its workers' run spans.
+        needed = (("run",) if "dropped_by_worker" in doc
+                  else ("task", "wire"))
+        for name in needed:
+            if spans.get(name, 0) == 0:
+                fail(f"{path}: no {name!r} spans — its recorder was not "
+                     f"attached")
     if "dropped_by_worker" in doc:
         per_worker = doc["dropped_by_worker"]
         if not isinstance(per_worker, list):
@@ -193,7 +208,7 @@ def check_flightrec(path):
                      f"non-negative int")
     if "events" in doc:
         for i, ev in enumerate(doc["events"]):
-            for key in ("kind", "worker", "seq", "at"):
+            for key in ("kind", "worker", "node", "seq", "at"):
                 if key not in ev:
                     fail(f"{path}: event {i} missing {key!r}")
     if "metrics" in doc:

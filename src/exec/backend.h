@@ -43,7 +43,7 @@ struct NetParams;
 }  // namespace dpa::sim
 
 namespace dpa::obs {
-class ShardedTraceSink;
+struct Session;
 }  // namespace dpa::obs
 
 namespace dpa::exec {
@@ -106,15 +106,6 @@ struct WireCodec {
       unmarshal;
 };
 
-// Aggregate wire-transport counters for the last phase, merged across all
-// worker processes. All-zero on backends without a byte-stream fabric.
-struct WireStatsTotal {
-  std::uint64_t frames_sent = 0;
-  std::uint64_t frames_recv = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t payloads_recv = 0;
-};
-
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -173,16 +164,12 @@ class Backend {
   virtual MsgStats msg_stats_total() const = 0;
 
   // --- Observability ---------------------------------------------------
-  // Whether this backend can record structured trace events. The sim
-  // backend reports through sim_machine()->set_trace(); the native backend
-  // through attach_shards(). A backend that supports neither returns false
-  // and harnesses warn instead of writing event-free trace files.
-  virtual bool supports_tracing() const { return false; }
-
-  // Native-style trace attachment: one single-writer ring per worker
-  // thread (see obs/shard_sink.h). Pass null to detach. Must be called
-  // between phases. No-op on backends without worker shards.
-  virtual void attach_shards(obs::ShardedTraceSink* shards) { (void)shards; }
+  // Hooks the backend's own record sites up to a session's trace sinks
+  // (null detaches): the simulator's machine and network record task and
+  // wire spans into session->tracer; the native backend's workers record
+  // into per-worker shards (obs/shard_sink.h). Must be called between
+  // phases. No-op on backends that record nothing of their own (proc).
+  virtual void attach_obs(obs::Session* session) { (void)session; }
 
   // Arms the stall watchdog; returns false when this backend has no
   // watchdog (the simulator is deterministic — it cannot stall, it can
@@ -235,10 +222,12 @@ class Backend {
   // which nodes it owned). Empty when the last phase completed.
   virtual std::string phase_diagnostics() const { return {}; }
 
-  virtual WireStatsTotal wire_stats_total() const { return {}; }
+  // Wire-transport counters for the last phase, summed over all worker
+  // processes.
+  virtual WireStats wire_stats_total() const { return {}; }
 
-  // Escape hatch for sim-specific callers (trace attachment, network
-  // stats, targeted fault injection in tests). Null on the native backend.
+  // Escape hatch for sim-specific callers (network stats, targeted fault
+  // injection in tests). Null on the native backend.
   virtual sim::Machine* sim_machine() { return nullptr; }
 
   bool is_sim() const { return kind() == BackendKind::kSim; }

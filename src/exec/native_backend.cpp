@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "obs/flight_recorder.h"
-#include "obs/shard_sink.h"
+#include "obs/session.h"
 #include "support/assert.h"
 #include "support/parallel.h"
 
@@ -140,6 +140,11 @@ void NativeBackend::set_default_tuning(const Tuning& tuning) {
 NativeBackend::Tuning NativeBackend::default_tuning() {
   std::lock_guard<std::mutex> lk(g_defaults_mu);
   return g_default_tuning;
+}
+
+void NativeBackend::attach_obs(obs::Session* session) {
+  attach_shards(session != nullptr ? session->ensure_shards(num_nodes())
+                                   : nullptr);
 }
 
 void NativeBackend::attach_shards(obs::ShardedTraceSink* shards) {
@@ -817,12 +822,7 @@ void NativeBackend::run_task(Node& n, NodeId id, Time start,
 MsgStats NativeBackend::msg_stats_total() const {
   MsgStats total;
   for (NodeId i = 0; i < NodeId(nodes_.size()); ++i) {
-    const Node* n = nodes_[i].get();
-    total.msgs_sent += n->msg.msgs_sent;
-    total.frags_sent += n->msg.frags_sent;
-    total.msgs_recv += n->msg.msgs_recv;
-    total.bytes_sent += n->msg.bytes_sent;
-    total.bytes_recv += n->msg.bytes_recv;
+    total += nodes_[i]->msg;
     total.trains_sent += trains_.trains_sent(i);
   }
   return total;
@@ -830,11 +830,10 @@ MsgStats NativeBackend::msg_stats_total() const {
 
 SchedStats NativeBackend::sched_stats() const {
   SchedStats s;
-  for (const auto& w : workers_) {
-    s.parks += w->parks.load(std::memory_order_relaxed);
-    s.steals += w->steals.load(std::memory_order_relaxed);
-    s.activations += w->activations.load(std::memory_order_relaxed);
-  }
+  for (const auto& w : workers_)
+    s += SchedStats{w->parks.load(std::memory_order_relaxed),
+                    w->steals.load(std::memory_order_relaxed),
+                    w->activations.load(std::memory_order_relaxed)};
   return s;
 }
 

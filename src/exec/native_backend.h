@@ -73,12 +73,14 @@
 // its own, for its run span and service-time sample, and starts at its own
 // clock read.
 //
-// Observability: attach_shards() wires single-writer rings + histogram
-// sets (obs::ShardedTraceSink) laid out as [0, nodes) for engine-recorded
-// events (engines bind shard(node)) followed by [nodes, nodes + workers)
-// for backend-recorded events — a stolen node's backend events land in the
-// stealing worker's shard, while its engine events stay in the node's own
-// shard (single-writer holds because a node runs on one worker at a time).
+// Observability: attach_obs() hands the session's single-writer rings +
+// histogram sets (obs::ShardedTraceSink) to attach_shards(), laid out as
+// [0, nodes) for engine-recorded events (engines bind shard(node)) followed
+// by [nodes, nodes + workers) for backend-recorded events — a stolen node's
+// backend events land in the stealing worker's shard, while its engine
+// events stay in the node's own shard (single-writer holds because a node
+// runs on one worker at a time). Every event keeps the node it names; the
+// shard index says only which ring holds it.
 // Every instrumentation point is gated on the shard pointer, and
 // DPA_TRACE=OFF folds the pointer to null at compile time so the task loop
 // carries zero instrumentation cost in measurement builds. arm_watchdog()
@@ -104,6 +106,7 @@
 #include "transport/inproc_channel.h"
 
 namespace dpa::obs {
+class ShardedTraceSink;
 class TraceShard;
 }  // namespace dpa::obs
 
@@ -193,8 +196,11 @@ class NativeBackend final : public Backend,
   MsgStats msg_stats_total() const override;
   SchedStats sched_stats() const override;
 
-  bool supports_tracing() const override { return true; }
-  void attach_shards(obs::ShardedTraceSink* shards) override;
+  // Attaches session->ensure_shards(num_nodes()) (null detaches).
+  void attach_obs(obs::Session* session) override;
+  // Attaches a sink directly, e.g. one of custom shard capacity; it grows
+  // to nodes + workers shards. Must be called between phases.
+  void attach_shards(obs::ShardedTraceSink* shards);
   bool arm_watchdog(const WatchdogConfig& cfg) override;
 
   // True once the armed watchdog has fired (it fires at most once).

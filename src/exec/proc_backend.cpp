@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "exec/native_backend.h"
@@ -33,7 +34,6 @@ constexpr std::uint16_t kTagSpan = 5;      // worker -> coordinator: diffs
 constexpr std::uint16_t kTagEpilogue = 6;  // worker -> coordinator: blob
 constexpr std::uint16_t kTagStats = 7;     // worker -> coordinator
 constexpr std::uint16_t kTagBye = 8;       // worker -> coordinator: all sent
-constexpr std::uint16_t kTagPeerDead = 9;  // worker -> coordinator: info
 
 // On the control channel, node 0 is the coordinator and node 1 the worker.
 constexpr NodeId kCtlCoord = 0;
@@ -57,13 +57,19 @@ std::int64_t mono_ns() {
 }
 
 // Native-endian scratch encoders for control payloads (both ends of the
-// wire are fork-related processes on one machine).
+// wire are fork-related processes on one machine, running one binary — so
+// a trivially copyable struct travels as its bytes, as PhaseRunner ships
+// RtNodeStats).
 struct Wr {
   std::vector<std::uint8_t> b;
   void u8(std::uint8_t v) { b.push_back(v); }
   void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
   void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
-  void i64(std::int64_t v) { raw(&v, sizeof(v)); }
+  template <class T>
+  void pod(const T& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    raw(&v, sizeof(v));
+  }
   void raw(const void* p, std::size_t n) {
     const auto* c = static_cast<const std::uint8_t*>(p);
     b.insert(b.end(), c, c + n);
@@ -92,8 +98,10 @@ struct Rd {
     raw(&v, sizeof(v));
     return v;
   }
-  std::int64_t i64() {
-    std::int64_t v = 0;
+  template <class T>
+  T pod() {
+    static_assert(std::is_trivially_copyable_v<T>);
+    T v{};
     raw(&v, sizeof(v));
     return v;
   }
@@ -265,7 +273,7 @@ PhaseExec ProcBackend::run_phase() {
   epilogues_.assign(num_nodes_, std::string());
   msg_total_ = MsgStats{};
   sched_total_ = SchedStats{};
-  wire_total_ = WireStatsTotal{};
+  wire_total_ = WireStats{};
   events_total_ = 0;
 
   // Resolve the span list pre-fork so coordinator and workers share one
@@ -544,39 +552,20 @@ void ProcBackend::coordinator_apply(std::uint32_t from, std::uint16_t tag,
     case kTagStats: {
       Rd r(bytes);
       events_total_ += r.u64();
-      msg_total_.msgs_sent += r.u64();
-      msg_total_.frags_sent += r.u64();
-      msg_total_.msgs_recv += r.u64();
-      msg_total_.bytes_sent += r.u64();
-      msg_total_.bytes_recv += r.u64();
-      msg_total_.trains_sent += r.u64();
-      sched_total_.parks += r.u64();
-      sched_total_.steals += r.u64();
-      sched_total_.activations += r.u64();
-      wire_total_.frames_sent += r.u64();
-      wire_total_.frames_recv += r.u64();
-      wire_total_.bytes_sent += r.u64();
-      wire_total_.payloads_recv += r.u64();
+      msg_total_ += r.pod<MsgStats>();
+      sched_total_ += r.pod<SchedStats>();
+      wire_total_ += r.pod<WireStats>();
       const std::uint32_t n = r.u32();
       for (std::uint32_t i = 0; i < n; ++i) {
         const NodeId id = r.u32();
         DPA_CHECK(id < num_nodes_ && owner_of(id) == from);
-        NodeStats& s = node_stats_[id];
-        for (int k = 0; k < kNumWorkKinds; ++k) s.busy[k] = r.i64();
-        s.busy_total = r.i64();
-        s.finish_time = r.i64();
-        s.tasks_run = r.u64();
+        node_stats_[id] = r.pod<NodeStats>();
       }
       break;
     }
     case kTagBye:
       *bye = true;
       break;
-    case kTagPeerDead: {
-      // Informational: a worker noticed a dead peer on its data link. The
-      // authoritative signal is the reaped pid / control-channel EOF.
-      break;
-    }
     default:
       DPA_PANIC("unexpected control tag " << tag << " from worker " << from);
   }
@@ -841,19 +830,8 @@ void ProcBackend::worker_main(std::uint32_t self) {
         if (st.tasks_run > 0) a.finish_time = subphase_offset + st.finish_time;
       }
       subphase_offset += pe.elapsed;
-      {
-        const MsgStats m = inner_->msg_stats_total();
-        msg_acc.msgs_sent += m.msgs_sent;
-        msg_acc.frags_sent += m.frags_sent;
-        msg_acc.msgs_recv += m.msgs_recv;
-        msg_acc.bytes_sent += m.bytes_sent;
-        msg_acc.bytes_recv += m.bytes_recv;
-        msg_acc.trains_sent += m.trains_sent;
-        const SchedStats s = inner_->sched_stats();
-        sched_acc.parks += s.parks;
-        sched_acc.steals += s.steals;
-        sched_acc.activations += s.activations;
-      }
+      msg_acc += inner_->msg_stats_total();
+      sched_acc += inner_->sched_stats();
       // Anything the sub-phase buffered for other processes departs now;
       // termination depends on it (sent counts include these payloads).
       for (auto& link : links_) {
@@ -864,22 +842,13 @@ void ProcBackend::worker_main(std::uint32_t self) {
     }
     first = false;
 
-    // 2. Pump the data links: inbound payloads become staged posts.
-    for (std::uint32_t v = 0; v < procs_; ++v) {
-      PeerLink* link = links_[v].get();
+    // 2. Pump the data links: inbound payloads become staged posts. A dead
+    // peer needs no report: the coordinator reaps its pid and reads EOF on
+    // its control channel.
+    for (auto& link : links_) {
       if (link == nullptr) continue;
-      bool down;
-      {
-        std::lock_guard<std::mutex> lk(link->mu);
-        link->pipe->poll();
-        down = link->pipe->status() == transport::ChannelStatus::kPeerDown;
-      }
-      if (down && !link->death_reported) {
-        link->death_reported = true;
-        Wr msg;
-        msg.u32(v);
-        send_ctl(ctl, kCtlWorker, kCtlCoord, kTagPeerDead, std::move(msg.b));
-      }
+      std::lock_guard<std::mutex> lk(link->mu);
+      link->pipe->poll();
     }
 
     // 3. Pump the control link.
@@ -1032,39 +1001,28 @@ void ProcBackend::worker_finalize(
   }
   flush_diff(true);
 
-  // 3. Merged execution statistics.
+  // 3. Merged execution statistics. Cross-process messages left through
+  // the data links, so they count on top of the inner pool's, and each
+  // frame is one train.
   {
-    WireStatsTotal wt;
-    for (auto& link : links_) {
-      if (link == nullptr) continue;
-      const transport::PipeChannel::WireStats& w = link->pipe->wire_stats();
-      wt.frames_sent += w.frames_sent;
-      wt.frames_recv += w.frames_recv;
-      wt.bytes_sent += w.bytes_sent;
-      wt.payloads_recv += w.payloads_recv;
-    }
+    WireStats wire;
+    for (auto& link : links_)
+      if (link != nullptr) wire += link->pipe->wire_stats();
+    MsgStats msg = msg_acc;
+    msg.msgs_sent += remote_msgs_sent_.load();
+    msg.msgs_recv += remote_msgs_recv_;
+    msg.bytes_sent += remote_bytes_sent_.load();
+    msg.bytes_recv += remote_bytes_recv_;
+    msg.trains_sent += wire.frames_sent;
     Wr s;
     s.u64(tasks_acc);
-    s.u64(msg_acc.msgs_sent + remote_msgs_sent_.load());
-    s.u64(msg_acc.frags_sent);
-    s.u64(msg_acc.msgs_recv + remote_msgs_recv_);
-    s.u64(msg_acc.bytes_sent + remote_bytes_sent_.load());
-    s.u64(msg_acc.bytes_recv + remote_bytes_recv_);
-    s.u64(msg_acc.trains_sent + wt.frames_sent);
-    s.u64(sched_acc.parks);
-    s.u64(sched_acc.steals);
-    s.u64(sched_acc.activations);
-    s.u64(wt.frames_sent);
-    s.u64(wt.frames_recv);
-    s.u64(wt.bytes_sent);
-    s.u64(wt.payloads_recv);
+    s.pod(msg);
+    s.pod(sched_acc);
+    s.pod(wire);
     s.u32(std::uint32_t(owned.size()));
     for (NodeId n : owned) {
       s.u32(n);
-      for (int k = 0; k < kNumWorkKinds; ++k) s.i64(acc[n].busy[k]);
-      s.i64(acc[n].busy_total);
-      s.i64(acc[n].finish_time);
-      s.u64(acc[n].tasks_run);
+      s.pod(acc[n]);
     }
     send_ctl(ctl, kCtlWorker, kCtlCoord, kTagStats, std::move(s.b));
   }

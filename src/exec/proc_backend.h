@@ -158,7 +158,7 @@ class ProcBackend final : public Backend {
 
   std::vector<std::string> collect_epilogues(std::uint32_t nodes) override;
   std::string phase_diagnostics() const override { return diagnostics_; }
-  WireStatsTotal wire_stats_total() const override { return wire_total_; }
+  WireStats wire_stats_total() const override { return wire_total_; }
 
   // Whether the last run_phase() completed cleanly (false after a worker
   // death — phase_diagnostics() says which).
@@ -179,7 +179,6 @@ class ProcBackend final : public Backend {
     std::unique_ptr<transport::PipeChannel> pipe;
     std::atomic<std::uint64_t> sent{0};
     std::uint64_t recv = 0;
-    bool death_reported = false;
   };
 
   enum class Role : std::uint8_t { kCoordinator, kWorker };
@@ -241,7 +240,7 @@ class ProcBackend final : public Backend {
   std::vector<std::string> epilogues_;
   MsgStats msg_total_;
   SchedStats sched_total_;
-  WireStatsTotal wire_total_;
+  WireStats wire_total_;
   std::uint64_t events_total_ = 0;
   Time clock_ns_ = 0;
 

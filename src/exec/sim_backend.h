@@ -14,6 +14,7 @@
 
 #include "exec/backend.h"
 #include "fm/fm.h"
+#include "obs/session.h"
 #include "sim/machine.h"
 
 namespace dpa::exec {
@@ -64,9 +65,11 @@ class SimBackend final : public Backend {
   }
   MsgStats msg_stats_total() const override { return fm_.aggregate_stats(); }
 
-  // Traces through sim_machine()->set_trace() (the Tracer path), not
-  // worker shards — there are no worker threads here.
-  bool supports_tracing() const override { return true; }
+  // One thread runs the whole machine, so its spans go straight into the
+  // session's tracer ring; there are no worker shards here.
+  void attach_obs(obs::Session* session) override {
+    machine_.set_trace(session != nullptr ? &session->tracer : nullptr);
+  }
 
   sim::Machine* sim_machine() override { return &machine_; }
   fm::FmLayer& fm() { return fm_; }

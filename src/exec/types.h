@@ -121,6 +121,13 @@ struct SchedStats {
   std::uint64_t steals = 0;
   // idle -> queued node transitions (each enqueues one node activation).
   std::uint64_t activations = 0;
+
+  SchedStats& operator+=(const SchedStats& o) {
+    parks += o.parks;
+    steals += o.steals;
+    activations += o.activations;
+    return *this;
+  }
 };
 
 // Per-node messaging statistics (the FM layer's units, shared by both
@@ -145,6 +152,37 @@ struct MsgStats {
   std::uint64_t dup_msgs_dropped = 0;
 
   void reset() { *this = MsgStats{}; }
+
+  MsgStats& operator+=(const MsgStats& o) {
+    msgs_sent += o.msgs_sent;
+    frags_sent += o.frags_sent;
+    msgs_recv += o.msgs_recv;
+    bytes_sent += o.bytes_sent;
+    bytes_recv += o.bytes_recv;
+    trains_sent += o.trains_sent;
+    retries += o.retries;
+    acks_sent += o.acks_sent;
+    acks_recv += o.acks_recv;
+    dup_msgs_dropped += o.dup_msgs_dropped;
+    return *this;
+  }
+};
+
+// Byte-stream fabric counters (transport::PipeChannel; the proc backend
+// sums them over its worker processes). All-zero on backends without one.
+struct WireStats {
+  std::uint64_t frames_sent = 0;
+  std::uint64_t frames_recv = 0;
+  std::uint64_t payloads_recv = 0;
+  std::uint64_t bytes_sent = 0;
+
+  WireStats& operator+=(const WireStats& o) {
+    frames_sent += o.frames_sent;
+    frames_recv += o.frames_recv;
+    payloads_recv += o.payloads_recv;
+    bytes_sent += o.bytes_sent;
+    return *this;
+  }
 };
 
 }  // namespace dpa::exec

@@ -189,17 +189,7 @@ void FmLayer::retransmit(sim::Cpu& cpu, NodeId src, std::uint64_t seq) {
 
 FmNodeStats FmLayer::aggregate_stats() const {
   FmNodeStats total;
-  for (const auto& s : stats_) {
-    total.msgs_sent += s.msgs_sent;
-    total.frags_sent += s.frags_sent;
-    total.msgs_recv += s.msgs_recv;
-    total.bytes_sent += s.bytes_sent;
-    total.bytes_recv += s.bytes_recv;
-    total.retries += s.retries;
-    total.acks_sent += s.acks_sent;
-    total.acks_recv += s.acks_recv;
-    total.dup_msgs_dropped += s.dup_msgs_dropped;
-  }
+  for (const auto& s : stats_) total += s;
   return total;
 }
 

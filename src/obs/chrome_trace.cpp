@@ -60,10 +60,13 @@ std::string chrome_trace_json(const Tracer& tracer,
     return a.seq < b.seq;
   });
 
+  // Each row's track is the ring index it carries: the node for tracer
+  // rows, the shard for worker rows (node shards, then one per worker).
+  // Events that ran for a node on some worker's track name it in args.
   std::set<NodeId> machine_nodes, network_nodes;
   for (const Row& row : events)
     (row.ev.kind == Ev::kWire ? network_nodes : machine_nodes)
-        .insert(row.ev.node);
+        .insert(row.worker);
 
   JsonWriter w;
   {
@@ -97,7 +100,7 @@ std::string chrome_trace_json(const Tracer& tracer,
     for (const Row& row : events) {
       const TraceEvent& ev = row.ev;
       auto e = w.obj();
-      const std::int64_t node_tid = std::int64_t(ev.node) + 1;
+      const std::int64_t node_tid = std::int64_t(row.worker) + 1;
       switch (ev.kind) {
         case Ev::kTask: {
           common_fields(w, "task", "X", kMachinePid, node_tid, ev.at);
@@ -107,13 +110,16 @@ std::string chrome_trace_json(const Tracer& tracer,
         case Ev::kWorkerRun: {
           common_fields(w, "run", "X", kMachinePid, node_tid, ev.at);
           w.field("dur", to_us(ev.end - ev.at));
+          auto args = w.obj("args");
+          w.field("node", std::uint64_t(ev.node));
           break;
         }
         case Ev::kMailboxWait: {
           common_fields(w, "mbox_wait", "X", kMachinePid, node_tid, ev.at);
           w.field("dur", to_us(ev.end - ev.at));
           auto args = w.obj("args");
-          w.field("dst", std::uint64_t(ev.peer));
+          w.field("node", std::uint64_t(ev.node))
+              .field("dst", std::uint64_t(ev.peer));
           break;
         }
         case Ev::kPark: {
@@ -127,7 +133,9 @@ std::string chrome_trace_json(const Tracer& tracer,
           common_fields(w, "train_flush", "i", kMachinePid, node_tid, ev.at);
           w.field("s", "t");
           auto args = w.obj("args");
-          w.field("dst", std::uint64_t(ev.peer)).field("depth", ev.arg);
+          w.field("node", std::uint64_t(ev.node))
+              .field("dst", std::uint64_t(ev.peer))
+              .field("depth", ev.arg);
           break;
         }
         case Ev::kWire: {
@@ -159,6 +167,8 @@ std::string chrome_trace_json(const Tracer& tracer,
                         "i", kMachinePid, node_tid, ev.at);
           w.field("s", "t");
           auto args = w.obj("args");
+          if (ev.kind == Ev::kWorkerDrain || ev.kind == Ev::kSteal)
+            w.field("node", std::uint64_t(ev.node));
           w.field("arg", ev.arg);
           break;
         }

@@ -55,6 +55,7 @@ std::string flight_recorder_json(const FlightRecord& rec,
         auto e = w.obj();
         w.field("kind", to_string(me.ev.kind));
         w.field("worker", std::uint64_t(me.worker));
+        w.field("node", std::uint64_t(me.ev.node));
         w.field("seq", me.seq);
         w.field("at", std::int64_t(me.ev.at));
         if (me.ev.end != 0) w.field("end", std::int64_t(me.ev.end));

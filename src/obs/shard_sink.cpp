@@ -26,7 +26,6 @@ void TraceShard::record(const TraceEvent& ev) {
   const std::uint64_t c = count_.load(std::memory_order_relaxed);
   TraceEvent& slot = ring_[c % ring_.size()];
   slot = ev;
-  slot.node = worker_;
   slot.at += base_;
   if (slot.end != 0) slot.end += base_;
   // Release after the slot write: a reader that acquires a count >= c+1

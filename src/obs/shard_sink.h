@@ -54,7 +54,8 @@ inline constexpr int kNumProfileHistograms = 5;
 
 // One worker's preallocated event ring. Single writer (the owning worker);
 // overwrites its oldest events once full and counts the overflow as drops.
-// Cache-line aligned so neighbouring shards never false-share.
+// Events keep the node they name; which shard holds them is the merge's
+// `worker`. Cache-line aligned so neighbouring shards never false-share.
 class alignas(64) TraceShard final : public EventSink {
  public:
   // The shard adds `base` (the backend's accumulated clock at phase start)
@@ -99,9 +100,9 @@ class alignas(64) TraceShard final : public EventSink {
 };
 
 // The per-backend collection of shards, owned by the obs::Session and
-// attached to a NativeBackend via Backend::attach_shards(). Grows (never
-// shrinks) when a sweep attaches a larger backend, so events from earlier
-// cells survive in their original shards.
+// attached to a NativeBackend by its attach_obs(). Grows (never shrinks)
+// when a sweep attaches a larger backend, so events from earlier cells
+// survive in their original shards.
 class ShardedTraceSink {
  public:
   static constexpr std::size_t kDefaultShardCapacity = std::size_t(1) << 13;

@@ -68,27 +68,6 @@ void Tracer::record(const TraceEvent&) {}
 
 #endif  // DPA_TRACE_ENABLED
 
-void Tracer::task(NodeId node, Time start, Time end) {
-  TraceEvent ev;
-  ev.kind = Ev::kTask;
-  ev.node = node;
-  ev.at = start;
-  ev.end = end;
-  record(ev);
-}
-
-void Tracer::message(NodeId src, NodeId dst, std::uint32_t bytes, Time depart,
-                     Time arrive) {
-  TraceEvent ev;
-  ev.kind = Ev::kWire;
-  ev.node = src;
-  ev.peer = dst;
-  ev.at = depart;
-  ev.end = arrive;
-  ev.arg = bytes;
-  record(ev);
-}
-
 void EventSink::instant(Ev kind, NodeId node, Time at, std::uint64_t arg,
                         const char* label) {
   TraceEvent ev;

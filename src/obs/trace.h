@@ -1,9 +1,10 @@
-// Structured event tracing: a low-overhead ring buffer of typed events
-// extending the sim layer's TraceSink.
+// Structured event tracing: one interface, EventSink, that every layer
+// records typed events through, and a low-overhead ring buffer (Tracer)
+// behind it.
 //
-// The sim machine and network feed task-execution and wire-flight events
-// through the TraceSink interface; the runtime engines add the structured
-// vocabulary the paper's mechanisms are explained in — thread lifecycle
+// The sim machine and network record task-execution and wire-flight spans
+// (kTask / kWire); the runtime engines add the structured vocabulary the
+// paper's mechanisms are explained in — thread lifecycle
 // (created -> suspended-on-ref -> resumed -> retired), tile lifecycle
 // (opened / dispatched / closed) and cause-tagged message depart/arrive
 // instants (request / reply / accumulation). The phase runner brackets each
@@ -23,8 +24,7 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/time.h"
-#include "sim/trace.h"
+#include "exec/types.h"
 
 #ifndef DPA_TRACE_ENABLED
 #define DPA_TRACE_ENABLED 1
@@ -32,8 +32,8 @@
 
 namespace dpa::obs {
 
-using sim::NodeId;
-using sim::Time;
+using exec::NodeId;
+using exec::Time;
 
 constexpr bool kTraceEnabled = DPA_TRACE_ENABLED != 0;
 
@@ -104,9 +104,10 @@ struct TraceEvent {
 
 // Anything structured events can be recorded into: the single-writer Tracer
 // ring (sim backend, main thread) or one worker's TraceShard (native
-// backend). Engines hold an EventSink* so the same DPA_TRACE_EVT call sites
-// serve both substrates; the non-virtual helpers build the TraceEvent and
-// funnel through one virtual record().
+// backend). The sim machine, its network and the engines hold an
+// EventSink* so the same DPA_TRACE_EVT call sites serve both substrates;
+// the non-virtual helpers build the TraceEvent and funnel through one
+// virtual record().
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -121,17 +122,12 @@ class EventSink {
                  std::uint64_t bytes, Time at);
 };
 
-class Tracer final : public sim::TraceSink, public EventSink {
+class Tracer final : public EventSink {
  public:
   static constexpr std::size_t kDefaultCapacity = std::size_t(1) << 17;
 
   explicit Tracer(std::size_t capacity = kDefaultCapacity)
       : capacity_(capacity) {}
-
-  // sim::TraceSink: the machine and network report through these.
-  void task(NodeId node, Time start, Time end) override;
-  void message(NodeId src, NodeId dst, std::uint32_t bytes, Time depart,
-               Time arrive) override;
 
   void record(const TraceEvent& ev) override;
   void phase_begin(std::string_view name, Time at);

@@ -101,24 +101,16 @@ struct Cluster {
   fm::FmLayer& fm();
 
   // Attaches (or detaches, with nullptr) an observability session: the
-  // machine and network report task/wire events into its tracer, engines
-  // record structured events and histograms, and the phase runner publishes
-  // per-phase totals into its metrics registry. In DPA_TRACE=OFF builds no
-  // trace sink is ever hooked up; metrics publication still works. On the
-  // native backend engines record into per-worker shards (one lock-free
-  // ring + histogram set per worker, see obs/shard_sink.h) instead of the
-  // single-threaded tracer ring.
+  // backend hooks its own record sites up to it (Backend::attach_obs),
+  // engines record structured events and histograms, and the phase runner
+  // publishes per-phase totals into its metrics registry. In DPA_TRACE=OFF
+  // builds no trace sink is ever hooked up; metrics publication still
+  // works. On the native backend engines record into per-worker shards
+  // (one lock-free ring + histogram set per worker, see obs/shard_sink.h)
+  // instead of the single-threaded tracer ring.
   void attach_obs(obs::Session* session) {
     obs = session;
-    if (sim::Machine* m = backend->sim_machine()) {
-      m->set_trace(session != nullptr && obs::kTraceEnabled
-                       ? &session->tracer
-                       : nullptr);
-    } else if (backend->supports_tracing()) {
-      backend->attach_shards(session != nullptr && obs::kTraceEnabled
-                                 ? session->ensure_shards(backend->num_nodes())
-                                 : nullptr);
-    }
+    backend->attach_obs(obs::kTraceEnabled ? session : nullptr);
   }
 };
 

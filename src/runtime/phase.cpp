@@ -281,7 +281,7 @@ PhaseResult PhaseRunner::run(std::vector<NodeWork> work,
     if (backend.kind() == exec::BackendKind::kProc) {
       // Real bytes on the socketpair fabric, merged across all worker
       // processes.
-      const exec::WireStatsTotal wt = backend.wire_stats_total();
+      const exec::WireStats wt = backend.wire_stats_total();
       *m.counter("transport.wire_frames_sent") += wt.frames_sent;
       *m.counter("transport.wire_frames_recv") += wt.frames_recv;
       *m.counter("transport.wire_bytes_sent") += wt.bytes_sent;

@@ -30,8 +30,8 @@ void NodeProc::drain() {
   task(cpu);
 
   busy_until_ = start + cpu.used_total();
-  if (trace_ != nullptr && cpu.used_total() > 0)
-    trace_->task(id_, start, busy_until_);
+  if (cpu.used_total() > 0)
+    DPA_TRACE_EVT(trace_, span(obs::Ev::kTask, id_, start, busy_until_));
   for (int k = 0; k < kNumWorkKinds; ++k)
     stats_.busy[k] += cpu.used(Work(k));
   stats_.busy_total += cpu.used_total();
@@ -90,7 +90,7 @@ Time Machine::run_phase() {
   return finish - phase_start_;
 }
 
-void Machine::set_trace(TraceSink* sink) {
+void Machine::set_trace(obs::EventSink* sink) {
   for (auto& n : nodes_) n->set_trace(sink);
   network_.set_trace(sink);
 }

@@ -14,10 +14,10 @@
 #include <memory>
 #include <vector>
 
+#include "obs/trace.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 #include "sim/time.h"
-#include "sim/trace.h"
 #include "support/inline_fn.h"
 
 namespace dpa::sim {
@@ -43,7 +43,7 @@ class NodeProc {
   void post(Task task);
 
   NodeId id() const { return id_; }
-  void set_trace(TraceSink* sink) { trace_ = sink; }
+  void set_trace(obs::EventSink* sink) { trace_ = sink; }
   const NodeStats& stats() const { return stats_; }
   void reset_stats() { stats_.reset(); }
   Time busy_until() const { return busy_until_; }
@@ -58,7 +58,7 @@ class NodeProc {
   bool drain_scheduled_ = false;
   Time busy_until_ = 0;
   NodeStats stats_;
-  TraceSink* trace_ = nullptr;
+  obs::EventSink* trace_ = nullptr;
 };
 
 // An N-node machine: engine + network + processors.
@@ -86,9 +86,9 @@ class Machine {
   // Per-node idle time for the last completed phase: elapsed - busy.
   Time idle_time(NodeId id, Time phase_elapsed) const;
 
-  // Attaches a trace sink observing all task executions and messages
-  // (nullptr detaches).
-  void set_trace(TraceSink* sink);
+  // Attaches a trace sink that records every task that charged time as a
+  // kTask span and every wire flight as a kWire span (nullptr detaches).
+  void set_trace(obs::EventSink* sink);
 
  private:
   Engine engine_;

@@ -84,7 +84,7 @@ Time Network::inject(NodeId src, NodeId dst, std::uint32_t bytes, Time depart,
     if (pause_hook_ && injector_->roll_pause(src, dst))
       pause_hook_(dst, injector_->plan().pause_time);
   }
-  if (trace_ != nullptr) trace_->message(src, dst, bytes, at, arrive);
+  DPA_TRACE_EVT(trace_, span(obs::Ev::kWire, src, at, arrive, bytes, dst));
   if (deliverable) engine_.schedule_at(arrive, std::move(*on_deliver));
   return arrive;
 }

@@ -12,10 +12,10 @@
 #include <memory>
 #include <vector>
 
+#include "obs/trace.h"
 #include "sim/engine.h"
 #include "sim/fault.h"
 #include "sim/time.h"
-#include "sim/trace.h"
 
 namespace dpa::sim {
 
@@ -116,7 +116,7 @@ class Network {
   // The torus grid dimensions chosen for this node count.
   void torus_dims(std::uint32_t* x, std::uint32_t* y, std::uint32_t* z) const;
 
-  void set_trace(TraceSink* sink) { trace_ = sink; }
+  void set_trace(obs::EventSink* sink) { trace_ = sink; }
 
  private:
   Time inject(NodeId src, NodeId dst, std::uint32_t bytes, Time depart,
@@ -127,7 +127,7 @@ class Network {
   NetStats stats_;
   std::vector<Time> nic_free_;  // per-source NIC availability
   std::uint32_t dims_[3] = {1, 1, 1};
-  TraceSink* trace_ = nullptr;
+  obs::EventSink* trace_ = nullptr;
   std::unique_ptr<FaultInjector> injector_;  // null when fault-free
   std::function<void(NodeId, Time)> pause_hook_;
 };

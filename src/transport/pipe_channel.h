@@ -50,13 +50,6 @@ using FrameDeliverFn =
 
 class PipeChannel {
  public:
-  struct WireStats {
-    std::uint64_t frames_sent = 0;
-    std::uint64_t frames_recv = 0;
-    std::uint64_t payloads_recv = 0;
-    std::uint64_t bytes_sent = 0;
-  };
-
   // Loopback mode: one in-process socketpair carries every node's trains.
   PipeChannel(std::uint32_t num_nodes, std::uint32_t train_max);
 
@@ -114,7 +107,7 @@ class PipeChannel {
   // the phase-end barrier.
   void drain();
 
-  const WireStats& wire_stats() const { return stats_; }
+  const exec::WireStats& wire_stats() const { return stats_; }
   std::size_t tx_backlog() const { return tx_.size(); }
 
   // The fd arrivals land on — what a multi-process event loop hands to
@@ -148,7 +141,7 @@ class PipeChannel {
   std::size_t rx_pos_ = 0;                    // decoded-up-to offset in rx_
   bool pumping_ = false;                      // re-entrancy guard
 
-  WireStats stats_;
+  exec::WireStats stats_;
 };
 
 }  // namespace dpa::transport

@@ -779,6 +779,11 @@ TEST(NativeBackend, WatchdogFiresOnWedgedWorkerAndDumpsFlightRecord) {
     EXPECT_EQ(root.find("dropped_by_worker")->as_array().size(),
               2u + backend.num_workers());
     ASSERT_NE(root.find("events"), nullptr);
+    // Each ring event names its shard (`worker`) and its own `node`.
+    for (const JsonValue& ev : root.find("events")->as_array()) {
+      EXPECT_NE(ev.find("worker"), nullptr);
+      EXPECT_NE(ev.find("node"), nullptr);
+    }
   }
   std::remove(dump.c_str());
 }
@@ -856,6 +861,14 @@ TEST(NativeEngines, Em3dPublishesWorkerTraceAndProfiles) {
   for (const auto& me : merged) {
     saw_run |= me.ev.kind == obs::Ev::kWorkerRun;
     saw_flush |= me.ev.kind == obs::Ev::kTrainFlush;
+    // Worker shards sit at [4, 4 + workers); their node-scoped events
+    // still name the node they ran for.
+    if (me.ev.kind == obs::Ev::kWorkerRun ||
+        me.ev.kind == obs::Ev::kWorkerDrain || me.ev.kind == obs::Ev::kSteal) {
+      EXPECT_GE(me.worker, 4u);
+      EXPECT_LT(me.ev.node, 4u)
+          << obs::to_string(me.ev.kind) << " in shard " << me.worker;
+    }
   }
   EXPECT_TRUE(saw_run);
   EXPECT_TRUE(saw_flush);

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "gas/heap.h"
+#include "obs/trace.h"
 #include "runtime/phase.h"
-#include "sim/trace.h"
 #include "support/json.h"
 
 namespace dpa {
@@ -72,90 +72,62 @@ TEST(Json, UnclosedScopeDies) {
       "unclosed");
 }
 
-// ---------- Timeline tracing ----------
+// ---------- sim spans through obs::EventSink ----------
+
+// A node's busy time as the trace tells it: the sum of its kTask spans.
+sim::Time traced_busy(const obs::Tracer& tracer, sim::NodeId node) {
+  sim::Time busy = 0;
+  for (const obs::TraceEvent& ev : tracer.snapshot())
+    if (ev.kind == obs::Ev::kTask && ev.node == node) busy += ev.end - ev.at;
+  return busy;
+}
 
 TEST(Trace, RecordsTasksAndMessages) {
+  if (!obs::kTraceEnabled) GTEST_SKIP() << "compiled with DPA_TRACE=OFF";
   sim::Machine m(2, sim::NetParams{});
-  sim::Timeline timeline;
-  m.set_trace(&timeline);
+  obs::Tracer tracer;
+  m.set_trace(&tracer);
   m.node(0).post([&](sim::Cpu& cpu) {
     cpu.charge(100);
     m.network().send(0, 1, 32, cpu.logical_now(), [] {});
   });
   m.engine().run();
-  ASSERT_EQ(timeline.tasks().size(), 1u);
-  EXPECT_EQ(timeline.tasks()[0].node, 0u);
-  EXPECT_EQ(timeline.tasks()[0].end - timeline.tasks()[0].start, 100);
-  ASSERT_EQ(timeline.messages().size(), 1u);
-  EXPECT_EQ(timeline.messages()[0].bytes, 32u);
-  EXPECT_GT(timeline.messages()[0].arrive, timeline.messages()[0].depart);
+  // The wire span is recorded at the send, inside the task; the task span
+  // once the task has returned.
+  const std::vector<obs::TraceEvent> events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  const obs::TraceEvent& wire = events[0];
+  const obs::TraceEvent& task = events[1];
+  EXPECT_EQ(task.kind, obs::Ev::kTask);
+  EXPECT_EQ(task.node, 0u);
+  EXPECT_EQ(task.end - task.at, 100);
+  EXPECT_EQ(wire.kind, obs::Ev::kWire);
+  EXPECT_EQ(wire.node, 0u);
+  EXPECT_EQ(wire.peer, 1u);
+  EXPECT_EQ(wire.arg, 32u);
+  EXPECT_GT(wire.end, wire.at);
 }
 
 TEST(Trace, NodeBusyMatchesStats) {
+  if (!obs::kTraceEnabled) GTEST_SKIP() << "compiled with DPA_TRACE=OFF";
   sim::Machine m(1, sim::NetParams{});
-  sim::Timeline timeline;
-  m.set_trace(&timeline);
+  obs::Tracer tracer;
+  m.set_trace(&tracer);
   m.node(0).post([](sim::Cpu& cpu) { cpu.charge(70); });
   m.node(0).post([](sim::Cpu& cpu) { cpu.charge(30); });
   m.engine().run();
-  EXPECT_EQ(timeline.node_busy(0), 100);
-  EXPECT_EQ(timeline.node_busy(0), m.node(0).stats().busy_total);
-}
-
-TEST(Trace, DumpIsTimeOrdered) {
-  sim::Machine m(2, sim::NetParams{});
-  sim::Timeline timeline;
-  m.set_trace(&timeline);
-  m.node(1).post([](sim::Cpu& cpu) { cpu.charge(10); });
-  m.node(0).post([](sim::Cpu& cpu) { cpu.charge(20); });
-  m.engine().run();
-  const std::string dump = timeline.dump();
-  EXPECT_NE(dump.find("node 0"), std::string::npos);
-  EXPECT_NE(dump.find("node 1"), std::string::npos);
-}
-
-TEST(Trace, NodeBusyOfUntracedNodeIsZero) {
-  sim::Timeline timeline;
-  EXPECT_EQ(timeline.node_busy(0), 0);
-  timeline.task(0, 10, 30);
-  EXPECT_EQ(timeline.node_busy(0), 20);
-  EXPECT_EQ(timeline.node_busy(7), 0);  // never ran anything
-}
-
-TEST(Trace, DumpOrdersMixedEventsByStartTime) {
-  sim::Timeline timeline;
-  timeline.task(1, 500, 600);
-  timeline.message(0, 1, 64, 200, 450);
-  timeline.task(0, 100, 250);
-  const std::string dump = timeline.dump();
-  const auto first = dump.find("[100..250]");
-  const auto second = dump.find("[200..450]");
-  const auto third = dump.find("[500..600]");
-  ASSERT_NE(first, std::string::npos);
-  ASSERT_NE(second, std::string::npos);
-  ASSERT_NE(third, std::string::npos);
-  EXPECT_LT(first, second);
-  EXPECT_LT(second, third);
-}
-
-TEST(Trace, DumpHonorsLimitAndReportsOverflow) {
-  sim::Timeline timeline;
-  for (int i = 0; i < 5; ++i)
-    timeline.task(0, sim::Time(i * 10), sim::Time(i * 10 + 5));
-  const std::string dump = timeline.dump(/*limit=*/2);
-  EXPECT_NE(dump.find("[0..5]"), std::string::npos);
-  EXPECT_NE(dump.find("[10..15]"), std::string::npos);
-  EXPECT_EQ(dump.find("[20..25]"), std::string::npos);
-  EXPECT_NE(dump.find("... (3 more)"), std::string::npos);
+  EXPECT_EQ(traced_busy(tracer, 0), 100);
+  EXPECT_EQ(traced_busy(tracer, 0), m.node(0).stats().busy_total);
 }
 
 TEST(Trace, WholePhaseUnderDpaTracesConsistently) {
+  if (!obs::kTraceEnabled) GTEST_SKIP() << "compiled with DPA_TRACE=OFF";
   struct Obj {
     double v;
   };
   rt::Cluster cluster(2, sim::NetParams{});
-  sim::Timeline timeline;
-  cluster.machine().set_trace(&timeline);
+  obs::Tracer tracer;
+  cluster.machine().set_trace(&tracer);
   std::vector<gas::GPtr<Obj>> objs;
   for (int i = 0; i < 16; ++i)
     objs.push_back(cluster.heap.make<Obj>(1, Obj{1.0}));
@@ -168,12 +140,15 @@ TEST(Trace, WholePhaseUnderDpaTracesConsistently) {
   rt::PhaseRunner runner(cluster, rt::RuntimeConfig::dpa(8));
   const auto r = runner.run(std::move(work));
   ASSERT_TRUE(r.completed);
-  // Every traced message matches the network's own count, and per-node
+  // Every traced wire span matches the network's own count, and per-node
   // traced busy time matches the processor stats.
-  EXPECT_EQ(timeline.messages().size(), r.net.messages);
-  EXPECT_EQ(timeline.node_busy(0),
+  std::uint64_t wires = 0;
+  for (const obs::TraceEvent& ev : tracer.snapshot())
+    wires += ev.kind == obs::Ev::kWire;
+  EXPECT_EQ(wires, r.net.messages);
+  EXPECT_EQ(traced_busy(tracer, 0),
             cluster.machine().node(0).stats().busy_total);
-  EXPECT_EQ(timeline.node_busy(1),
+  EXPECT_EQ(traced_busy(tracer, 1),
             cluster.machine().node(1).stats().busy_total);
 }
 

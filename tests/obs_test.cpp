@@ -274,8 +274,8 @@ TEST(ChromeTrace, ExportIsValidJsonWithMonotonicTimestamps) {
   if (!obs::kTraceEnabled) GTEST_SKIP() << "compiled with DPA_TRACE=OFF";
   obs::Tracer t;
   t.phase_begin("unit.phase", 0);
-  t.task(0, 1000, 3000);
-  t.message(0, 1, 64, 1500, 2500);
+  t.span(obs::Ev::kTask, 0, 1000, 3000);
+  t.span(obs::Ev::kWire, 0, 1500, 2500, 64, /*peer=*/1);
   t.msg_event(obs::Ev::kMsgDepart, obs::MsgCause::kRequest, 0, 1, 64, 1400);
   t.msg_event(obs::Ev::kMsgArrive, obs::MsgCause::kRequest, 1, 0, 64, 2600);
   t.instant(obs::Ev::kTileDispatched, 1, 2700, 3);
@@ -304,8 +304,8 @@ TEST(ChromeTrace, LargeTimestampsSurviveFormatting) {
   // rounded by the JSON writer (6-sig-digit default would collapse them).
   obs::Tracer t;
   const sim::Time base = 12'345'678'901;  // ~12.3 s in ns
-  t.task(0, base, base + 1);
-  t.task(0, base + 2, base + 5);
+  t.span(obs::Ev::kTask, 0, base, base + 1);
+  t.span(obs::Ev::kTask, 0, base + 2, base + 5);
   const std::string json = obs::chrome_trace_json(t);
   EXPECT_TRUE(JsonChecker::valid(json)) << json;
   const auto ts = extract_timestamps(json);
@@ -365,6 +365,7 @@ TEST(ChromeTrace, MergedShardExportCarriesPerWorkerDropCounts) {
   obs::TraceShard& w1 = sink.shard(1);
   w1.span(obs::Ev::kMailboxWait, 1, 2000, 2100, 0, /*peer=*/0);
   w1.instant(obs::Ev::kTrainFlush, 1, 2100, 7);
+  w1.span(obs::Ev::kWorkerRun, /*node=*/0, 2200, 2300);  // ran node 0's task
   w1.span(obs::Ev::kPark, 1, 3000, 4000,
           std::uint64_t(obs::UnparkCause::kQuiesced));
 
@@ -380,7 +381,21 @@ TEST(ChromeTrace, MergedShardExportCarriesPerWorkerDropCounts) {
   EXPECT_EQ(drops[0].as_number(), 6.0);
   EXPECT_EQ(drops[1].as_number(), 0.0);
   EXPECT_EQ(root.find("dropped_events")->as_number(), 6.0);
-  EXPECT_EQ(root.find("recorded_events")->as_number(), 15.0);
+  EXPECT_EQ(root.find("recorded_events")->as_number(), 16.0);
+
+  // A worker's event sits on the track of the shard that recorded it and
+  // names, in its args, the node it ran for.
+  int w1_runs = 0;
+  for (const JsonValue& ev : root.find("traceEvents")->as_array()) {
+    if (ev.find("name")->as_string() != "run" ||
+        ev.find("tid")->as_number() != 2.0)
+      continue;
+    ++w1_runs;
+    const JsonValue* args = ev.find("args");
+    ASSERT_TRUE(args != nullptr && args->find("node") != nullptr);
+    EXPECT_EQ(args->find("node")->as_number(), 0.0);
+  }
+  EXPECT_EQ(w1_runs, 1);
 
   // Native event vocabulary present with its worker attribution.
   EXPECT_NE(json.find("\"run\""), std::string::npos);
@@ -391,10 +406,10 @@ TEST(ChromeTrace, MergedShardExportCarriesPerWorkerDropCounts) {
   // Phase markers from the main-thread tracer still bracket the stream.
   EXPECT_NE(json.find("\"native.phase\""), std::string::npos);
 
-  // Timestamps are globally monotone after the merge (9 retained events:
-  // 2 phase markers + w0's surviving window of 4 + w1's 3).
+  // Timestamps are globally monotone after the merge (10 retained events:
+  // 2 phase markers + w0's surviving window of 4 + w1's 4).
   const auto ts = extract_timestamps(json);
-  ASSERT_GE(ts.size(), 9u);
+  ASSERT_GE(ts.size(), 10u);
   for (std::size_t i = 1; i < ts.size(); ++i)
     EXPECT_LE(ts[i - 1], ts[i]) << "timestamp order broken at " << i;
 }
@@ -472,16 +487,28 @@ TEST(ObsIntegration, PhaseCountersEqualRtTotals) {
             r.rt.request_msgs + r.rt.requests_served + r.rt.accum_msgs);
 
   if (obs::kTraceEnabled) {
-    // The tracer saw the phase markers and the runtime vocabulary.
+    // The tracer saw the phase markers and the runtime vocabulary, and
+    // attaching the session hooked the sim machine and network up too:
+    // each node's kTask spans sum to its busy time, and every message on
+    // the wire left one kWire span.
     bool phase_begin = false, thread_created = false, tile_dispatched = false;
+    std::vector<sim::Time> busy(2, 0);
+    std::uint64_t wires = 0;
     for (const auto& ev : session.tracer.snapshot()) {
       phase_begin |= ev.kind == obs::Ev::kPhaseBegin;
       thread_created |= ev.kind == obs::Ev::kThreadCreated;
       tile_dispatched |= ev.kind == obs::Ev::kTileDispatched;
+      if (ev.kind == obs::Ev::kTask) busy[ev.node] += ev.end - ev.at;
+      wires += ev.kind == obs::Ev::kWire;
     }
     EXPECT_TRUE(phase_begin);
     EXPECT_TRUE(thread_created);
     EXPECT_TRUE(tile_dispatched);
+    EXPECT_EQ(session.tracer.dropped(), 0u);
+    for (sim::NodeId n = 0; n < 2; ++n)
+      EXPECT_EQ(busy[n], r.nodes[n].busy_total) << "node " << n;
+    EXPECT_GT(wires, 0u);
+    EXPECT_EQ(wires, r.net.messages);
   } else {
     EXPECT_EQ(session.tracer.recorded(), 0u);
   }

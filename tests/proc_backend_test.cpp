@@ -66,7 +66,7 @@ struct RingVal {
 };
 
 rt::PhaseResult run_ring_phase(std::vector<double>* out,
-                               exec::WireStatsTotal* wire = nullptr) {
+                               exec::WireStats* wire = nullptr) {
   rt::Cluster cluster(4, exec::BackendKind::kProc);
   rt::PhaseRunner runner(cluster, rt::RuntimeConfig::dpa(32));
 
@@ -114,7 +114,7 @@ TEST(ProcBackend, RingPhaseFramesCarryOnlyApplicationPayloads) {
   exec::ProcBackend::Config cfg;
   cfg.procs = 2;
   const ScopedProcConfig guard(cfg);
-  exec::WireStatsTotal wire;
+  exec::WireStats wire;
   const rt::PhaseResult r = run_ring_phase(nullptr, &wire);
   ASSERT_TRUE(r.completed) << r.diagnostics;
   EXPECT_EQ(wire.payloads_recv, 8u);

@@ -177,7 +177,7 @@ TEST(PipeChannel, Em3dPhaseRoundTripsBitIdentical) {
   pipe.drain();
 
   EXPECT_EQ(pipe.tx_backlog(), 0u);
-  const PipeChannel::WireStats& ws = pipe.wire_stats();
+  const exec::WireStats& ws = pipe.wire_stats();
   EXPECT_EQ(ws.payloads_recv, count_remote(g));
   EXPECT_EQ(ws.frames_recv, ws.frames_sent);
   EXPECT_GT(ws.frames_sent, 0u);
