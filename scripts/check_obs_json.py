@@ -15,7 +15,9 @@ one), that a metrics snapshot follows dpa.metrics.v1 (--require-native
 additionally demands the native backend's exec.* wall-clock histograms),
 that bench --json output embeds a metrics block, that any metrics block
 whose run dropped messages (net.fault.dropped_msgs > 0) shows FM's
-recovery covering them, and that a watchdog
+recovery covering them, that every metrics block conserves messages (FM's
+sent and received counts and bytes agree when no fault plan was armed;
+proc's socket frames sent and received agree), and that a watchdog
 flight-recorder dump follows dpa.flightrec.v2 (per-node quiescence state
 plus the M:N pool's per-worker scheduler state). Exits non-zero on the
 first violation.
@@ -120,6 +122,25 @@ def check_recovery(counters, origin):
              f"faults, got {acks_sent} sent / {acks_recv} received")
 
 
+def check_conservation(counters, origin):
+    """Every message sent was received. Without a fault plan (no
+    net.fault.* counters) FM's counts and bytes balance on every backend;
+    proc's socketpair frames balance whenever it publishes them."""
+    if not any(name.startswith("net.fault.") for name in counters):
+        for sent, recv in (("fm.msgs_sent", "fm.msgs_recv"),
+                           ("fm.bytes_sent", "fm.bytes_recv")):
+            if counters.get(sent, 0) != counters.get(recv, 0):
+                fail(f"{origin}: {sent} {counters.get(sent, 0)} != {recv} "
+                     f"{counters.get(recv, 0)} — messages were lost or "
+                     f"miscounted")
+    if "transport.wire_frames_sent" in counters:
+        sent = counters["transport.wire_frames_sent"]
+        recv = counters.get("transport.wire_frames_recv", 0)
+        if sent != recv:
+            fail(f"{origin}: transport.wire_frames_sent {sent} != "
+                 f"transport.wire_frames_recv {recv}")
+
+
 def check_metrics_block(block, origin, require_phases=True):
     for key in ("counters", "gauges", "histograms"):
         if key not in block or not isinstance(block[key], dict):
@@ -139,6 +160,7 @@ def check_metrics_block(block, origin, require_phases=True):
             and block["counters"]["rt.phases"] == 0):
         fail(f"{origin}: rt.phases is zero — no phase published metrics")
     check_recovery(block["counters"], origin)
+    check_conservation(block["counters"], origin)
     print(f"check_obs_json: OK: {origin}: {len(block['counters'])} counters, "
           f"{len(block['gauges'])} gauges, "
           f"{len(block['histograms'])} histograms")

@@ -2,7 +2,7 @@
 //
 // Everything the runtime layer used to hardwire against sim::Machine +
 // fm::FmLayer goes through this interface instead: node count, task spawn,
-// active-message send + handler registration, and the phase barrier. Two
+// active-message send + handler registration, and the phase barrier. Three
 // implementations:
 //
 //   * SimBackend    — the deterministic discrete-event simulator. Modeled
@@ -15,6 +15,9 @@
 //                     real monotonic wall-clock, so the DPA engine's tiling
 //                     and aggregation produce *measured* wins, not modeled
 //                     ones.
+//   * ProcBackend   — worker processes forked per phase, each running a
+//                     NativeBackend over the nodes it owns; cross-process
+//                     messages travel as frames over socketpairs.
 //
 // The contract the runtime relies on:
 //   * Tasks posted to a node run serially, in post order, on that node.
@@ -23,7 +26,10 @@
 //     a faulted simulator FM's own recovery protocol makes it so).
 //   * begin_phase() zeroes per-node and messaging stats; run_phase()
 //     returns only when the whole machine is quiescent (no queued tasks,
-//     no in-flight messages).
+//     no in-flight messages), and returns the whole phase record:
+//     elapsed time, progress, messaging/scheduler/wire counters, each
+//     node's epilogue blob and, on failure, a diagnosis. Per-node stats
+//     stay behind node_stats().
 //   * After run_phase() returns, the caller (PhaseRunner) is the only
 //     thread touching runtime state until the next run_phase().
 #pragma once
@@ -50,10 +56,20 @@ namespace dpa::exec {
 
 // What run_phase() measured. `events` is the substrate's own unit of
 // progress: discrete events processed on the simulator, tasks executed on
-// the native backend.
+// the native backend. The counters are summed over every node (and, on
+// the proc backend, every worker process); `wire` is all-zero on backends
+// without a byte-stream fabric. `epilogues` holds one blob per node from
+// the installed phase epilogue (empty when none is installed; an empty
+// blob means the owning process died), and `diagnostics` explains a phase
+// the backend itself failed (empty when it completed).
 struct PhaseExec {
   Time elapsed = 0;
   std::uint64_t events = 0;
+  MsgStats msgs;
+  SchedStats sched;
+  WireStats wire;
+  std::vector<std::string> epilogues;
+  std::string diagnostics;
 };
 
 // Stall-watchdog policy (native backend). Default-constructed = disabled;
@@ -96,7 +112,8 @@ struct PhaseSpan {
 
 // How a handler payload crosses a process boundary: marshal flattens the
 // in-memory payload to bytes, unmarshal rebuilds it on the other side.
-// Single-process backends never invoke these.
+// Single-process backends never invoke these; a default-constructed codec
+// means the handler's messages never cross one.
 struct WireCodec {
   std::function<std::vector<std::uint8_t>(const void* data,
                                           std::uint32_t bytes)>
@@ -117,10 +134,11 @@ class Backend {
   virtual std::uint32_t num_nodes() const = 0;
 
   // --- Active messages -----------------------------------------------
-  // Registers a handler (same id on every node). Must happen before any
-  // send and before the first run_phase().
-  virtual HandlerId register_handler(std::string name, Handler fn) = 0;
-  virtual const std::string& handler_name(HandlerId id) const = 0;
+  // Registers a handler (same id on every node) with the byte codec for
+  // its payloads. Must happen before any send and before the first
+  // run_phase(). The name only labels errors.
+  virtual HandlerId register_handler(std::string name, Handler fn,
+                                     WireCodec codec = {}) = 0;
 
   // Sends from node `src`, called from inside a task running on `src`.
   // Charges send overhead (Work::kComm) to `cpu` per the backend's cost
@@ -151,17 +169,20 @@ class Backend {
   // returns the phase-start timestamp in this backend's clock.
   virtual Time begin_phase() = 0;
 
-  // Runs the phase to global quiescence and returns what it measured.
+  // Runs the phase to global quiescence and returns its record.
   virtual PhaseExec run_phase() = 0;
 
-  // --- Phase accounting (valid after run_phase) ----------------------
+  // Per-node accounting for the last phase (valid after run_phase).
   virtual const NodeStats& node_stats(NodeId node) const = 0;
-  // Scheduler counters for the last phase (worker parks / whole-node
-  // steals / activations). All-zero on backends without a worker pool.
-  virtual SchedStats sched_stats() const { return SchedStats{}; }
-  // Per-node idle time for the last phase: elapsed - busy, clamped at 0.
-  virtual Time idle_time(NodeId node, Time phase_elapsed) const = 0;
-  virtual MsgStats msg_stats_total() const = 0;
+
+  // The phase epilogue runs once per node after quiescence, *in the
+  // process that owns the node*, and returns that node's result blob
+  // (commit order, done flags, stats — PhaseRunner defines the encoding)
+  // for PhaseExec::epilogues. Single-process backends run it at the end of
+  // run_phase() on the caller's thread (run_epilogues); the multi-process
+  // backend runs it in each worker and ships the blobs home.
+  using PhaseEpilogue = std::function<std::string(NodeId)>;
+  void set_phase_epilogue(PhaseEpilogue fn) { phase_epilogue_ = std::move(fn); }
 
   // --- Observability ---------------------------------------------------
   // Hooks the backend's own record sites up to a session's trace sinks
@@ -184,13 +205,6 @@ class Backend {
   // make single-process backends behave exactly as before, so callers may
   // use them unconditionally.
 
-  // Registers the byte codec for one handler's payloads. Must happen after
-  // register_handler and before the first run_phase.
-  virtual void set_wire_codec(HandlerId handler, WireCodec codec) {
-    (void)handler;
-    (void)codec;
-  }
-
   // Installs the producer of the durable span list (global-heap objects,
   // registered once at cluster construction). Called with the vector to
   // append to; runs in the coordinator before each fork.
@@ -204,28 +218,6 @@ class Backend {
   virtual void add_phase_span(PhaseSpan span) { (void)span; }
   virtual void remove_phase_span(const void* addr) { (void)addr; }
 
-  // The phase epilogue runs once per node after quiescence, *in the
-  // process that owns the node*, and returns that node's result blob
-  // (commit order, done flags, stats — PhaseRunner defines the encoding).
-  // Single-process backends run it inline on the caller's thread from
-  // collect_epilogues(); the multi-process backend runs it in each worker
-  // and ships the blobs home. An empty blob means the owning process died.
-  using PhaseEpilogue = std::function<std::string(NodeId)>;
-  void set_phase_epilogue(PhaseEpilogue fn) { phase_epilogue_ = std::move(fn); }
-  virtual std::vector<std::string> collect_epilogues(std::uint32_t nodes) {
-    std::vector<std::string> blobs(nodes);
-    for (NodeId n = 0; n < nodes; ++n) blobs[n] = phase_epilogue_(n);
-    return blobs;
-  }
-
-  // Human-readable explanation of an incomplete phase (which worker died,
-  // which nodes it owned). Empty when the last phase completed.
-  virtual std::string phase_diagnostics() const { return {}; }
-
-  // Wire-transport counters for the last phase, summed over all worker
-  // processes.
-  virtual WireStats wire_stats_total() const { return {}; }
-
   // Escape hatch for sim-specific callers (network stats, targeted fault
   // injection in tests). Null on the native backend.
   virtual sim::Machine* sim_machine() { return nullptr; }
@@ -234,6 +226,17 @@ class Backend {
 
  protected:
   Backend() = default;
+
+  // One blob per node from the installed epilogue, run on the calling
+  // thread; empty when none is installed (a backend driven without a
+  // PhaseRunner).
+  std::vector<std::string> run_epilogues() const {
+    std::vector<std::string> blobs;
+    if (!phase_epilogue_) return blobs;
+    blobs.resize(num_nodes());
+    for (NodeId n = 0; n < blobs.size(); ++n) blobs[n] = phase_epilogue_(n);
+    return blobs;
+  }
 
   PhaseEpilogue phase_epilogue_;  // installed by PhaseRunner before run()
 };

@@ -79,7 +79,6 @@ NativeBackend::NativeBackend(std::uint32_t num_nodes)
 
 NativeBackend::NativeBackend(std::uint32_t num_nodes, const Tuning& tuning)
     : tuning_(tuning),
-      trains_(num_nodes, tuning.train_max, *this),
       finish_barrier_(resolve_workers(tuning, num_nodes)) {
   DPA_CHECK(num_nodes > 0);
   DPA_CHECK(tuning_.train_max > 0);
@@ -87,6 +86,7 @@ NativeBackend::NativeBackend(std::uint32_t num_nodes, const Tuning& tuning)
   nodes_.reserve(num_nodes);
   for (std::uint32_t i = 0; i < num_nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>());
+    nodes_.back()->trains.resize(num_nodes);
     // Initial placement: round-robin. Re-activation follows last_worker
     // from then on, so steady-state placement is steal-driven.
     nodes_.back()->affinity.store(i % num_workers, std::memory_order_relaxed);
@@ -190,14 +190,12 @@ void NativeBackend::release_test_stalls() {
   stall_cv_.notify_all();
 }
 
-HandlerId NativeBackend::register_handler(std::string name, Handler fn) {
+HandlerId NativeBackend::register_handler(std::string /*name*/, Handler fn,
+                                          WireCodec /*codec*/) {
   // Registration happens between phases (the main thread is the only one
   // running); workers observe the table through the next epoch publish.
   DPA_CHECK(handlers_.size() < 0xffff) << "handler table full";
-  auto entry = std::make_unique<HandlerEntry>();
-  entry->name = std::move(name);
-  entry->fn = std::move(fn);
-  handlers_.push_back(std::move(entry));
+  handlers_.push_back(std::make_unique<Handler>(std::move(fn)));
   return HandlerId(handlers_.size() - 1);
 }
 
@@ -272,11 +270,16 @@ std::int32_t NativeBackend::try_steal(std::uint32_t w) {
   return -1;
 }
 
-void NativeBackend::deliver_train(NodeId src, NodeId dst,
-                                  std::vector<Task>& batch) {
+void NativeBackend::deliver_train(NodeId src, NodeId dst) {
+  Node& sn = *nodes_[src];
+  std::vector<Task>& batch = sn.trains[dst];
+  if (batch.empty()) return;
+  DPA_DCHECK(sn.pending >= batch.size());
+  sn.pending -= std::uint32_t(batch.size());
+  ++sn.msg.trains_sent;
   Node& dn = *nodes_[dst];
-  // Trains are flushed only by the node's hosting worker (the channel's
-  // depth-trigger on buffer() or flush_src), so tls_worker names the shard.
+  // Trains depart only on the source's hosting worker, so tls_worker names
+  // the shard.
   obs::TraceShard* const sh =
       tls_worker >= 0 ? worker_shard(std::uint32_t(tls_worker)) : nullptr;
   const std::uint64_t depth = batch.size();
@@ -291,6 +294,7 @@ void NativeBackend::deliver_train(NodeId src, NodeId dst,
     }
     for (auto& t : batch) dn.inbox.push_back(std::move(t));
   }
+  batch.clear();
   // After the mailbox append: the destination's host (whoever wins the
   // activation) is guaranteed to see the batch.
   activate(dst);
@@ -309,6 +313,13 @@ void NativeBackend::deliver_train(NodeId src, NodeId dst,
   }
 }
 
+void NativeBackend::flush_trains(NodeId src) {
+  Node& n = *nodes_[src];
+  if (n.pending == 0) return;
+  for (NodeId d = 0; d < NodeId(n.trains.size()); ++d) deliver_train(src, d);
+  DPA_DCHECK(n.pending == 0);
+}
+
 void NativeBackend::post(NodeId node, Task task) {
   DPA_DCHECK(node < nodes_.size());
   // The produced-shard bump must land strictly before the task becomes
@@ -325,8 +336,11 @@ void NativeBackend::post(NodeId node, Task task) {
       self.local.push_back(std::move(task));
       return;
     }
-    // The channel auto-flushes the destination train at train_max depth.
-    trains_.buffer(NodeId(tls_node), node, std::move(task));
+    std::vector<Task>& train = self.trains[node];
+    train.push_back(std::move(task));
+    ++self.pending;
+    if (train.size() >= tuning_.train_max)
+      deliver_train(NodeId(tls_node), node);
     return;
   }
   // Main thread: pre-phase seeding. Counted on the destination's shard —
@@ -350,13 +364,13 @@ void NativeBackend::send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
   ++sn.msg.frags_sent;  // no MTU segmentation in-process
   sn.msg.bytes_sent += bytes;
 
-  const HandlerEntry* e = handlers_[handler].get();
+  const Handler* fn = handlers_[handler].get();
   Packet pkt{src, dst, handler, bytes, std::move(data)};
   Node* dn = nodes_[dst].get();
-  post(dst, [e, dn, pkt = std::move(pkt)](Cpu& task_cpu) {
+  post(dst, [fn, dn, pkt = std::move(pkt)](Cpu& task_cpu) {
     ++dn->msg.msgs_recv;
     dn->msg.bytes_recv += pkt.bytes;
-    e->fn(task_cpu, pkt);
+    (*fn)(task_cpu, pkt);
   });
 }
 
@@ -365,7 +379,7 @@ void NativeBackend::flush(Cpu& cpu, NodeId node) {
   DPA_DCHECK(node < nodes_.size());
   DPA_DCHECK(tls_node == std::int32_t(node))
       << "Backend::flush must run on the node it flushes";
-  trains_.flush_src(node);
+  flush_trains(node);
 }
 
 Time NativeBackend::begin_phase() {
@@ -375,12 +389,10 @@ Time NativeBackend::begin_phase() {
     Node* n = nodes_[i].get();
     n->stats.reset();
     n->msg.reset();
-    DPA_CHECK(n->inbox.empty() && n->local.empty() &&
-              trains_.pending(i) == 0);
+    DPA_CHECK(n->inbox.empty() && n->local.empty() && n->pending == 0);
     DPA_CHECK(n->active.load(std::memory_order_relaxed) == 0)
         << "begin_phase with a node still queued";
   }
-  trains_.reset_stats();
   for (auto& w : workers_) {
     DPA_CHECK(w->runq.empty());
     w->parks.store(0, std::memory_order_relaxed);
@@ -407,8 +419,16 @@ PhaseExec NativeBackend::run_phase() {
   }
   PhaseExec out;
   out.elapsed = since_phase_start(std::chrono::steady_clock::now());
-  for (const auto& n : nodes_) out.events += n->stats.tasks_run;
+  for (const auto& n : nodes_) {
+    out.events += n->stats.tasks_run;
+    out.msgs += n->msg;
+  }
+  for (const auto& w : workers_)
+    out.sched += SchedStats{w->parks.load(std::memory_order_relaxed),
+                            w->steals.load(std::memory_order_relaxed),
+                            w->activations.load(std::memory_order_relaxed)};
   clock_ns_ += out.elapsed;
+  out.epilogues = run_epilogues();
   return out;
 }
 
@@ -756,7 +776,7 @@ void NativeBackend::run_node(std::uint32_t w, NodeId id) {
     // Dry. Push any buffered outbound trains — the implicit flush point
     // that makes termination independent of the engine calling
     // Backend::flush() — then give up the node.
-    trains_.flush_src(id);
+    flush_trains(id);
     // Deactivate-then-recheck: the idle store and a producer's CAS are both
     // seq_cst, so they are totally ordered. If a producer appended to the
     // inbox after our last drain but CASed before our store, the CAS lost
@@ -817,24 +837,6 @@ void NativeBackend::run_task(Node& n, NodeId id, Time start,
   // Consume strictly after the task returned: while it ran (and possibly
   // produced more work) the scan kept seeing produced > consumed.
   n.consumed.fetch_add(1, std::memory_order_seq_cst);
-}
-
-MsgStats NativeBackend::msg_stats_total() const {
-  MsgStats total;
-  for (NodeId i = 0; i < NodeId(nodes_.size()); ++i) {
-    total += nodes_[i]->msg;
-    total.trains_sent += trains_.trains_sent(i);
-  }
-  return total;
-}
-
-SchedStats NativeBackend::sched_stats() const {
-  SchedStats s;
-  for (const auto& w : workers_)
-    s += SchedStats{w->parks.load(std::memory_order_relaxed),
-                    w->steals.load(std::memory_order_relaxed),
-                    w->activations.load(std::memory_order_relaxed)};
-  return s;
 }
 
 }  // namespace dpa::exec

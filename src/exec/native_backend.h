@@ -21,14 +21,13 @@
 //     and an unlocked local queue for self-posts (a node's scheduler
 //     kicking itself never takes a lock).
 //   * send() appends a delivery task to the sending node's per-destination
-//     *train* — an owner-only outbound buffer, owned since the transport
-//     split by transport::InProcChannel (the backend supplies the delivery
-//     sink: mailbox lock, tracing, destination activation). A train is
-//     handed to the destination mailbox under ONE lock acquisition when it
-//     reaches Tuning::train_max depth, when the engine calls
-//     Backend::flush() at a tile/strip boundary, or — unconditionally —
-//     before the node deactivates. That last rule makes trains invisible
-//     to termination:
+//     *train* — an outbound buffer in the sending Node, written only by
+//     that node's host, like its local queue. A train is handed to the
+//     destination mailbox under ONE lock acquisition (deliver_train: batch
+//     append, tracing, destination activation) when it reaches
+//     Tuning::train_max depth, when the engine calls Backend::flush() at a
+//     tile/strip boundary, or — unconditionally — before the node
+//     deactivates. That last rule makes trains invisible to termination:
 //     buffered messages always depart before their host worker can so much
 //     as look for quiescence. The host fabric thus applies the paper's
 //     aggregation idea to itself: per-message lock overhead is amortized
@@ -103,7 +102,6 @@
 #include <vector>
 
 #include "exec/backend.h"
-#include "transport/inproc_channel.h"
 
 namespace dpa::obs {
 class ShardedTraceSink;
@@ -128,8 +126,7 @@ class SenseBarrier {
   std::atomic<bool> sense_{false};
 };
 
-class NativeBackend final : public Backend,
-                            private transport::InProcChannel::Sink {
+class NativeBackend final : public Backend {
  public:
   // Scheduling/communication/idle policy knobs. Defaults suit both the
   // provisioned case (cores >= nodes) and oversubscription; tests shrink
@@ -171,10 +168,8 @@ class NativeBackend final : public Backend,
     return std::uint32_t(workers_.size());
   }
 
-  HandlerId register_handler(std::string name, Handler fn) override;
-  const std::string& handler_name(HandlerId id) const override {
-    return handlers_[id]->name;
-  }
+  HandlerId register_handler(std::string name, Handler fn,
+                             WireCodec codec = {}) override;
 
   void send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
             std::shared_ptr<void> data, std::uint32_t bytes) override;
@@ -189,12 +184,6 @@ class NativeBackend final : public Backend,
   const NodeStats& node_stats(NodeId node) const override {
     return nodes_[node]->stats;
   }
-  Time idle_time(NodeId node, Time phase_elapsed) const override {
-    const Time idle = phase_elapsed - nodes_[node]->stats.busy_total;
-    return idle > 0 ? idle : 0;
-  }
-  MsgStats msg_stats_total() const override;
-  SchedStats sched_stats() const override;
 
   // Attaches session->ensure_shards(num_nodes()) (null detaches).
   void attach_obs(obs::Session* session) override;
@@ -250,9 +239,11 @@ class NativeBackend final : public Backend,
     // Self-posts from the hosting worker; never locked (only the host
     // touches it, and the activation handoff orders host switches).
     std::deque<Task> local;
-    // Outbound trains live in trains_ (transport::InProcChannel), indexed
-    // by this node's id; written only by this node's host (main-thread
-    // posts bypass trains).
+    // Outbound trains, one per destination node, and the messages buffered
+    // across them. Host-only like `local` (main-thread posts bypass
+    // trains); a departed train's vector keeps its capacity for the next.
+    std::vector<std::vector<Task>> trains;
+    std::uint32_t pending = 0;
     NodeStats stats;
     MsgStats msg;  // sent-side fields written by host, recv-side by host
     // Activation state: 0 = idle (no queued tasks anywhere... or a producer
@@ -260,8 +251,10 @@ class NativeBackend final : public Backend,
     // Producers CAS 0 -> 1 and enqueue on the affinity worker; the host
     // releases with the deactivation protocol in run_node(). seq_cst: the
     // idle store must be totally ordered against the post-deactivation
-    // inbox recheck (see the stranded-task argument in the .cpp).
-    std::atomic<std::uint32_t> active{0};
+    // inbox recheck (see the stranded-task argument in the .cpp). Own
+    // cache line: other workers CAS it, and the host writes the fields
+    // above (trains, stats, msg) at message rate.
+    alignas(64) std::atomic<std::uint32_t> active{0};
     // Worker this node is enqueued on when activated — updated by each
     // host, so a stolen node re-activates on its thief (locality follows
     // the cache lines).
@@ -289,15 +282,10 @@ class NativeBackend final : public Backend,
     std::atomic<bool> parked{false};
     std::uint64_t rng = 1;  // owner-only xorshift state (victim order)
     // Relaxed counters: read mid-phase by the watchdog, summed post-phase
-    // by sched_stats().
+    // into PhaseExec::sched by run_phase().
     std::atomic<std::uint64_t> parks{0};
     std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> activations{0};
-  };
-
-  struct HandlerEntry {
-    std::string name;
-    Handler fn;
   };
 
   void worker_main(std::uint32_t w);
@@ -333,11 +321,12 @@ class NativeBackend final : public Backend,
   void watchdog_main();
   void watchdog_fire(const char* reason, Time elapsed, std::uint64_t epoch,
                      std::uint32_t stuck, const std::vector<bool>& node_stuck);
-  // transport::InProcChannel::Sink — the channel calls this with a full
-  // train; we hand it to the destination mailbox (one lock) and activate
-  // the destination.
-  void deliver_train(NodeId src, NodeId dst,
-                     std::vector<Task>& batch) override;
+  // Hands `src`'s train for `dst` (if non-empty) to the destination
+  // mailbox under one lock and activates the destination. Runs on src's
+  // host: at train_max depth, from flush(), and before src deactivates.
+  void deliver_train(NodeId src, NodeId dst);
+  // Delivers every non-empty train of `src`.
+  void flush_trains(NodeId src);
   bool quiescent() const;
   void wake_all_workers();
   Time since_phase_start(std::chrono::steady_clock::time_point t) const {
@@ -347,11 +336,9 @@ class NativeBackend final : public Backend,
 
   Tuning tuning_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  // Per-source outbound train buffers + flush policy (depth train_max).
-  // Declared after tuning_/nodes_ — its ctor reads tuning_.train_max.
-  transport::InProcChannel trains_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::unique_ptr<HandlerEntry>> handlers_;
+  // Boxed so a delivery task can hold its handler across registrations.
+  std::vector<std::unique_ptr<Handler>> handlers_;
 
   // Set by the first worker whose two-pass scan confirms quiescence; lets
   // the rest skip straight to the barrier (quiescence is stable within a

@@ -167,24 +167,18 @@ ProcBackend::ProcBackend(std::uint32_t num_nodes, const Config& config)
   if (config_.watchdog.enabled()) watchdog_cfg_ = config_.watchdog;
   staged_posts_.resize(num_nodes_);
   node_stats_.resize(num_nodes_);
-  epilogues_.resize(num_nodes_);
 }
 
 ProcBackend::~ProcBackend() {
   if (role_ == Role::kCoordinator) kill_and_reap_all();
 }
 
-HandlerId ProcBackend::register_handler(std::string name, Handler fn) {
+HandlerId ProcBackend::register_handler(std::string name, Handler fn,
+                                        WireCodec codec) {
   DPA_CHECK(role_ == Role::kCoordinator);
   handlers_.push_back(std::make_unique<HandlerEntry>(
-      HandlerEntry{std::move(name), std::move(fn)}));
-  codecs_.resize(handlers_.size());
+      HandlerEntry{std::move(name), std::move(fn), std::move(codec)}));
   return HandlerId(handlers_.size() - 1);
-}
-
-void ProcBackend::set_wire_codec(HandlerId handler, WireCodec codec) {
-  DPA_CHECK(handler < codecs_.size()) << "codec for unregistered handler";
-  codecs_[handler] = std::move(codec);
 }
 
 void ProcBackend::add_phase_span(PhaseSpan span) {
@@ -220,18 +214,18 @@ void ProcBackend::send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
     inner_->send(cpu, src, dst, handler, std::move(data), bytes);
     return;
   }
-  const WireCodec& codec = codecs_[handler];
-  DPA_CHECK(bool(codec.marshal))
-      << "handler '" << handlers_[handler]->name
+  const HandlerEntry& entry = *handlers_[handler];
+  DPA_CHECK(bool(entry.codec.marshal))
+      << "handler '" << entry.name
       << "' crosses a process boundary but has no wire codec";
-  std::vector<std::uint8_t> body = codec.marshal(data.get(), bytes);
+  std::vector<std::uint8_t> body = entry.codec.marshal(data.get(), bytes);
   std::vector<std::uint8_t> wire(4 + body.size());
   std::memcpy(wire.data(), &bytes, 4);  // modeled size rides the frame
   std::memcpy(wire.data() + 4, body.data(), body.size());
 
   PeerLink& link = *links_[owner_of(dst)];
   remote_msgs_sent_.fetch_add(1, std::memory_order_relaxed);
-  remote_bytes_sent_.fetch_add(wire.size(), std::memory_order_relaxed);
+  remote_bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
   link.sent.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(link.mu);
   link.pipe->send(src, dst, handler, std::move(wire));
@@ -254,11 +248,6 @@ Time ProcBackend::begin_phase() {
   return clock_ns_;
 }
 
-std::vector<std::string> ProcBackend::collect_epilogues(std::uint32_t nodes) {
-  DPA_CHECK(nodes == num_nodes_);
-  return epilogues_;
-}
-
 std::vector<NodeId> ProcBackend::nodes_owned_by(std::uint32_t worker) const {
   std::vector<NodeId> out;
   for (NodeId n = worker; n < num_nodes_; n += procs_) out.push_back(n);
@@ -268,13 +257,8 @@ std::vector<NodeId> ProcBackend::nodes_owned_by(std::uint32_t worker) const {
 PhaseExec ProcBackend::run_phase() {
   DPA_CHECK(role_ == Role::kCoordinator);
   const auto t0 = std::chrono::steady_clock::now();
-  phase_failed_ = false;
-  diagnostics_.clear();
-  epilogues_.assign(num_nodes_, std::string());
-  msg_total_ = MsgStats{};
-  sched_total_ = SchedStats{};
-  wire_total_ = WireStats{};
-  events_total_ = 0;
+  phase_ = PhaseExec{};
+  phase_.epilogues.resize(num_nodes_);
 
   // Resolve the span list pre-fork so coordinator and workers share one
   // indexing, then snapshot the spans. Nothing writes span memory between
@@ -301,13 +285,11 @@ PhaseExec ProcBackend::run_phase() {
   pids_.clear();
   for (auto& q : staged_posts_) q.clear();
 
-  PhaseExec out;
-  out.elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-  out.events = events_total_;
-  clock_ns_ += out.elapsed;
-  return out;
+  phase_.elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  clock_ns_ += phase_.elapsed;
+  return std::move(phase_);
 }
 
 void ProcBackend::spawn_workers() {
@@ -545,16 +527,16 @@ void ProcBackend::coordinator_apply(std::uint32_t from, std::uint16_t tag,
       const std::uint32_t node = r.u32();
       const std::uint32_t len = r.u32();
       DPA_CHECK(node < num_nodes_ && owner_of(node) == from);
-      epilogues_[node].resize(len);
-      if (len > 0) r.raw(epilogues_[node].data(), len);
+      phase_.epilogues[node].resize(len);
+      if (len > 0) r.raw(phase_.epilogues[node].data(), len);
       break;
     }
     case kTagStats: {
       Rd r(bytes);
-      events_total_ += r.u64();
-      msg_total_ += r.pod<MsgStats>();
-      sched_total_ += r.pod<SchedStats>();
-      wire_total_ += r.pod<WireStats>();
+      phase_.events += r.u64();
+      phase_.msgs += r.pod<MsgStats>();
+      phase_.sched += r.pod<SchedStats>();
+      phase_.wire += r.pod<WireStats>();
       const std::uint32_t n = r.u32();
       for (std::uint32_t i = 0; i < n; ++i) {
         const NodeId id = r.u32();
@@ -574,7 +556,6 @@ void ProcBackend::coordinator_apply(std::uint32_t from, std::uint16_t tag,
 void ProcBackend::fail_phase(const std::string& reason,
                              std::int32_t dead_worker, pid_t dead_pid,
                              int wait_status) {
-  phase_failed_ = true;
   write_flight_record(reason, dead_worker, dead_pid, wait_status);
 
   std::ostringstream d;
@@ -589,7 +570,7 @@ void ProcBackend::fail_phase(const std::string& reason,
       d << " was killed by signal " << WTERMSIG(wait_status);
   }
   d << "; surviving workers aborted, phase results discarded";
-  diagnostics_ = d.str();
+  phase_.diagnostics = d.str();
 
   // Best-effort abort broadcast, then make sure everyone is gone.
   for (std::uint32_t w = 0; w < procs_; ++w) {
@@ -709,21 +690,20 @@ void ProcBackend::worker_main(std::uint32_t self) {
       // [codec bytes] under the handler-id tag. Rebuild the packet and
       // stage it as a post for the next sub-phase.
       DPA_CHECK(p.tag < handlers_.size()) << "unknown handler tag on wire";
-      const WireCodec& codec = codecs_[p.tag];
-      DPA_CHECK(bool(codec.unmarshal))
-          << "handler '" << handlers_[p.tag]->name << "' has no unmarshal";
+      HandlerEntry* entry = handlers_[p.tag].get();
+      DPA_CHECK(bool(entry->codec.unmarshal))
+          << "handler '" << entry->name << "' has no unmarshal";
       DPA_CHECK(p.bytes.size() >= 4);
       std::uint32_t modeled = 0;
       std::memcpy(&modeled, p.bytes.data(), 4);
       std::shared_ptr<void> data =
-          codec.unmarshal(p.bytes.data() + 4, p.bytes.size() - 4);
+          entry->codec.unmarshal(p.bytes.data() + 4, p.bytes.size() - 4);
       Packet pkt;
       pkt.src = h.src;
       pkt.dst = h.dst;
       pkt.handler = p.tag;
       pkt.data = std::move(data);
       pkt.bytes = modeled;
-      HandlerEntry* entry = handlers_[p.tag].get();
       const NodeId dst = h.dst;
       Task task = [entry, pkt = std::move(pkt)](Cpu& cpu) {
         entry->fn(cpu, pkt);
@@ -732,7 +712,7 @@ void ProcBackend::worker_main(std::uint32_t self) {
       pending_inbound_.emplace_back(dst, std::move(task));
       ++raw->recv;
       remote_msgs_recv_ += 1;
-      remote_bytes_recv_ += p.bytes.size();
+      remote_bytes_recv_ += modeled;
     });
     links_[v] = std::move(link);
   }
@@ -830,8 +810,8 @@ void ProcBackend::worker_main(std::uint32_t self) {
         if (st.tasks_run > 0) a.finish_time = subphase_offset + st.finish_time;
       }
       subphase_offset += pe.elapsed;
-      msg_acc += inner_->msg_stats_total();
-      sched_acc += inner_->sched_stats();
+      msg_acc += pe.msgs;
+      sched_acc += pe.sched;
       // Anything the sub-phase buffered for other processes departs now;
       // termination depends on it (sent counts include these payloads).
       for (auto& link : links_) {
@@ -1002,14 +982,16 @@ void ProcBackend::worker_finalize(
   flush_diff(true);
 
   // 3. Merged execution statistics. Cross-process messages left through
-  // the data links, so they count on top of the inner pool's, and each
-  // frame is one train.
+  // the data links, so they count on top of the inner pool's — one
+  // fragment each, as on the simulator — and each frame is one train.
   {
     WireStats wire;
     for (auto& link : links_)
       if (link != nullptr) wire += link->pipe->wire_stats();
+    const std::uint64_t remote_sent = remote_msgs_sent_.load();
     MsgStats msg = msg_acc;
-    msg.msgs_sent += remote_msgs_sent_.load();
+    msg.msgs_sent += remote_sent;
+    msg.frags_sent += remote_sent;
     msg.msgs_recv += remote_msgs_recv_;
     msg.bytes_sent += remote_bytes_sent_.load();
     msg.bytes_recv += remote_bytes_recv_;

@@ -5,8 +5,8 @@
 // over the full node-id space but executes only the nodes it owns
 // (owner(node) = node % procs — the same modular affinity the native
 // scheduler uses). Cross-process messages travel as encoded frames over
-// one AF_UNIX socketpair per process pair (transport::PipeChannel in
-// endpoint mode); a per-worker control socketpair — every frame stamped
+// one AF_UNIX socketpair per process pair (a transport::PipeChannel at
+// each end); a per-worker control socketpair — every frame stamped
 // kFrameFlagControl — carries the coordinator-driven termination
 // protocol, the span diffs, and the result blobs.
 //
@@ -57,11 +57,16 @@
 // commit in (src, accum_seq) order at the owning worker; and the same
 // binary performs the same FP operations in the same order.
 //
+// The phase record counts messages in the other backends' units: a
+// cross-process message adds its modeled size and one fragment, exactly
+// as it would on the simulator. The socket's real frames and bytes are
+// PhaseExec::wire.
+//
 // Peer death is a reported error, not a crash: a worker that dies
 // mid-phase surfaces as kPeerDown on its channels (EPIPE/EOF — see
 // ChannelStatus) and as a reaped pid at the coordinator, which writes a
 // flight-record JSON naming the dead worker, aborts the survivors, and
-// fails the phase with diagnostics instead of hanging.
+// fails the phase with PhaseExec::diagnostics instead of hanging.
 #pragma once
 
 #include <sys/types.h>
@@ -117,10 +122,8 @@ class ProcBackend final : public Backend {
   std::uint32_t num_procs() const { return procs_; }
   NodeId owner_of(NodeId node) const { return node % procs_; }
 
-  HandlerId register_handler(std::string name, Handler fn) override;
-  const std::string& handler_name(HandlerId id) const override {
-    return handlers_[id]->name;
-  }
+  HandlerId register_handler(std::string name, Handler fn,
+                             WireCodec codec = {}) override;
 
   void send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
             std::shared_ptr<void> data, std::uint32_t bytes) override;
@@ -133,12 +136,6 @@ class ProcBackend final : public Backend {
   const NodeStats& node_stats(NodeId node) const override {
     return node_stats_[node];
   }
-  Time idle_time(NodeId node, Time phase_elapsed) const override {
-    const Time idle = phase_elapsed - node_stats_[node].busy_total;
-    return idle > 0 ? idle : 0;
-  }
-  MsgStats msg_stats_total() const override { return msg_total_; }
-  SchedStats sched_stats() const override { return sched_total_; }
 
   // Stores the policy; the coordinator enforces phase_deadline itself and
   // forwards the config to each worker's inner pool, so an intra-worker
@@ -148,7 +145,6 @@ class ProcBackend final : public Backend {
     return true;
   }
 
-  void set_wire_codec(HandlerId handler, WireCodec codec) override;
   void set_span_source(
       std::function<void(std::vector<PhaseSpan>&)> fn) override {
     span_source_ = std::move(fn);
@@ -156,18 +152,12 @@ class ProcBackend final : public Backend {
   void add_phase_span(PhaseSpan span) override;
   void remove_phase_span(const void* addr) override;
 
-  std::vector<std::string> collect_epilogues(std::uint32_t nodes) override;
-  std::string phase_diagnostics() const override { return diagnostics_; }
-  WireStats wire_stats_total() const override { return wire_total_; }
-
-  // Whether the last run_phase() completed cleanly (false after a worker
-  // death — phase_diagnostics() says which).
-  bool last_phase_ok() const { return !phase_failed_; }
-
  private:
+  // The name labels the "no wire codec" error.
   struct HandlerEntry {
     std::string name;
     Handler fn;
+    WireCodec codec;
   };
 
   // One worker's data link to a peer process: a duplex socketpair end
@@ -211,7 +201,6 @@ class ProcBackend final : public Backend {
   Role role_ = Role::kCoordinator;
 
   std::vector<std::unique_ptr<HandlerEntry>> handlers_;
-  std::vector<WireCodec> codecs_;  // indexed by HandlerId
 
   std::function<void(std::vector<PhaseSpan>&)> span_source_;
   std::vector<PhaseSpan> transient_spans_;  // app-registered, per step
@@ -232,16 +221,11 @@ class ProcBackend final : public Backend {
   std::vector<std::vector<std::array<int, 2>>> data_fds_;
   std::vector<std::unique_ptr<transport::PipeChannel>> ctl_;
   WatchdogConfig watchdog_cfg_;
-  bool phase_failed_ = false;
-  std::string diagnostics_;
 
-  // Merged results (valid after run_phase).
+  // The phase record the workers' results merge into (run_phase returns
+  // it), and the per-node stats behind node_stats().
+  PhaseExec phase_;
   std::vector<NodeStats> node_stats_;
-  std::vector<std::string> epilogues_;
-  MsgStats msg_total_;
-  SchedStats sched_total_;
-  WireStats wire_total_;
-  std::uint64_t events_total_ = 0;
   Time clock_ns_ = 0;
 
   // --- Worker-side state (meaningful only after fork) ------------------
@@ -252,7 +236,8 @@ class ProcBackend final : public Backend {
   // deliveries can run on inner-pool threads (a task's flush() pumps).
   std::mutex inbound_mu_;
   std::vector<std::pair<NodeId, Task>> pending_inbound_;
-  // Cross-process application-message accounting (merged into MsgStats).
+  // Cross-process application-message accounting, merged into MsgStats in
+  // the simulator's units: modeled bytes, one fragment per message.
   std::atomic<std::uint64_t> remote_msgs_sent_{0};
   std::atomic<std::uint64_t> remote_bytes_sent_{0};
   std::uint64_t remote_msgs_recv_ = 0;

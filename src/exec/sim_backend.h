@@ -27,11 +27,9 @@ class SimBackend final : public Backend {
   BackendKind kind() const override { return BackendKind::kSim; }
   std::uint32_t num_nodes() const override { return machine_.num_nodes(); }
 
-  HandlerId register_handler(std::string name, Handler fn) override {
-    return fm_.register_handler(std::move(name), std::move(fn));
-  }
-  const std::string& handler_name(HandlerId id) const override {
-    return fm_.handler_name(id);
+  HandlerId register_handler(std::string /*name*/, Handler fn,
+                             WireCodec /*codec*/ = {}) override {
+    return fm_.register_handler(std::move(fn));
   }
 
   void send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
@@ -54,16 +52,14 @@ class SimBackend final : public Backend {
     PhaseExec out;
     out.elapsed = machine_.run_phase();
     out.events = machine_.engine().events_processed() - before;
+    out.msgs = fm_.aggregate_stats();
+    out.epilogues = run_epilogues();
     return out;
   }
 
   const NodeStats& node_stats(NodeId node) const override {
     return machine_.node(node).stats();
   }
-  Time idle_time(NodeId node, Time phase_elapsed) const override {
-    return machine_.idle_time(node, phase_elapsed);
-  }
-  MsgStats msg_stats_total() const override { return fm_.aggregate_stats(); }
 
   // One thread runs the whole machine, so its spans go straight into the
   // session's tracer ring; there are no worker shards here.

@@ -21,9 +21,9 @@ FmLayer::FmLayer(sim::Machine& machine)
   begin_phase();
 }
 
-HandlerId FmLayer::register_handler(std::string name, Handler fn) {
+HandlerId FmLayer::register_handler(Handler fn) {
   DPA_CHECK(handlers_.size() < kAckHandler) << "handler table full";
-  handlers_.push_back(Entry{std::move(name), std::move(fn)});
+  handlers_.push_back(std::move(fn));
   return HandlerId(handlers_.size() - 1);
 }
 
@@ -162,7 +162,7 @@ void FmLayer::receive(sim::Cpu& cpu, const Packet& packet, std::uint64_t seq) {
       return;
     }
   }
-  handlers_[packet.handler].fn(cpu, packet);
+  handlers_[packet.handler](cpu, packet);
 }
 
 void FmLayer::arm_retransmit(NodeId src, std::uint64_t seq, Time at) {

@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "exec/types.h"
@@ -57,7 +56,7 @@ class FmLayer {
   FmLayer& operator=(const FmLayer&) = delete;
 
   // Registers a handler (same id on every node). Must happen before sends.
-  HandlerId register_handler(std::string name, Handler fn);
+  HandlerId register_handler(Handler fn);
 
   // Sends from node `src`, called from inside a task running on `src`.
   // Charges send overhead (Work::kComm) per fragment to `cpu`; the message
@@ -73,9 +72,6 @@ class FmLayer {
   // at 1). Nothing may still be in flight.
   void begin_phase();
 
-  const std::string& handler_name(HandlerId id) const {
-    return handlers_[id].name;
-  }
   sim::Machine& machine() { return machine_; }
 
   // Targeted fault injection (deterministic, for tests): silently drop the
@@ -89,11 +85,6 @@ class FmLayer {
   std::uint64_t dropped_messages() const { return dropped_; }
 
  private:
-  struct Entry {
-    std::string name;
-    Handler fn;
-  };
-
   // Handler id of FM's internal acks; register_handler never hands it out.
   static constexpr HandlerId kAckHandler = 0xffff;
 
@@ -118,7 +109,7 @@ class FmLayer {
   void retransmit(sim::Cpu& cpu, NodeId src, std::uint64_t seq);
 
   sim::Machine& machine_;
-  std::vector<Entry> handlers_;
+  std::vector<Handler> handlers_;
   std::vector<FmNodeStats> stats_;
   std::uint64_t sends_seen_ = 0;
   std::uint64_t drop_at_ = 0;  // 0 = disabled

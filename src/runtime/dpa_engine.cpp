@@ -121,9 +121,6 @@ void DpaEngine::require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) {
 void DpaEngine::on_reply(sim::Cpu& cpu, const RefsPayload& reply) {
   const auto& cost = cfg_.cost;
   ++stats_.replies_recv;
-  DPA_TRACE_EVT(trace_,
-                msg_event(obs::Ev::kMsgArrive, obs::MsgCause::kReply, node_,
-                          node_, reply.refs.size(), cpu.logical_now()));
   for (const GlobalRef& ref : reply.refs) {
     cpu.charge(cost.reply_unmarshal_per_obj, sim::Work::kComm);
     auto it = m_.find(ref.addr);

@@ -78,12 +78,14 @@ void EngineBase::send_accum(
                          bytes);
 }
 
+// The arrival paths' [[maybe_unused]] parameters feed only their trace
+// record, which DPA_TRACE=OFF compiles out.
 void EngineBase::serve_accum(sim::Cpu& cpu, NodeId src,
+                             [[maybe_unused]] std::uint32_t bytes,
                              std::shared_ptr<AccumPayload> payload) {
   const auto& cost = cfg_.cost;
   DPA_TRACE_EVT(trace_, msg_event(obs::Ev::kMsgArrive, obs::MsgCause::kAccum,
-                                  node_, node_, payload->items.size(),
-                                  cpu.logical_now()));
+                                  node_, src, bytes, cpu.logical_now()));
   // Arrival-time costs stay on the arrival path (identical modeled timing);
   // the mutations themselves wait for commit_accums() so their order is a
   // sorted, timing-independent function of who sent what.
@@ -166,34 +168,37 @@ void EngineBase::send_request(sim::Cpu& cpu, const GlobalRef& ref) {
   send_request(cpu, ref.home, std::move(req));
 }
 
-void EngineBase::serve_request(sim::Cpu& cpu,
+void EngineBase::serve_request(sim::Cpu& cpu, [[maybe_unused]] NodeId src,
+                               [[maybe_unused]] std::uint32_t bytes,
                                std::shared_ptr<RefsPayload> req) {
   const auto& cost = cfg_.cost;
   const NodeId requester = req->requester;
   ++stats_.requests_served;
   stats_.refs_served += req->refs.size();
-  DPA_TRACE_EVT(trace_,
-                msg_event(obs::Ev::kMsgArrive, obs::MsgCause::kRequest, node_,
-                          requester, req->refs.size(), cpu.logical_now()));
+  DPA_TRACE_EVT(trace_, msg_event(obs::Ev::kMsgArrive, obs::MsgCause::kRequest,
+                                  node_, src, bytes, cpu.logical_now()));
 
-  std::uint32_t bytes = cost.msg_header_bytes;
+  std::uint32_t reply_bytes = cost.msg_header_bytes;
   for (const GlobalRef& ref : req->refs) {
     DPA_DCHECK(ref.home == node_)
         << "request for object homed on " << ref.home << " arrived at node "
         << node_;
     cpu.charge(cost.serve_lookup_per_ref, sim::Work::kComm);
-    bytes += cost.obj_header_bytes + ref.bytes;
+    reply_bytes += cost.obj_header_bytes + ref.bytes;
   }
-  if (h_msg_bytes_ != nullptr) h_msg_bytes_->add(bytes);
+  if (h_msg_bytes_ != nullptr) h_msg_bytes_->add(reply_bytes);
   DPA_TRACE_EVT(trace_,
                 msg_event(obs::Ev::kMsgDepart, obs::MsgCause::kReply, node_,
-                          requester, bytes, cpu.logical_now()));
+                          requester, reply_bytes, cpu.logical_now()));
   cluster_.backend->send(cpu, node_, requester, h_reply_, std::move(req),
-                         bytes);
+                         reply_bytes);
 }
 
-void EngineBase::receive_reply(sim::Cpu& cpu,
+void EngineBase::receive_reply(sim::Cpu& cpu, [[maybe_unused]] NodeId src,
+                               [[maybe_unused]] std::uint32_t bytes,
                                std::shared_ptr<RefsPayload> reply) {
+  DPA_TRACE_EVT(trace_, msg_event(obs::Ev::kMsgArrive, obs::MsgCause::kReply,
+                                  node_, src, bytes, cpu.logical_now()));
   on_reply(cpu, *reply);
   spares_.push_back(std::move(reply));
 }

@@ -160,9 +160,11 @@ class EngineBase {
   // within a phase — updates must commute.
   virtual void accumulate(sim::Cpu& cpu, GlobalRef ref, AccumFn update);
 
-  // Reply arrived for refs this node requested: hands it to on_reply, then
+  // Reply of `bytes` modeled bytes from `src` arrived for refs this node
+  // requested: records the arrival, hands the reply to on_reply, then
   // keeps the payload as a spare for a later request.
-  void receive_reply(sim::Cpu& cpu, std::shared_ptr<RefsPayload> reply);
+  void receive_reply(sim::Cpu& cpu, NodeId src, std::uint32_t bytes,
+                     std::shared_ptr<RefsPayload> reply);
 
   // True once the conc loop completed and all queues drained.
   virtual bool done() const = 0;
@@ -170,14 +172,17 @@ class EngineBase {
   // One-line state summary for deadlock diagnostics.
   virtual std::string state_dump() const = 0;
 
-  // Home side: serve a request message (shared by all engines). The reply
-  // is `req` itself, sent back to its requester.
-  void serve_request(sim::Cpu& cpu, std::shared_ptr<RefsPayload> req);
+  // Home side: serve a request message of `bytes` modeled bytes from
+  // `src` (shared by all engines). The reply is `req` itself, sent back to
+  // its requester.
+  void serve_request(sim::Cpu& cpu, NodeId src, std::uint32_t bytes,
+                     std::shared_ptr<RefsPayload> req);
 
-  // Home side: an accumulation message arrived. Charges the per-item apply
-  // cost now (arrival-time costs are part of the model) but stages the
-  // payload; the updates mutate their objects in commit_accums().
-  void serve_accum(sim::Cpu& cpu, NodeId src,
+  // Home side: an accumulation message of `bytes` modeled bytes from `src`
+  // arrived. Charges the per-item apply cost now (arrival-time costs are
+  // part of the model) but stages the payload; the updates mutate their
+  // objects in commit_accums().
+  void serve_accum(sim::Cpu& cpu, NodeId src, std::uint32_t bytes,
                    std::shared_ptr<AccumPayload> payload);
 
   // Applies every staged accumulation in (src, accum_seq) order. Called by

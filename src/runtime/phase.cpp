@@ -1,5 +1,6 @@
 #include "runtime/phase.h"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string_view>
@@ -132,29 +133,34 @@ PhaseRunner::PhaseRunner(Cluster& cluster, RuntimeConfig cfg)
     arenas_.push_back(std::make_unique<Arena>());
   // Handlers run as tasks on the destination node — on the native backend
   // that is the destination's worker thread, so each touches only its own
-  // engine. Every backend delivers each message exactly once.
+  // engine. Every backend delivers each message exactly once. The codecs
+  // say how each payload crosses a process boundary when src and dst live
+  // in different proc workers (unused elsewhere).
   auto& backend = cluster_.exec();
   h_req_ = backend.register_handler(
-      "rt.request", [this](sim::Cpu& cpu, const fm::Packet& pkt) {
+      "rt.request",
+      [this](sim::Cpu& cpu, const fm::Packet& pkt) {
         engines_[pkt.dst]->serve_request(
-            cpu, std::static_pointer_cast<RefsPayload>(pkt.data));
-      });
+            cpu, pkt.src, pkt.bytes,
+            std::static_pointer_cast<RefsPayload>(pkt.data));
+      },
+      refs_codec());
   h_reply_ = backend.register_handler(
-      "rt.reply", [this](sim::Cpu& cpu, const fm::Packet& pkt) {
+      "rt.reply",
+      [this](sim::Cpu& cpu, const fm::Packet& pkt) {
         engines_[pkt.dst]->receive_reply(
-            cpu, std::static_pointer_cast<RefsPayload>(pkt.data));
-      });
+            cpu, pkt.src, pkt.bytes,
+            std::static_pointer_cast<RefsPayload>(pkt.data));
+      },
+      refs_codec());
   h_accum_ = backend.register_handler(
-      "rt.accum", [this](sim::Cpu& cpu, const fm::Packet& pkt) {
+      "rt.accum",
+      [this](sim::Cpu& cpu, const fm::Packet& pkt) {
         engines_[pkt.dst]->serve_accum(
-            cpu, pkt.src, std::static_pointer_cast<AccumPayload>(pkt.data));
-      });
-  // Byte codecs for the multi-process backend (no-ops elsewhere): how each
-  // payload crosses a process boundary when src and dst live in different
-  // workers.
-  backend.set_wire_codec(h_req_, refs_codec());
-  backend.set_wire_codec(h_reply_, refs_codec());
-  backend.set_wire_codec(h_accum_, accum_codec());
+            cpu, pkt.src, pkt.bytes,
+            std::static_pointer_cast<AccumPayload>(pkt.data));
+      },
+      accum_codec());
 }
 
 std::unique_ptr<EngineBase> PhaseRunner::make_engine(NodeId node) {
@@ -222,14 +228,18 @@ PhaseResult PhaseRunner::run(std::vector<NodeWork> work,
   const exec::PhaseExec pe = backend.run_phase();
   result.elapsed = pe.elapsed;
   result.sim_events = pe.events;
+  result.fm_total = pe.msgs;
+  result.wire = pe.wire;
   if (cluster_.obs != nullptr)
     cluster_.obs->tracer.phase_end(name, phase_start + result.elapsed);
 
-  // Collect the per-node epilogue blobs: computed inline right here on
-  // single-process backends, shipped from the owning workers on the
+  // Decode the per-node epilogue blobs: computed at the end of run_phase()
+  // on single-process backends, shipped from the owning workers on the
   // multi-process one. An empty blob means the owning process died before
   // the phase barrier.
-  const std::vector<std::string> blobs = backend.collect_epilogues(n);
+  const std::vector<std::string>& blobs = pe.epilogues;
+  DPA_CHECK(blobs.size() == n) << "phase record holds " << blobs.size()
+                               << " epilogue blobs for " << n << " nodes";
   result.completed = true;
   std::ostringstream diag;
   std::vector<RtNodeStats> node_rt(n);
@@ -249,9 +259,9 @@ PhaseResult PhaseRunner::run(std::vector<NodeWork> work,
            << "\n";
     }
   }
-  if (const std::string bd = backend.phase_diagnostics(); !bd.empty()) {
+  if (!pe.diagnostics.empty()) {
     result.completed = false;
-    diag << bd << "\n";
+    diag << pe.diagnostics << "\n";
   }
   result.diagnostics = diag.str();
 
@@ -263,7 +273,7 @@ PhaseResult PhaseRunner::run(std::vector<NodeWork> work,
     nb.runtime = proc.busy[int(sim::Work::kRuntime)];
     nb.comm = proc.busy[int(sim::Work::kComm)];
     nb.busy_total = proc.busy_total;
-    nb.idle = backend.idle_time(i, result.elapsed);
+    nb.idle = std::max<Time>(0, result.elapsed - proc.busy_total);
     result.rt.absorb(node_rt[i]);
   }
   const sim::FaultInjector* injector = nullptr;
@@ -272,7 +282,6 @@ PhaseResult PhaseRunner::run(std::vector<NodeWork> work,
     injector = m->network().injector();
     if (injector != nullptr) result.faults = injector->stats();
   }
-  result.fm_total = backend.msg_stats_total();
 
   if (cluster_.obs != nullptr) {
     auto& m = cluster_.obs->metrics;
@@ -281,11 +290,11 @@ PhaseResult PhaseRunner::run(std::vector<NodeWork> work,
     if (backend.kind() == exec::BackendKind::kProc) {
       // Real bytes on the socketpair fabric, merged across all worker
       // processes.
-      const exec::WireStats wt = backend.wire_stats_total();
-      *m.counter("transport.wire_frames_sent") += wt.frames_sent;
-      *m.counter("transport.wire_frames_recv") += wt.frames_recv;
-      *m.counter("transport.wire_bytes_sent") += wt.bytes_sent;
-      *m.counter("transport.wire_payloads_recv") += wt.payloads_recv;
+      *m.counter("transport.wire_frames_sent") += result.wire.frames_sent;
+      *m.counter("transport.wire_frames_recv") += result.wire.frames_recv;
+      *m.counter("transport.wire_bytes_sent") += result.wire.bytes_sent;
+      *m.counter("transport.wire_payloads_recv") +=
+          result.wire.payloads_recv;
     }
     if (backend.is_sim()) {
       *m.counter("sim.events") += result.sim_events;
@@ -299,10 +308,9 @@ PhaseResult PhaseRunner::run(std::vector<NodeWork> work,
       // trains), condvar parks taken by idle workers, and whole-node
       // steals/activations from the M:N worker pool.
       *m.counter("exec.trains") += result.fm_total.trains_sent;
-      const exec::SchedStats sched = backend.sched_stats();
-      *m.counter("exec.parks") += sched.parks;
-      *m.counter("exec.steals") += sched.steals;
-      *m.counter("exec.activations") += sched.activations;
+      *m.counter("exec.parks") += pe.sched.parks;
+      *m.counter("exec.steals") += pe.sched.steals;
+      *m.counter("exec.activations") += pe.sched.activations;
       // Drain the per-worker wall-clock profiles (task service time,
       // mailbox-lock wait, train occupancy, park duration, queue depth)
       // into the registry. Safe here: run_phase() returned, workers are

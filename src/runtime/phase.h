@@ -34,6 +34,7 @@ struct PhaseResult {
   sim::NetStats net;       // sim backend only (zero on native)
   sim::FaultStats faults;  // zero on a reliable (fault-free) network
   fm::FmNodeStats fm_total;
+  exec::WireStats wire;  // proc backend's socket frames (zero elsewhere)
   // Substrate progress units: discrete events processed (sim) or node
   // tasks executed (native).
   std::uint64_t sim_events = 0;

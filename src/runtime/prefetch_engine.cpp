@@ -132,9 +132,6 @@ void PrefetchEngine::on_reply(sim::Cpu& cpu, const RefsPayload& reply) {
   cpu.charge(cfg_.cost.reply_unmarshal_per_obj, sim::Work::kComm);
   cpu.charge(cfg_.cost.cache_insert, sim::Work::kRuntime);
   stats_.outstanding_refs.add(-1);
-  DPA_TRACE_EVT(trace_,
-                msg_event(obs::Ev::kMsgArrive, obs::MsgCause::kReply, node_,
-                          node_, reply.refs.size(), cpu.logical_now()));
   inflight_.erase(ref.addr);
   cache_.insert(ref.addr);
   if (waiting_ && waiting_addr_ == ref.addr) {

@@ -106,9 +106,6 @@ void SyncEngine::on_reply(sim::Cpu& cpu, const RefsPayload& reply) {
       << "sync engine got an unexpected reply on node " << node_;
   cpu.charge(cfg_.cost.reply_unmarshal_per_obj, sim::Work::kComm);
   stats_.outstanding_refs.add(-1);
-  DPA_TRACE_EVT(trace_,
-                msg_event(obs::Ev::kMsgArrive, obs::MsgCause::kReply, node_,
-                          node_, reply.refs.size(), cpu.logical_now()));
   if (use_cache_) cache_insert(cpu, wait_ref_.addr);
   waiting_ = false;
   ThreadFn fn = std::move(wait_fn_);

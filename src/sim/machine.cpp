@@ -95,10 +95,4 @@ void Machine::set_trace(obs::EventSink* sink) {
   network_.set_trace(sink);
 }
 
-Time Machine::idle_time(NodeId id, Time phase_elapsed) const {
-  const auto& st = nodes_[id]->stats();
-  const Time idle = phase_elapsed - st.busy_total;
-  return idle > 0 ? idle : 0;
-}
-
 }  // namespace dpa::sim

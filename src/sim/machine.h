@@ -83,9 +83,6 @@ class Machine {
 
   Time phase_start() const { return phase_start_; }
 
-  // Per-node idle time for the last completed phase: elapsed - busy.
-  Time idle_time(NodeId id, Time phase_elapsed) const;
-
   // Attaches a trace sink that records every task that charged time as a
   // kTask span and every wire flight as a kWire span (nullptr detaches).
   void set_trace(obs::EventSink* sink);

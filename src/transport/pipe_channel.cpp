@@ -23,30 +23,16 @@ void set_nonblocking(int fd) {
 
 }  // namespace
 
-PipeChannel::PipeChannel(std::uint32_t num_nodes, std::uint32_t train_max)
-    : train_max_(train_max), srcs_(num_nodes) {
-  DPA_CHECK(train_max_ > 0);
-  for (auto& s : srcs_) s.train.resize(num_nodes);
-  DPA_CHECK(socketpair(AF_UNIX, SOCK_STREAM, 0, fds_) == 0)
-      << "socketpair: " << std::strerror(errno);
-  set_nonblocking(fds_[0]);
-  set_nonblocking(fds_[1]);
-}
-
 PipeChannel::PipeChannel(std::uint32_t num_nodes, std::uint32_t train_max,
                          Endpoint ep)
-    : train_max_(train_max), srcs_(num_nodes) {
+    : train_max_(train_max), srcs_(num_nodes), fd_(ep.fd) {
   DPA_CHECK(train_max_ > 0);
-  DPA_CHECK(ep.fd >= 0) << "endpoint PipeChannel needs a valid fd";
+  DPA_CHECK(fd_ >= 0) << "PipeChannel needs a valid fd";
   for (auto& s : srcs_) s.train.resize(num_nodes);
-  fds_[0] = fds_[1] = ep.fd;  // duplex: write and read the same socket
-  set_nonblocking(ep.fd);
+  set_nonblocking(fd_);
 }
 
-PipeChannel::~PipeChannel() {
-  if (fds_[0] >= 0) close(fds_[0]);
-  if (fds_[1] >= 0 && fds_[1] != fds_[0]) close(fds_[1]);
-}
+PipeChannel::~PipeChannel() { close(fd_); }
 
 void PipeChannel::send(NodeId src, NodeId dst, std::uint16_t tag,
                        std::vector<std::uint8_t> bytes) {
@@ -66,10 +52,9 @@ void PipeChannel::flush_dest(NodeId src, NodeId dst) {
   if (tr.empty()) return;
   DPA_DCHECK(s.pending >= tr.size());
   s.pending -= std::uint32_t(tr.size());
-  ++s.trains;
   std::vector<std::uint8_t> frame;
-  encode_frame(src, dst, epoch_, mark_control_ ? kFrameFlagControl : 0, tr,
-               &frame);
+  encode_frame(src, dst, /*epoch=*/0, mark_control_ ? kFrameFlagControl : 0,
+               tr, &frame);
   tr.clear();
   ++stats_.frames_sent;
   stats_.bytes_sent += frame.size();
@@ -99,7 +84,7 @@ std::size_t PipeChannel::pump() {
     // as EPIPE -> kPeerDown, not as a process-killing SIGPIPE.
     while (!tx_.empty()) {
       const auto& f = tx_.front();
-      const ssize_t n = ::send(fds_[0], f.data() + tx_off_,
+      const ssize_t n = ::send(fd_, f.data() + tx_off_,
                                f.size() - tx_off_, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
@@ -122,7 +107,7 @@ std::size_t PipeChannel::pump() {
     // the peer closed its half — also kPeerDown, never an abort.
     while (!peer_down_) {
       std::uint8_t buf[65536];
-      const ssize_t n = ::read(fds_[1], buf, sizeof(buf));
+      const ssize_t n = ::read(fd_, buf, sizeof(buf));
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == ECONNRESET) {
@@ -175,11 +160,11 @@ std::size_t PipeChannel::pump() {
 }
 
 void PipeChannel::drain() {
-  // Every pump with a non-empty backlog makes progress (a full kernel
-  // buffer is drained by our own read side in the same call), so this
-  // terminates once the wire is quiet and all deliveries ran. A dead peer
-  // ends the loop too — nothing we still hold can ever depart, and
-  // spinning on an undeliverable backlog would hang the caller.
+  // Pumps until the backlog is on the wire and a pump delivers nothing.
+  // Each pump writes what the kernel buffer takes; the rest leaves as the
+  // peer reads, so this returns once a live peer has taken every byte. A
+  // dead peer ends the loop at once — it will never read what we still
+  // hold, and spinning on an undeliverable backlog would hang the caller.
   while (!peer_down_ && (pump() > 0 || !tx_.empty())) {
   }
 }

@@ -1,15 +1,12 @@
-// PipeChannel: message trains as encoded frames over a byte stream — a
-// non-blocking AF_UNIX socketpair().
+// PipeChannel: message trains as encoded frames over a byte stream — one
+// end of a non-blocking AF_UNIX socketpair() whose other end lives in
+// another process (the multi-process backend's data and control links;
+// the tests hold both ends in one process).
 //
 // Every train a node flushes is encoded into one frame (transport/frame.h),
-// written to the socket, read back on the other side, reassembled from the
+// written to the socket, read on the other end, reassembled from the
 // byte stream, decoded, and delivered payload by payload. The frame
-// header's src/dst route delivery. Two modes:
-//   * loopback: the channel owns both halves of one socketpair, so every
-//     node shares one stream (the tests' configuration);
-//   * endpoint: the channel adopts one half of a socketpair whose other
-//     half lives in another process (the multi-process backend's data and
-//     control links).
+// header's src/dst route delivery; its epoch is always 0.
 //
 // A stream socket between live processes neither drops, duplicates nor
 // reorders bytes, so the channel runs no sequence/ack protocol: what is
@@ -21,8 +18,8 @@
 //   * pump() writes as much backlog as the kernel buffer takes (partial
 //     writes resume mid-frame), then reads everything available,
 //     decodes complete frames from the reassembly buffer, and delivers.
-// Writes never block, so the loop makes progress as long as someone keeps
-// pumping — which is what the caller's poll() loop is.
+// Writes never block, so the link makes progress as long as both ends keep
+// pumping — which is what their owners' poll() loops do.
 #pragma once
 
 #include <cstdint>
@@ -50,13 +47,9 @@ using FrameDeliverFn =
 
 class PipeChannel {
  public:
-  // Loopback mode: one in-process socketpair carries every node's trains.
-  PipeChannel(std::uint32_t num_nodes, std::uint32_t train_max);
-
-  // Endpoint mode: adopt one duplex fd (our half of a socketpair whose
-  // other half lives in a different process). Writes and reads both use
-  // `fd`; the channel owns it and closes it on destruction. This is the
-  // multi-process transport: each worker holds one PipeChannel per peer.
+  // Adopts one duplex fd: our half of a socketpair. Writes and reads both
+  // use it; the channel owns it and closes it on destruction. Each proc
+  // worker holds one PipeChannel per peer.
   struct Endpoint {
     int fd = -1;
   };
@@ -67,8 +60,6 @@ class PipeChannel {
   PipeChannel(const PipeChannel&) = delete;
   PipeChannel& operator=(const PipeChannel&) = delete;
 
-  // Frames carry the phase epoch; the phase driver stamps it.
-  void set_epoch(std::uint64_t epoch) { epoch_ = epoch; }
   // Marks every frame this channel sends as a control frame
   // (kFrameFlagControl) — used by the multi-process coordinator's
   // termination-protocol channel, whose traffic a prioritizing transport
@@ -100,9 +91,6 @@ class PipeChannel {
     return peer_down_ ? ChannelStatus::kPeerDown : ChannelStatus::kOk;
   }
 
-  // Trains (= frames) src has handed off since construction.
-  std::uint64_t trains_sent(NodeId src) const { return srcs_[src].trains; }
-
   // Forces everything queued onto the wire and drains until no progress:
   // the phase-end barrier.
   void drain();
@@ -112,28 +100,23 @@ class PipeChannel {
 
   // The fd arrivals land on — what a multi-process event loop hands to
   // poll(2) to sleep until this channel has bytes to read.
-  int wire_fd() const { return fds_[1]; }
+  int wire_fd() const { return fd_; }
 
  private:
   struct SrcState {
     std::vector<std::vector<FramePayload>> train;
     std::uint32_t pending = 0;
-    std::uint64_t trains = 0;
   };
 
   void flush_dest(NodeId src, NodeId dst);
   std::size_t pump();
 
   std::uint32_t train_max_;
-  std::uint64_t epoch_ = 0;
   bool mark_control_ = false;
   std::vector<SrcState> srcs_;
   FrameDeliverFn deliver_;
 
-  // Loopback mode: [0] write end, [1] read end of an in-process
-  // socketpair. Endpoint mode: both entries hold the one adopted duplex
-  // fd (guarded against double-close in the destructor).
-  int fds_[2] = {-1, -1};
+  int fd_ = -1;
   bool peer_down_ = false;  // EPIPE/ECONNRESET on write or EOF on read
   std::deque<std::vector<std::uint8_t>> tx_;  // encoded frames awaiting write
   std::size_t tx_off_ = 0;                    // partial-write offset in front

@@ -89,7 +89,6 @@ TEST(NativeBackend, MessagesCrossThreadsAndStatsAdd) {
         pgot[pkt.dst].fetch_add(p->from + 1, std::memory_order_relaxed);
         cpu.charge(100, exec::Work::kComm);
       });
-  EXPECT_EQ(backend->handler_name(h), "test.ring");
 
   backend->begin_phase();
   auto* b = backend.get();
@@ -114,10 +113,9 @@ TEST(NativeBackend, MessagesCrossThreadsAndStatsAdd) {
     EXPECT_EQ(st.busy[int(exec::Work::kComm)], 100);
     EXPECT_GT(st.busy_total, 0);  // real nanoseconds
   }
-  const exec::MsgStats total = backend->msg_stats_total();
-  EXPECT_EQ(total.msgs_sent, std::uint64_t(kNodes));
-  EXPECT_EQ(total.msgs_recv, std::uint64_t(kNodes));
-  EXPECT_EQ(total.bytes_sent, 64u * kNodes);
+  EXPECT_EQ(pe.msgs.msgs_sent, std::uint64_t(kNodes));
+  EXPECT_EQ(pe.msgs.msgs_recv, std::uint64_t(kNodes));
+  EXPECT_EQ(pe.msgs.bytes_sent, 64u * kNodes);
   EXPECT_EQ(pe.elapsed, backend->begin_phase());  // clock advanced by phase
 }
 
@@ -183,11 +181,10 @@ TEST(NativeBackend, TrainsPreservePerDestinationFifo) {
     for (std::uint32_t i = 0; i < kMsgs; ++i)
       b->send(cpu, 0, 1, h, std::make_shared<std::uint32_t>(i), 8);
   });
-  backend->run_phase();
+  const exec::MsgStats total = backend->run_phase().msgs;
 
   ASSERT_EQ(order.size(), std::size_t(kMsgs));
   for (std::uint32_t i = 0; i < kMsgs; ++i) EXPECT_EQ(order[i], i);
-  const exec::MsgStats total = backend->msg_stats_total();
   EXPECT_EQ(total.msgs_sent, std::uint64_t(kMsgs));
   // 100 messages at train_max=16: six full trains mid-task plus the dry
   // flush of the remainder — never one lock per message.
@@ -220,10 +217,10 @@ TEST(NativeBackend, FlushHookDrainsTrainsOnDemand) {
       b->flush(cpu, 0);
     }
   });
-  backend->run_phase();
+  const exec::PhaseExec flushed = backend->run_phase();
 
   EXPECT_EQ(got.load(), kMsgs);
-  EXPECT_EQ(backend->msg_stats_total().trains_sent, std::uint64_t(kMsgs));
+  EXPECT_EQ(flushed.msgs.trains_sent, std::uint64_t(kMsgs));
 
   // A second phase without explicit flushes: the dry-flush backstop moves
   // everything in one train.
@@ -232,9 +229,9 @@ TEST(NativeBackend, FlushHookDrainsTrainsOnDemand) {
     for (int i = 0; i < kMsgs; ++i)
       b->send(cpu, 0, 1, h, std::make_shared<int>(i), 8);
   });
-  backend->run_phase();
+  const exec::PhaseExec dry = backend->run_phase();
   EXPECT_EQ(got.load(), 2 * kMsgs);
-  EXPECT_EQ(backend->msg_stats_total().trains_sent, 1u);
+  EXPECT_EQ(dry.msgs.trains_sent, 1u);
 }
 
 TEST(NativeBackend, OversubscribedNodesParkAndStillQuiesce) {
@@ -286,8 +283,7 @@ TEST(NativeBackend, OversubscribedNodesParkAndStillQuiesce) {
   backend->post(0, [](exec::Cpu&) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   });
-  backend->run_phase();
-  EXPECT_GT(backend->sched_stats().parks, 0u);
+  EXPECT_GT(backend->run_phase().sched.parks, 0u);
 }
 
 TEST(NativeBackend, WorkerPoolSizeResolvesFromTuningAndDefaults) {
@@ -350,11 +346,11 @@ TEST(NativeBackend, StealMovesWholeNodesAndPreservesMailboxFifo) {
       done.fetch_add(1, std::memory_order_release);
     });
   }
-  backend.run_phase();
+  const exec::PhaseExec pe = backend.run_phase();
 
   ASSERT_EQ(order.size(), std::size_t(kMsgs));
   for (std::uint32_t i = 0; i < kMsgs; ++i) EXPECT_EQ(order[i], i);
-  EXPECT_GE(backend.sched_stats().steals, 1u);
+  EXPECT_GE(pe.sched.steals, 1u);
   // The thief ran the node, so the node's placement followed it.
   EXPECT_EQ(backend.last_worker(2), 1);
   EXPECT_EQ(backend.affinity_of(2), 1u);
@@ -384,7 +380,7 @@ TEST(NativeBackend, AffinityReactivationLandsOnOwningWorker) {
   for (int phase = 0; phase < 2; ++phase) {
     backend.begin_phase();
     backend.post(1, [b, h](exec::Cpu& cpu) { b->send(cpu, 1, 3, h, nullptr, 8); });
-    backend.run_phase();
+    const exec::PhaseExec pe = backend.run_phase();
     // Nodes 1 and 3 re-activated kRounds times between them; both have
     // affinity worker 1 (id % 2) and stealing is off, so every activation
     // must have landed there.
@@ -392,7 +388,7 @@ TEST(NativeBackend, AffinityReactivationLandsOnOwningWorker) {
     EXPECT_EQ(backend.last_worker(3), 1) << "phase " << phase;
     EXPECT_EQ(backend.affinity_of(1), 1u);
     EXPECT_EQ(backend.affinity_of(3), 1u);
-    EXPECT_EQ(backend.sched_stats().steals, 0u);
+    EXPECT_EQ(pe.sched.steals, 0u);
     bounces.store(0);
   }
   // Nodes 0 and 2 never ran at all.
@@ -450,9 +446,8 @@ TEST(NativeBackend, QuiescenceStaysExactWhileStealsAreInFlight) {
         std::this_thread::yield();
     });
     backend.post(4, [spawner](exec::Cpu&) { spawner(kDepth, 4); });
-    backend.run_phase();
+    steals += backend.run_phase().sched.steals;
     EXPECT_EQ(ran.load(), kExpected) << "phase " << phase;
-    steals += backend.sched_stats().steals;
   }
   EXPECT_GE(steals, 3u);  // at least the forced steal, every phase
 }
@@ -498,10 +493,10 @@ TEST(NativeBackend, WatchdogStaysQuietWhileStolenNodeMakesProgress) {
       std::this_thread::yield();
   });
   backend.post(2, [b, &done](exec::Cpu&) { Trickle{b, &done}(0); });
-  backend.run_phase();
+  const exec::PhaseExec pe = backend.run_phase();
 
   EXPECT_EQ(done.load(), kTasks);
-  EXPECT_GE(backend.sched_stats().steals, 1u);
+  EXPECT_GE(pe.sched.steals, 1u);
   EXPECT_EQ(backend.last_worker(2), 1);
   EXPECT_FALSE(backend.watchdog_fired());
 }

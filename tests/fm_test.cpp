@@ -36,11 +36,10 @@ TEST(Fm, DeliversToHandlerWithPayload) {
   FmLayer fm(m);
   int got = -1;
   NodeId got_src = 99;
-  const HandlerId h = fm.register_handler(
-      "test", [&](Cpu&, const Packet& pkt) {
-        got = static_cast<IntPayload*>(pkt.data.get())->value;
-        got_src = pkt.src;
-      });
+  const HandlerId h = fm.register_handler([&](Cpu&, const Packet& pkt) {
+    got = static_cast<IntPayload*>(pkt.data.get())->value;
+    got_src = pkt.src;
+  });
   m.node(0).post([&](Cpu& cpu) {
     fm.send(cpu, 0, 1, h, std::make_shared<IntPayload>(IntPayload{42}), 16);
   });
@@ -52,7 +51,7 @@ TEST(Fm, DeliversToHandlerWithPayload) {
 TEST(Fm, ChargesSendAndRecvOverheads) {
   Machine m(2, test_params());
   FmLayer fm(m);
-  const HandlerId h = fm.register_handler("noop", [](Cpu&, const Packet&) {});
+  const HandlerId h = fm.register_handler([](Cpu&, const Packet&) {});
   m.node(0).post([&](Cpu& cpu) { fm.send(cpu, 0, 1, h, nullptr, 16); });
   m.engine().run();
   EXPECT_EQ(m.node(0).stats().busy[int(Work::kComm)], 100);
@@ -64,7 +63,7 @@ TEST(Fm, HandlerRunsAtArrivalTime) {
   FmLayer fm(m);
   Time handler_time = -1;
   const HandlerId h = fm.register_handler(
-      "t", [&](Cpu& cpu, const Packet&) { handler_time = cpu.logical_now(); });
+      [&](Cpu& cpu, const Packet&) { handler_time = cpu.logical_now(); });
   m.node(0).post([&](Cpu& cpu) {
     cpu.charge(500);  // message departs at sender logical time
     fm.send(cpu, 0, 1, h, nullptr, 100);
@@ -80,7 +79,7 @@ TEST(Fm, SegmentsPayloadsLargerThanMtu) {
   FmLayer fm(m);
   int deliveries = 0;
   const HandlerId h =
-      fm.register_handler("seg", [&](Cpu&, const Packet&) { ++deliveries; });
+      fm.register_handler([&](Cpu&, const Packet&) { ++deliveries; });
   m.node(0).post([&](Cpu& cpu) { fm.send(cpu, 0, 1, h, nullptr, 1000); });
   m.engine().run();
   EXPECT_EQ(deliveries, 1);  // handler fires once, on the last fragment
@@ -99,7 +98,7 @@ TEST(Fm, SegmentedDeliveryWaitsForLastFragment) {
   FmLayer fm(m);
   Time delivered_at = -1;
   const HandlerId h = fm.register_handler(
-      "seg", [&](Cpu&, const Packet&) { delivered_at = m.engine().now(); });
+      [&](Cpu&, const Packet&) { delivered_at = m.engine().now(); });
   m.node(0).post([&](Cpu& cpu) { fm.send(cpu, 0, 1, h, nullptr, 512); });
   m.engine().run();
   // Two 256B fragments. Frag 1 injects at t=100 (after its send overhead)
@@ -113,7 +112,7 @@ TEST(Fm, ZeroByteMessageStillOneFragment) {
   FmLayer fm(m);
   int deliveries = 0;
   const HandlerId h =
-      fm.register_handler("z", [&](Cpu&, const Packet&) { ++deliveries; });
+      fm.register_handler([&](Cpu&, const Packet&) { ++deliveries; });
   m.node(0).post([&](Cpu& cpu) { fm.send(cpu, 0, 1, h, nullptr, 0); });
   m.engine().run();
   EXPECT_EQ(deliveries, 1);
@@ -123,7 +122,7 @@ TEST(Fm, ZeroByteMessageStillOneFragment) {
 TEST(Fm, StatsPerNodeAndAggregate) {
   Machine m(3, test_params());
   FmLayer fm(m);
-  const HandlerId h = fm.register_handler("s", [](Cpu&, const Packet&) {});
+  const HandlerId h = fm.register_handler([](Cpu&, const Packet&) {});
   m.node(0).post([&](Cpu& cpu) {
     fm.send(cpu, 0, 1, h, nullptr, 10);
     fm.send(cpu, 0, 2, h, nullptr, 20);
@@ -143,7 +142,7 @@ TEST(Fm, StatsPerNodeAndAggregate) {
 TEST(Fm, BeginPhaseClearsStats) {
   Machine m(2, test_params());
   FmLayer fm(m);
-  const HandlerId h = fm.register_handler("s", [](Cpu&, const Packet&) {});
+  const HandlerId h = fm.register_handler([](Cpu&, const Packet&) {});
   m.node(0).post([&](Cpu& cpu) { fm.send(cpu, 0, 1, h, nullptr, 10); });
   m.engine().run();
   fm.begin_phase();
@@ -163,7 +162,7 @@ TEST(Fm, LoopbackSendDeliversToSelf) {
   FmLayer fm(m);
   int got = 0;
   const HandlerId h =
-      fm.register_handler("self", [&](Cpu&, const Packet&) { ++got; });
+      fm.register_handler([&](Cpu&, const Packet&) { ++got; });
   m.node(0).post([&](Cpu& cpu) { fm.send(cpu, 0, 0, h, nullptr, 8); });
   m.engine().run();
   EXPECT_EQ(got, 1);  // loopback still pays the wire (FM semantics)
@@ -180,7 +179,7 @@ TEST(Fm, TargetedDropIsLostForGood) {
   FmLayer fm(m);
   int deliveries = 0;
   const HandlerId h =
-      fm.register_handler("d", [&](Cpu&, const Packet&) { ++deliveries; });
+      fm.register_handler([&](Cpu&, const Packet&) { ++deliveries; });
   fm.drop_nth_message(1);
   m.node(0).post([&](Cpu& cpu) { fm.send(cpu, 0, 1, h, nullptr, 600); });
   m.engine().run();
@@ -203,7 +202,7 @@ TEST(Fm, LossyFabricDeliversEachMessageExactlyOnce) {
   FmLayer fm(m);
   std::vector<int> got(20, 0);
   const HandlerId h =
-      fm.register_handler("d", [&](Cpu&, const Packet& pkt) {
+      fm.register_handler([&](Cpu&, const Packet& pkt) {
         ++got[static_cast<IntPayload*>(pkt.data.get())->value];
       });
   m.node(0).post([&](Cpu& cpu) {
@@ -226,7 +225,7 @@ TEST(Fm, DuplicatedMessageDeliversOnce) {
   FmLayer fm(m);
   int deliveries = 0;
   const HandlerId h =
-      fm.register_handler("d", [&](Cpu&, const Packet&) { ++deliveries; });
+      fm.register_handler([&](Cpu&, const Packet&) { ++deliveries; });
   m.node(0).post([&](Cpu& cpu) { fm.send(cpu, 0, 1, h, nullptr, 16); });
   m.engine().run();
   EXPECT_EQ(deliveries, 1);
@@ -250,7 +249,7 @@ TEST(Fm, SegmentedDuplicateDeliversOnce) {
   FmLayer fm(m);
   int deliveries = 0;
   const HandlerId h =
-      fm.register_handler("d", [&](Cpu&, const Packet&) { ++deliveries; });
+      fm.register_handler([&](Cpu&, const Packet&) { ++deliveries; });
   m.node(0).post([&](Cpu& cpu) { fm.send(cpu, 0, 1, h, nullptr, 1000); });
   m.engine().run();
   EXPECT_EQ(deliveries, 1);
@@ -264,7 +263,7 @@ TEST(FmDeathTest, GivesUpWhenEveryCopyIsLost) {
   p.faults.drop = 1.0;
   Machine m(2, p);
   FmLayer fm(m);
-  const HandlerId h = fm.register_handler("d", [](Cpu&, const Packet&) {});
+  const HandlerId h = fm.register_handler([](Cpu&, const Packet&) {});
   m.node(0).post([&](Cpu& cpu) { fm.send(cpu, 0, 1, h, nullptr, 16); });
   EXPECT_DEATH(m.engine().run(), "gave up on seq 1 to node 1");
 }
@@ -283,7 +282,7 @@ TEST(Fm, MessagesBetweenManyNodesAllArrive) {
   FmLayer fm(m);
   int count = 0;
   const HandlerId h =
-      fm.register_handler("c", [&](Cpu&, const Packet&) { ++count; });
+      fm.register_handler([&](Cpu&, const Packet&) { ++count; });
   for (NodeId i = 0; i < 8; ++i) {
     m.node(i).post([&, i](Cpu& cpu) {
       for (NodeId j = 0; j < 8; ++j)

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/em3d/em3d.h"
@@ -464,12 +466,19 @@ TEST(ObsIntegration, PhaseCountersEqualRtTotals) {
   std::vector<rt::NodeWork> work(2);
   work[0].count = 32;
   work[0].item = [&objs](rt::Ctx& ctx, std::uint64_t i) {
-    ctx.require(objs[std::size_t(i)],
-                [](rt::Ctx& c, const Obj&) { c.charge(500); });
+    // Read one remote object, then add to the next one at its home: remote
+    // requests, replies and accumulates all cross the wire.
+    const gas::GPtr<Obj> next = objs[std::size_t(i + 1) % objs.size()];
+    ctx.require(objs[std::size_t(i)], [next](rt::Ctx& c, const Obj&) {
+      c.charge(500);
+      c.accumulate(next, [](Obj& o) { o.v += 1.0; });
+    });
   };
   rt::PhaseRunner runner(cluster, rt::RuntimeConfig::dpa(8));
   const auto r = runner.run(std::move(work), "unit.phase");
   ASSERT_TRUE(r.completed);
+  EXPECT_GT(r.rt.accum_msgs, 0u);
+  for (const auto& o : objs) EXPECT_EQ(o.addr->v, 2.0);
 
   const auto& m = session.metrics;
   // Every rt.* counter in the snapshot equals the phase's hand-summed total.
@@ -494,12 +503,22 @@ TEST(ObsIntegration, PhaseCountersEqualRtTotals) {
     bool phase_begin = false, thread_created = false, tile_dispatched = false;
     std::vector<sim::Time> busy(2, 0);
     std::uint64_t wires = 0;
+    // Each runtime message as (cause, src, dst, bytes): an arrive names its
+    // sender as peer and carries the size its depart did, so with nothing
+    // dropped the two multisets are equal.
+    using Msg = std::tuple<obs::MsgCause, sim::NodeId, sim::NodeId,
+                           std::uint64_t>;
+    std::multiset<Msg> departs, arrives;
     for (const auto& ev : session.tracer.snapshot()) {
       phase_begin |= ev.kind == obs::Ev::kPhaseBegin;
       thread_created |= ev.kind == obs::Ev::kThreadCreated;
       tile_dispatched |= ev.kind == obs::Ev::kTileDispatched;
       if (ev.kind == obs::Ev::kTask) busy[ev.node] += ev.end - ev.at;
       wires += ev.kind == obs::Ev::kWire;
+      if (ev.kind == obs::Ev::kMsgDepart)
+        departs.emplace(ev.cause, ev.node, ev.peer, ev.arg);
+      if (ev.kind == obs::Ev::kMsgArrive)
+        arrives.emplace(ev.cause, ev.peer, ev.node, ev.arg);
     }
     EXPECT_TRUE(phase_begin);
     EXPECT_TRUE(thread_created);
@@ -509,6 +528,9 @@ TEST(ObsIntegration, PhaseCountersEqualRtTotals) {
       EXPECT_EQ(busy[n], r.nodes[n].busy_total) << "node " << n;
     EXPECT_GT(wires, 0u);
     EXPECT_EQ(wires, r.net.messages);
+    EXPECT_EQ(departs.size(),
+              r.rt.request_msgs + r.rt.requests_served + r.rt.accum_msgs);
+    EXPECT_EQ(arrives, departs);
   } else {
     EXPECT_EQ(session.tracer.recorded(), 0u);
   }

@@ -65,9 +65,10 @@ struct RingVal {
   double v = 0;
 };
 
-rt::PhaseResult run_ring_phase(std::vector<double>* out,
-                               exec::WireStats* wire = nullptr) {
-  rt::Cluster cluster(4, exec::BackendKind::kProc);
+rt::PhaseResult run_ring_phase(
+    std::vector<double>* out,
+    exec::BackendKind kind = exec::BackendKind::kProc) {
+  rt::Cluster cluster(4, kind);
   rt::PhaseRunner runner(cluster, rt::RuntimeConfig::dpa(32));
 
   std::vector<gas::GPtr<RingVal>> ptrs;
@@ -84,7 +85,6 @@ rt::PhaseResult run_ring_phase(std::vector<double>* out,
     };
   }
   const rt::PhaseResult r = runner.run(std::move(work), "ring");
-  if (wire != nullptr) *wire = cluster.exec().wire_stats_total();
   if (out != nullptr) {
     out->clear();
     for (const auto& p : ptrs) out->push_back(p.addr->v);
@@ -114,12 +114,44 @@ TEST(ProcBackend, RingPhaseFramesCarryOnlyApplicationPayloads) {
   exec::ProcBackend::Config cfg;
   cfg.procs = 2;
   const ScopedProcConfig guard(cfg);
-  exec::WireStats wire;
-  const rt::PhaseResult r = run_ring_phase(nullptr, &wire);
+  const rt::PhaseResult r = run_ring_phase(nullptr);
   ASSERT_TRUE(r.completed) << r.diagnostics;
-  EXPECT_EQ(wire.payloads_recv, 8u);
-  EXPECT_EQ(wire.frames_recv, wire.frames_sent);
-  EXPECT_GT(wire.frames_sent, 0u);
+  EXPECT_EQ(r.wire.payloads_recv, 8u);
+  EXPECT_EQ(r.wire.frames_recv, r.wire.frames_sent);
+  EXPECT_GT(r.wire.frames_sent, 0u);
+}
+
+TEST(ProcBackend, RingPhaseCountsMessagesLikeTheOtherBackends) {
+  // The same 8 ring messages (4 requests, 4 replies) on all three
+  // backends: proc counts its cross-process messages in the simulator's
+  // units (modeled bytes, one fragment each), so the records agree. The
+  // socket's own frames are `wire`, which only proc has.
+  exec::ProcBackend::Config cfg;
+  cfg.procs = 2;
+  const ScopedProcConfig guard(cfg);
+  const rt::PhaseResult sim = run_ring_phase(nullptr, exec::BackendKind::kSim);
+  const rt::PhaseResult native =
+      run_ring_phase(nullptr, exec::BackendKind::kNative);
+  const rt::PhaseResult proc = run_ring_phase(nullptr);
+  for (const rt::PhaseResult* r : {&sim, &native, &proc})
+    ASSERT_TRUE(r->completed) << r->diagnostics;
+
+  const exec::MsgStats& want = sim.fm_total;
+  EXPECT_EQ(want.msgs_sent, 8u);
+  for (const rt::PhaseResult* r : {&native, &proc}) {
+    const exec::MsgStats& got = r->fm_total;
+    EXPECT_EQ(got.msgs_sent, want.msgs_sent);
+    EXPECT_EQ(got.msgs_recv, want.msgs_recv);
+    EXPECT_EQ(got.frags_sent, want.frags_sent);
+    EXPECT_EQ(got.bytes_sent, want.bytes_sent);
+    EXPECT_EQ(got.bytes_recv, want.bytes_recv);
+  }
+  const auto wire_total = [](const exec::WireStats& w) {
+    return w.frames_sent + w.frames_recv + w.payloads_recv + w.bytes_sent;
+  };
+  EXPECT_EQ(wire_total(sim.wire), 0u);
+  EXPECT_EQ(wire_total(native.wire), 0u);
+  EXPECT_GT(proc.wire.frames_sent, 0u);
 }
 
 // Two value slots per node, read and written in alternate phases: phase k

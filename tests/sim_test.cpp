@@ -493,8 +493,8 @@ TEST(Machine, PhaseElapsedIsMaxFinish) {
   m.node(1).post([](Cpu& cpu) { cpu.charge(700); });
   const Time elapsed = m.run_phase();
   EXPECT_EQ(elapsed, 700);
-  EXPECT_EQ(m.idle_time(0, elapsed), 400);
-  EXPECT_EQ(m.idle_time(1, elapsed), 0);
+  EXPECT_EQ(m.node(0).stats().busy_total, 300);
+  EXPECT_EQ(m.node(1).stats().busy_total, 700);
 }
 
 TEST(Machine, BeginPhaseResetsStats) {

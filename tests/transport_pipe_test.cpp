@@ -1,5 +1,6 @@
 // PipeChannel end-to-end: an em3d-style phase on 64 nodes round-trips
-// through the socketpair frame codec with bit-identical physics.
+// through the socketpair frame codec with bit-identical physics, one end
+// of the socketpair sending and the other receiving.
 //
 // The workload mirrors the runtime's remote-accumulation pattern on em3d's
 // bipartite graph: each node owns E and H values; an E-update phase walks
@@ -143,6 +144,26 @@ std::uint64_t count_remote(const Graph& g) {
   return n;
 }
 
+std::pair<std::unique_ptr<PipeChannel>, std::unique_ptr<PipeChannel>>
+make_endpoint_pair(std::uint32_t num_nodes, std::uint32_t train_max) {
+  int sv[2] = {-1, -1};
+  EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  auto a = std::make_unique<PipeChannel>(num_nodes, train_max,
+                                         PipeChannel::Endpoint{sv[0]});
+  auto b = std::make_unique<PipeChannel>(num_nodes, train_max,
+                                         PipeChannel::Endpoint{sv[1]});
+  return {std::move(a), std::move(b)};
+}
+
+// Pumps the sender `a` and the receiver `b` until a's backlog is on the
+// wire and b has delivered everything it holds (the kernel buffer may not
+// take the whole backlog until b reads).
+void pump_until_delivered(PipeChannel& a, PipeChannel& b) {
+  do {
+    a.poll();
+  } while (b.poll() > 0 || a.tx_backlog() > 0);
+}
+
 // Reference: every contribution staged in memory, no transport.
 std::vector<double> run_reference(const Graph& g) {
   std::vector<Staged> staged;
@@ -160,32 +181,31 @@ TEST(PipeChannel, Em3dPhaseRoundTripsBitIdentical) {
   const Graph g = build_graph(0xE3D1);
   const std::vector<double> want = run_reference(g);
 
-  PipeChannel pipe(kNodes, /*train_max=*/8);
-  pipe.set_epoch(1);
+  auto [a, b] = make_endpoint_pair(kNodes, /*train_max=*/8);
   std::vector<Staged> staged;
-  pipe.set_deliver([&](const FrameHeader& h, const FramePayload& p) {
-    EXPECT_EQ(h.epoch, 1u);
+  b->set_deliver([&](const FrameHeader& h, const FramePayload& p) {
     EXPECT_EQ(p.tag, kAccumTag);
     staged.push_back(unmarshal(h.src, p));
+  });
+  a->set_deliver([](const FrameHeader&, const FramePayload&) {
+    FAIL() << "nothing was sent toward side A";
   });
   run_phase(g, &staged,
             [&](NodeId src, NodeId dst, std::uint64_t,
                 std::vector<std::uint8_t> w) {
-              pipe.send(src, dst, kAccumTag, std::move(w));
+              a->send(src, dst, kAccumTag, std::move(w));
             });
-  for (NodeId n = 0; n < kNodes; ++n) pipe.flush(n);
-  pipe.drain();
+  for (NodeId n = 0; n < kNodes; ++n) a->flush(n);
+  pump_until_delivered(*a, *b);
 
-  EXPECT_EQ(pipe.tx_backlog(), 0u);
-  const exec::WireStats& ws = pipe.wire_stats();
+  EXPECT_EQ(a->tx_backlog(), 0u);
+  const exec::WireStats& sent = a->wire_stats();
+  const exec::WireStats& ws = b->wire_stats();
   EXPECT_EQ(ws.payloads_recv, count_remote(g));
-  EXPECT_EQ(ws.frames_recv, ws.frames_sent);
-  EXPECT_GT(ws.frames_sent, 0u);
+  EXPECT_EQ(ws.frames_recv, sent.frames_sent);
+  EXPECT_GT(sent.frames_sent, 0u);
   // Trains amortize: strictly fewer frames than messages.
-  EXPECT_LT(ws.frames_sent, ws.payloads_recv);
-  std::uint64_t trains = 0;
-  for (NodeId n = 0; n < kNodes; ++n) trains += pipe.trains_sent(n);
-  EXPECT_EQ(trains, ws.frames_sent);
+  EXPECT_LT(sent.frames_sent, ws.payloads_recv);
 
   const std::vector<double> got = commit(g, std::move(staged));
   ASSERT_EQ(got.size(), want.size());
@@ -199,41 +219,31 @@ TEST(PipeChannel, ControlFramesCarryTheControlFlag) {
   // coordinator's termination traffic apart without decoding bodies. A
   // default channel stamps none.
   for (const bool control : {true, false}) {
-    PipeChannel pipe(3, /*train_max=*/2);
-    if (control) pipe.set_control(true);
+    auto [a, b] = make_endpoint_pair(3, /*train_max=*/2);
+    if (control) a->set_control(true);
     std::uint64_t delivered = 0;
-    pipe.set_deliver([&](const FrameHeader& h, const FramePayload&) {
+    b->set_deliver([&](const FrameHeader& h, const FramePayload&) {
       EXPECT_EQ(h.flags, control ? kFrameFlagControl : 0) << control;
       ++delivered;
     });
+    a->set_deliver([](const FrameHeader&, const FramePayload&) {});
     // Several frames: full trains, a partial train, two sources.
-    for (std::uint8_t i = 0; i < 5; ++i) pipe.send(0, 1, 1, {i});
-    pipe.send(2, 0, 1, {9});
-    pipe.flush(0);
-    pipe.flush(2);
-    pipe.drain();
+    for (std::uint8_t i = 0; i < 5; ++i) a->send(0, 1, 1, {i});
+    a->send(2, 0, 1, {9});
+    a->flush(0);
+    a->flush(2);
+    pump_until_delivered(*a, *b);
     EXPECT_EQ(delivered, 6u) << control;
-    EXPECT_EQ(pipe.wire_stats().frames_recv, 4u) << control;
+    EXPECT_EQ(b->wire_stats().frames_recv, 4u) << control;
   }
 }
 
-// ---------- endpoint mode + peer death ----------
+// ---------- endpoints + peer death ----------
 //
-// The multi-process configuration: each side of a socketpair lives in a
-// different channel (in production, a different process). A dead peer must
+// Each side of a socketpair lives in a different channel (in production, a
+// different process). A dead peer must
 // surface as ChannelStatus::kPeerDown — never a SIGPIPE, never an abort —
 // because the coordinator turns it into a reported error.
-
-std::pair<std::unique_ptr<PipeChannel>, std::unique_ptr<PipeChannel>>
-make_endpoint_pair(std::uint32_t num_nodes, std::uint32_t train_max) {
-  int sv[2] = {-1, -1};
-  EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  auto a = std::make_unique<PipeChannel>(num_nodes, train_max,
-                                         PipeChannel::Endpoint{sv[0]});
-  auto b = std::make_unique<PipeChannel>(num_nodes, train_max,
-                                         PipeChannel::Endpoint{sv[1]});
-  return {std::move(a), std::move(b)};
-}
 
 TEST(PipeEndpoint, TwoChannelsRoundTripOverOneSocketpair) {
   auto [a, b] = make_endpoint_pair(2, /*train_max=*/4);
