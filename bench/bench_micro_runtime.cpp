@@ -4,16 +4,13 @@
 // simulated machine the harness can afford — not the modeled T3D costs.
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 
 #include "apps/barnes/plummer.h"
 #include "apps/barnes/tree.h"
 #include "gas/heap.h"
 #include "runtime/phase.h"
-#include "support/arena.h"
 #include "support/flat_map.h"
 #include "support/inline_fn.h"
 #include "support/rng.h"
@@ -158,48 +155,6 @@ void BM_Closure_StdFunction(benchmark::State& state) {
   closure_roundtrip<std::function<void(const void*)>>(state);
 }
 BENCHMARK(BM_Closure_StdFunction);
-
-// --- Payload allocation head-to-head: the per-message wire cost ---
-//
-// Every simulated message used to malloc its payload through make_shared
-// and free it when the last fragment retired. The sim backend now pools
-// payloads through the phase arena instead (allocate_shared on an
-// ArenaAllocator; retired blocks go back to a per-size free list), so a
-// steady-state phase allocates no heap memory per message. The make_shared
-// twin is the before — and what the native backend still pays, where a
-// cross-thread arena would need locks.
-
-struct WirePayload {  // the size class of a pooled request/accum payload
-  std::uint64_t seq = 0;
-  std::array<std::byte, 88> data{};
-};
-
-constexpr int kPayloadBatch = 512;
-
-void BM_PayloadAlloc_ArenaPool(benchmark::State& state) {
-  Arena arena;
-  std::vector<std::shared_ptr<WirePayload>> live(kPayloadBatch);
-  for (auto _ : state) {
-    // In-flight window fills and drains, as during a phase...
-    for (auto& p : live)
-      p = std::allocate_shared<WirePayload>(ArenaAllocator<WirePayload>(&arena));
-    for (auto& p : live) p.reset();  // recycled into the free list
-  }
-  // (...and the arena resets wholesale at the phase boundary.)
-  arena.reset();
-  state.SetItemsProcessed(state.iterations() * kPayloadBatch);
-}
-BENCHMARK(BM_PayloadAlloc_ArenaPool);
-
-void BM_PayloadAlloc_MakeShared(benchmark::State& state) {
-  std::vector<std::shared_ptr<WirePayload>> live(kPayloadBatch);
-  for (auto _ : state) {
-    for (auto& p : live) p = std::make_shared<WirePayload>();
-    for (auto& p : live) p.reset();
-  }
-  state.SetItemsProcessed(state.iterations() * kPayloadBatch);
-}
-BENCHMARK(BM_PayloadAlloc_MakeShared);
 
 // Local thread creation + dispatch only.
 void BM_DpaLocalThreads(benchmark::State& state) {

@@ -292,7 +292,7 @@ void NativeBackend::deliver_train(NodeId src, NodeId dst) {
       w1 = since_phase_start(std::chrono::steady_clock::now());
       inbox_depth = dn.inbox.size() + batch.size();
     }
-    for (auto& t : batch) dn.inbox.push_back(std::move(t));
+    for (auto& t : batch) dn.inbox.push(std::move(t));
   }
   batch.clear();
   // After the mailbox append: the destination's host (whoever wins the
@@ -333,7 +333,7 @@ void NativeBackend::post(NodeId node, Task task) {
       // Self-post: the node is active (we are inside one of its tasks), so
       // no activation is needed — run_node drains local before it can even
       // consider deactivating.
-      self.local.push_back(std::move(task));
+      self.local.push(std::move(task));
       return;
     }
     std::vector<Task>& train = self.trains[node];
@@ -350,7 +350,7 @@ void NativeBackend::post(NodeId node, Task task) {
   dn.produced.fetch_add(1, std::memory_order_seq_cst);
   {
     std::lock_guard<std::mutex> lk(dn.mu);
-    dn.inbox.push_back(std::move(task));
+    dn.inbox.push(std::move(task));
   }
   activate(node);
 }
@@ -744,7 +744,7 @@ void NativeBackend::run_node(std::uint32_t w, NodeId id) {
   n.last_worker.store(std::int32_t(w), std::memory_order_relaxed);
   tls_node = std::int32_t(id);
   obs::TraceShard* const sh = worker_shard(w);
-  std::deque<Task> batch;
+  Fifo<Task>& batch = n.batch;
   for (;;) {
     if (stall_node_.load(std::memory_order_acquire) == std::int32_t(id)) {
       // Test-only wedge: block (holding no backend locks) until released.
@@ -803,12 +803,11 @@ void NativeBackend::run_node(std::uint32_t w, NodeId id) {
 }
 
 void NativeBackend::drain(Node& n, NodeId id, obs::TraceShard* sh,
-                          std::deque<Task>& queue) {
+                          Fifo<Task>& queue) {
   const auto b0 = std::chrono::steady_clock::now();
   const Time batch_start = since_phase_start(b0);
   while (!queue.empty()) {
-    Task task = std::move(queue.front());
-    queue.pop_front();
+    Task task = queue.pop();
     if (sh == nullptr) {
       run_task(n, id, batch_start, task);
       continue;

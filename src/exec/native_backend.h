@@ -17,7 +17,7 @@
 //     per-node ordering guarantee intact: a node's mailbox is still drained
 //     FIFO by exactly one thread at a time, so the deterministic
 //     (src, seq)-sorted accumulation commit is schedule-independent.
-//   * Each node keeps an MPSC mailbox (mutex + deque) for cross-node posts
+//   * Each node keeps an MPSC mailbox (mutex + FIFO) for cross-node posts
 //     and an unlocked local queue for self-posts (a node's scheduler
 //     kicking itself never takes a lock).
 //   * send() appends a delivery task to the sending node's per-destination
@@ -102,6 +102,7 @@
 #include <vector>
 
 #include "exec/backend.h"
+#include "support/fifo.h"
 
 namespace dpa::obs {
 class ShardedTraceSink;
@@ -235,10 +236,13 @@ class NativeBackend final : public Backend {
     // from the main thread). MPSC: producers under the mutex, drained in
     // batches by the hosting worker.
     std::mutex mu;
-    std::deque<Task> inbox;
+    Fifo<Task> inbox;
     // Self-posts from the hosting worker; never locked (only the host
     // touches it, and the activation handoff orders host switches).
-    std::deque<Task> local;
+    Fifo<Task> local;
+    // The inbox as the host last swapped it out, being drained. Host-only
+    // like `local`; the two swap storage, so neither regrows.
+    Fifo<Task> batch;
     // Outbound trains, one per destination node, and the messages buffered
     // across them. Host-only like `local` (main-thread posts bypass
     // trains); a departed train's vector keeps its capacity for the next.
@@ -297,8 +301,7 @@ class NativeBackend final : public Backend {
   // tasks may append to) until it is empty. One clock pair times the whole
   // batch for busy_total/finish_time; per-task clock reads happen only with
   // a trace shard attached (run spans, task service times).
-  void drain(Node& n, NodeId id, obs::TraceShard* sh,
-             std::deque<Task>& queue);
+  void drain(Node& n, NodeId id, obs::TraceShard* sh, Fifo<Task>& queue);
   // Runs one task on a Cpu starting at `start`, then counts it consumed.
   void run_task(Node& n, NodeId id, Time start, const Task& task);
   // Makes `id` runnable if it is idle: CAS active 0 -> 1, enqueue on its

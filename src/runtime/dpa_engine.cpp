@@ -14,12 +14,9 @@ constexpr std::size_t kLocalBatch = 8;
 }  // namespace
 
 DpaEngine::DpaEngine(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
-                     Arena& arena, fm::HandlerId h_req, fm::HandlerId h_reply,
+                     fm::HandlerId h_req, fm::HandlerId h_reply,
                      fm::HandlerId h_accum)
-    : EngineBase(cluster, node, cfg, arena, h_req, h_reply, h_accum),
-      ready_tiles_(ArenaAllocator<std::uint32_t>(&arena)),
-      local_ready_(ArenaAllocator<std::pair<GlobalRef, ThreadFn>>(&arena)),
-      order_(ArenaAllocator<OrderUnit>(&arena)),
+    : EngineBase(cluster, node, cfg, h_req, h_reply, h_accum),
       agg_(cluster.num_nodes()),
       acc_(cluster.num_nodes()) {
   // Histograms are single-writer; engines on the native backend run on
@@ -61,9 +58,9 @@ void DpaEngine::require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) {
     cpu.charge(cost.local_enqueue, sim::Work::kRuntime);
     ++stats_.local_threads;
     if (cfg_.deterministic) {
-      order_.push_back(OrderUnit{kLocalThread, ref, std::move(thread)});
+      order_.push(OrderUnit{kLocalThread, ref, std::move(thread)});
     } else {
-      local_ready_.emplace_back(ref, std::move(thread));
+      local_ready_.push(ref, std::move(thread));
     }
     return;
   }
@@ -83,7 +80,7 @@ void DpaEngine::require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) {
                                   cpu.logical_now(), m_.size()));
     if (cfg_.deterministic) {
       tile.queued = true;
-      order_.push_back(OrderUnit{t, {}, {}});
+      order_.push(OrderUnit{t, {}, {}});
     }
     if (cfg_.aggregation) {
       cpu.charge(cost.req_marshal_per_ref, sim::Work::kComm);
@@ -109,11 +106,11 @@ void DpaEngine::require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) {
       // already consumed (joins before that point share the entry).
       if (!tile.queued) {
         tile.queued = true;
-        order_.push_back(OrderUnit{t, {}, {}});
+        order_.push(OrderUnit{t, {}, {}});
       }
     } else if (tile.st == Tile::St::kReady && !tile.queued) {
       tile.queued = true;
-      ready_tiles_.push_back(t);
+      ready_tiles_.push(t);
     }
   }
 }
@@ -138,7 +135,7 @@ void DpaEngine::on_reply(sim::Cpu& cpu, const RefsPayload& reply) {
     // position; becoming ready only unblocks the head-of-line consumer.
     if (!cfg_.deterministic && !tile.waiters.empty() && !tile.queued) {
       tile.queued = true;
-      ready_tiles_.push_back(it->second);
+      ready_tiles_.push(it->second);
     }
   }
   kick();
@@ -173,18 +170,15 @@ void DpaEngine::dispatch_tile(sim::Cpu& cpu, std::uint32_t t) {
 
 bool DpaEngine::run_ready_tile(sim::Cpu& cpu) {
   if (ready_tiles_.empty()) return false;
-  const std::uint32_t t = ready_tiles_.front();
-  ready_tiles_.pop_front();
-  dispatch_tile(cpu, t);
+  dispatch_tile(cpu, ready_tiles_.pop());
   return true;
 }
 
 bool DpaEngine::run_in_order(sim::Cpu& cpu) {
   if (order_.empty()) return false;
-  OrderUnit& head = order_.front();
+  const OrderUnit& head = order_.front();
   if (head.tile == kLocalThread) {
-    OrderUnit unit = std::move(head);
-    order_.pop_front();
+    const OrderUnit unit = order_.pop();
     run_thread(cpu, unit.fn, unit.ref.addr);
     stats_.outstanding_threads.add(-1);
     return true;
@@ -200,7 +194,7 @@ bool DpaEngine::run_in_order(sim::Cpu& cpu) {
     cluster_.exec().flush(cpu, node_);
   }
   if (tile.st != Tile::St::kReady) return false;  // head-of-line wait
-  order_.pop_front();
+  order_.pop();
   dispatch_tile(cpu, t);
   return true;
 }
@@ -208,8 +202,7 @@ bool DpaEngine::run_in_order(sim::Cpu& cpu) {
 bool DpaEngine::run_local_threads(sim::Cpu& cpu) {
   if (local_ready_.empty()) return false;
   for (std::size_t i = 0; i < kLocalBatch && !local_ready_.empty(); ++i) {
-    auto [ref, fn] = std::move(local_ready_.front());
-    local_ready_.pop_front();
+    const auto [ref, fn] = local_ready_.pop();
     run_thread(cpu, fn, ref.addr);
     stats_.outstanding_threads.add(-1);
   }
@@ -290,10 +283,14 @@ bool DpaEngine::strip_boundary(sim::Cpu& cpu) {
   if (next_root_ >= work_.count) {
     loop_done_ = true;
     // Nothing more is created or requested this phase. Free the strip
-    // containers and spare payloads now, on the node's own worker: the
-    // next phase's engine teardown runs serially on the main thread.
+    // containers, run queues and spare payloads now, on the node's own
+    // worker: the next phase's engine teardown runs serially on the main
+    // thread.
     tiles_ = std::vector<Tile>();
     m_ = FlatMap<const void*, std::uint32_t>();
+    ready_tiles_ = Fifo<std::uint32_t>();
+    local_ready_ = Fifo<std::pair<GlobalRef, ThreadFn>>();
+    order_ = Fifo<OrderUnit>();
     for (auto& buf : agg_) buf = std::vector<std::uint32_t>();
     release_spares();
     return false;

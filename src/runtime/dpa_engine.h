@@ -36,11 +36,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/engine.h"
+#include "support/fifo.h"
 #include "support/small_vector.h"
 
 namespace dpa::rt {
@@ -48,7 +49,7 @@ namespace dpa::rt {
 class DpaEngine final : public EngineBase {
  public:
   DpaEngine(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
-            Arena& arena, fm::HandlerId h_req, fm::HandlerId h_reply,
+            fm::HandlerId h_req, fm::HandlerId h_reply,
             fm::HandlerId h_accum);
 
   void require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) override;
@@ -102,20 +103,16 @@ class DpaEngine final : public EngineBase {
   bool strip_boundary(sim::Cpu& cpu);
   bool strip_has_uncreated() const;
 
-  // Scheduler queues live on the phase arena: entries churn at thread rate
-  // and all die by phase end, so the deques' node blocks recycle through the
-  // arena's free lists instead of the global allocator.
-  template <class T>
-  using ArenaDeque = std::deque<T, ArenaAllocator<T>>;
-
   // M: the strip's tiles in creation order, and pointer -> index into them.
   // Both are cleared at the strip boundary, keeping their capacity, and
-  // freed when the conc loop completes.
+  // freed when the conc loop completes, as are the run queues. Every run
+  // queue drains by the strip boundary, so its capacity settles at one
+  // strip's threads.
   std::vector<Tile> tiles_;
   FlatMap<const void*, std::uint32_t> m_;
-  ArenaDeque<std::uint32_t> ready_tiles_;
-  ArenaDeque<std::pair<GlobalRef, ThreadFn>> local_ready_;
-  ArenaDeque<OrderUnit> order_;  // deterministic mode only
+  Fifo<std::uint32_t> ready_tiles_;
+  Fifo<std::pair<GlobalRef, ThreadFn>> local_ready_;
+  Fifo<OrderUnit> order_;  // deterministic mode only
   // Per-destination Fresh tiles; flush_dest copies their refs into a
   // request and clears the buffer, keeping its capacity.
   std::vector<std::vector<std::uint32_t>> agg_;
@@ -125,7 +122,6 @@ class DpaEngine final : public EngineBase {
   std::uint32_t acc_total_ = 0;
   std::uint64_t strip_end_ = 0;    // roots [strip_begin, strip_end) created
   std::uint64_t outstanding_ = 0;  // refs requested, reply pending
-  const void* sync_wait_ = nullptr;  // pipelining off: ref being awaited
   bool loop_done_ = false;
 
   // Observability histograms (null when no session is attached).

@@ -14,13 +14,11 @@ fm::FmLayer& Cluster::fm() {
 }
 
 EngineBase::EngineBase(Cluster& cluster, NodeId node,
-                       const RuntimeConfig& cfg, Arena& arena,
-                       fm::HandlerId h_req, fm::HandlerId h_reply,
-                       fm::HandlerId h_accum)
+                       const RuntimeConfig& cfg, fm::HandlerId h_req,
+                       fm::HandlerId h_reply, fm::HandlerId h_accum)
     : cluster_(cluster),
       node_(node),
       cfg_(cfg),
-      arena_(arena),
       h_req_(h_req),
       h_reply_(h_reply),
       h_accum_(h_accum) {
@@ -38,7 +36,6 @@ EngineBase::EngineBase(Cluster& cluster, NodeId node,
       trace_ = &cluster.obs->shards->shard(node_);
     }
   }
-  pool_payloads_ = cluster.exec().is_sim();
 }
 
 void EngineBase::accumulate(sim::Cpu& cpu, GlobalRef ref, AccumFn update) {
@@ -71,7 +68,7 @@ void EngineBase::send_accum(
   if (h_msg_bytes_ != nullptr) h_msg_bytes_->add(bytes);
   DPA_TRACE_EVT(trace_, msg_event(obs::Ev::kMsgDepart, obs::MsgCause::kAccum,
                                   node_, home, bytes, cpu.logical_now()));
-  auto payload = alloc_payload<AccumPayload>();
+  auto payload = std::make_shared<AccumPayload>();
   payload->accum_seq = ++accum_seq_next_;
   payload->items = std::move(items);
   cluster_.backend->send(cpu, node_, home, h_accum_, std::move(payload),
@@ -140,7 +137,7 @@ std::shared_ptr<RefsPayload> EngineBase::request_payload() {
     req->refs.clear();
     return req;
   }
-  return alloc_payload<RefsPayload>();
+  return std::make_shared<RefsPayload>();
 }
 
 void EngineBase::send_request(sim::Cpu& cpu, NodeId home,
@@ -158,7 +155,6 @@ void EngineBase::send_request(sim::Cpu& cpu, NodeId home,
   if (h_msg_bytes_ != nullptr) h_msg_bytes_->add(bytes);
   DPA_TRACE_EVT(trace_, msg_event(obs::Ev::kMsgDepart, obs::MsgCause::kRequest,
                                   node_, home, bytes, cpu.logical_now()));
-  req->requester = node_;
   cluster_.backend->send(cpu, node_, home, h_req_, std::move(req), bytes);
 }
 
@@ -168,11 +164,10 @@ void EngineBase::send_request(sim::Cpu& cpu, const GlobalRef& ref) {
   send_request(cpu, ref.home, std::move(req));
 }
 
-void EngineBase::serve_request(sim::Cpu& cpu, [[maybe_unused]] NodeId src,
+void EngineBase::serve_request(sim::Cpu& cpu, NodeId src,
                                [[maybe_unused]] std::uint32_t bytes,
                                std::shared_ptr<RefsPayload> req) {
   const auto& cost = cfg_.cost;
-  const NodeId requester = req->requester;
   ++stats_.requests_served;
   stats_.refs_served += req->refs.size();
   DPA_TRACE_EVT(trace_, msg_event(obs::Ev::kMsgArrive, obs::MsgCause::kRequest,
@@ -189,8 +184,8 @@ void EngineBase::serve_request(sim::Cpu& cpu, [[maybe_unused]] NodeId src,
   if (h_msg_bytes_ != nullptr) h_msg_bytes_->add(reply_bytes);
   DPA_TRACE_EVT(trace_,
                 msg_event(obs::Ev::kMsgDepart, obs::MsgCause::kReply, node_,
-                          requester, reply_bytes, cpu.logical_now()));
-  cluster_.backend->send(cpu, node_, requester, h_reply_, std::move(req),
+                          src, reply_bytes, cpu.logical_now()));
+  cluster_.backend->send(cpu, node_, src, h_reply_, std::move(req),
                          reply_bytes);
 }
 

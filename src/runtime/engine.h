@@ -30,7 +30,6 @@
 #include "runtime/config.h"
 #include "runtime/stats.h"
 #include "sim/machine.h"
-#include "support/arena.h"
 #include "support/flat_map.h"
 #include "support/inline_fn.h"
 
@@ -118,11 +117,10 @@ struct Cluster {
 // packet models the marshalled size.
 //
 // A request and its reply are the same type and the same object: the home
-// serves a request in place and sends it back, and the requester keeps the
-// returned payload for its next request (see EngineBase::serve_request and
-// request_payload).
+// serves a request in place and sends it back to the packet's source, and
+// the requester keeps the returned payload for its next request (see
+// EngineBase::serve_request and request_payload).
 struct RefsPayload {
-  NodeId requester = 0;
   std::vector<GlobalRef> refs;
 };
 struct AccumPayload {
@@ -137,11 +135,8 @@ struct AccumPayload {
 
 class EngineBase {
  public:
-  // `arena` is the phase arena (owned by PhaseRunner, reset between runs):
-  // engines back their scheduling queues with it so per-thread bookkeeping
-  // never touches the general-purpose allocator inside a timed phase.
   EngineBase(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
-             Arena& arena, fm::HandlerId h_req, fm::HandlerId h_reply,
+             fm::HandlerId h_req, fm::HandlerId h_reply,
              fm::HandlerId h_accum);
   virtual ~EngineBase() = default;
 
@@ -174,7 +169,7 @@ class EngineBase {
 
   // Home side: serve a request message of `bytes` modeled bytes from
   // `src` (shared by all engines). The reply is `req` itself, sent back to
-  // its requester.
+  // `src`.
   void serve_request(sim::Cpu& cpu, NodeId src, std::uint32_t bytes,
                      std::shared_ptr<RefsPayload> req);
 
@@ -223,31 +218,15 @@ class EngineBase {
   void send_accum(sim::Cpu& cpu, NodeId home,
                   std::vector<std::pair<GlobalRef, AccumFn>> items);
 
-  // Allocates a wire payload. On the sim backend (single host thread)
-  // payloads are arena-pooled: allocate_shared puts object + control block
-  // in one arena block that the free list recycles when the last reference
-  // drops. On the native and proc backends the last reference can drop on
-  // another node's worker thread, where this node's single-owner arena must
-  // not be touched, so they use make_shared. Request payloads mostly skip
-  // this on every backend: request_payload() reuses returned replies.
-  template <class Payload>
-  std::shared_ptr<Payload> alloc_payload() {
-    if (pool_payloads_)
-      return std::allocate_shared<Payload>(ArenaAllocator<Payload>(&arena_));
-    return std::make_shared<Payload>();
-  }
-
   Cluster& cluster_;
   NodeId node_;
   const RuntimeConfig& cfg_;
-  Arena& arena_;
   fm::HandlerId h_req_;
   fm::HandlerId h_reply_;
   fm::HandlerId h_accum_;
   NodeWork work_;
   std::uint64_t next_root_ = 0;
   bool sched_pending_ = false;
-  bool pool_payloads_ = false;
   RtNodeStats stats_;
 
   // Observability handles, resolved once at construction (null when no

@@ -54,16 +54,16 @@ exec::WireCodec refs_codec() {
   return exec::WireCodec{
       [](const void* data, std::uint32_t) {
         const auto* msg = static_cast<const RefsPayload*>(data);
+        const auto count = std::uint32_t(msg->refs.size());
         std::vector<std::uint8_t> b;
-        put(b, msg->requester);
-        put(b, std::uint32_t(msg->refs.size()));
-        put_raw(b, msg->refs.data(), msg->refs.size() * sizeof(GlobalRef));
+        b.reserve(sizeof(count) + count * sizeof(GlobalRef));
+        put(b, count);
+        put_raw(b, msg->refs.data(), count * sizeof(GlobalRef));
         return b;
       },
       [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
         const std::uint8_t* end = p + len;
         auto msg = std::make_shared<RefsPayload>();
-        msg->requester = get<NodeId>(p, end);
         const auto count = get<std::uint32_t>(p, end);
         DPA_CHECK(std::size_t(end - p) == count * sizeof(GlobalRef));
         msg->refs.resize(count);
@@ -128,9 +128,6 @@ double PhaseResult::mean_idle_s() const {
 PhaseRunner::PhaseRunner(Cluster& cluster, RuntimeConfig cfg)
     : cluster_(cluster), cfg_(std::move(cfg)) {
   cfg_.validate();
-  arenas_.reserve(cluster_.num_nodes());
-  for (std::uint32_t i = 0; i < cluster_.num_nodes(); ++i)
-    arenas_.push_back(std::make_unique<Arena>());
   // Handlers run as tasks on the destination node — on the native backend
   // that is the destination's worker thread, so each touches only its own
   // engine. Every backend delivers each message exactly once. The codecs
@@ -164,22 +161,21 @@ PhaseRunner::PhaseRunner(Cluster& cluster, RuntimeConfig cfg)
 }
 
 std::unique_ptr<EngineBase> PhaseRunner::make_engine(NodeId node) {
-  Arena& arena = *arenas_[node];
   switch (cfg_.kind) {
     case EngineKind::kDpa:
-      return std::make_unique<DpaEngine>(cluster_, node, cfg_, arena, h_req_,
+      return std::make_unique<DpaEngine>(cluster_, node, cfg_, h_req_,
                                          h_reply_, h_accum_);
     case EngineKind::kCaching:
-      return std::make_unique<SyncEngine>(cluster_, node, cfg_, arena,
-                                          h_req_, h_reply_, h_accum_,
+      return std::make_unique<SyncEngine>(cluster_, node, cfg_, h_req_,
+                                          h_reply_, h_accum_,
                                           /*use_cache=*/true);
     case EngineKind::kBlocking:
-      return std::make_unique<SyncEngine>(cluster_, node, cfg_, arena,
-                                          h_req_, h_reply_, h_accum_,
+      return std::make_unique<SyncEngine>(cluster_, node, cfg_, h_req_,
+                                          h_reply_, h_accum_,
                                           /*use_cache=*/false);
     case EngineKind::kPrefetch:
-      return std::make_unique<PrefetchEngine>(cluster_, node, cfg_, arena,
-                                              h_req_, h_reply_, h_accum_);
+      return std::make_unique<PrefetchEngine>(cluster_, node, cfg_, h_req_,
+                                              h_reply_, h_accum_);
   }
   DPA_PANIC("unknown engine kind");
 }
@@ -190,10 +186,7 @@ PhaseResult PhaseRunner::run(std::vector<NodeWork> work,
   DPA_CHECK(work.size() == n)
       << "phase needs one NodeWork per node: " << work.size() << " != " << n;
 
-  // Tear down the previous run's engines *before* resetting the arenas
-  // their queues lived on, then hand the recycled chunks to the new ones.
   engines_.clear();
-  for (auto& arena : arenas_) arena->reset();
   engines_.reserve(n);
   for (NodeId i = 0; i < n; ++i) engines_.push_back(make_engine(i));
 

@@ -76,12 +76,6 @@ class PhaseRunner {
 
   Cluster& cluster_;
   RuntimeConfig cfg_;
-  // Per-node phase arenas backing each engine's scheduler queues and (on
-  // the sim backend) its pooled wire payloads. One arena per node so the
-  // native backend's workers never share an allocator; reset at the top of
-  // run(), strictly after the previous engines are destroyed (their
-  // containers are the only users).
-  std::vector<std::unique_ptr<Arena>> arenas_;
   std::vector<std::unique_ptr<EngineBase>> engines_;
   fm::HandlerId h_req_;
   fm::HandlerId h_reply_;

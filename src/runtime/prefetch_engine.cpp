@@ -9,12 +9,9 @@
 namespace dpa::rt {
 
 PrefetchEngine::PrefetchEngine(Cluster& cluster, NodeId node,
-                               const RuntimeConfig& cfg, Arena& arena,
-                               fm::HandlerId h_req, fm::HandlerId h_reply,
-                               fm::HandlerId h_accum)
-    : EngineBase(cluster, node, cfg, arena, h_req, h_reply, h_accum),
-      stack_(ArenaAllocator<StackEntry>(&arena)),
-      root_window_(ArenaAllocator<StackEntry>(&arena)) {}
+                               const RuntimeConfig& cfg, fm::HandlerId h_req,
+                               fm::HandlerId h_reply, fm::HandlerId h_accum)
+    : EngineBase(cluster, node, cfg, h_req, h_reply, h_accum) {}
 
 void PrefetchEngine::require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) {
   cpu.charge(cfg_.cost.sync_push, sim::Work::kRuntime);

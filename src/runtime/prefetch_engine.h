@@ -22,7 +22,7 @@ namespace dpa::rt {
 class PrefetchEngine final : public EngineBase {
  public:
   PrefetchEngine(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
-                 Arena& arena, fm::HandlerId h_req, fm::HandlerId h_reply,
+                 fm::HandlerId h_req, fm::HandlerId h_reply,
                  fm::HandlerId h_accum);
 
   void require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) override;
@@ -40,11 +40,11 @@ class PrefetchEngine final : public EngineBase {
   using StackEntry = std::pair<GlobalRef, ThreadFn>;
 
   // Children of the running traversal: LIFO (depth-first), popped first.
-  // Both continuation queues are arena-backed (phase-lifetime churn).
-  std::vector<StackEntry, ArenaAllocator<StackEntry>> stack_;
+  std::vector<StackEntry> stack_;
   // Upcoming conc-loop iterations: FIFO (software pipelining) — a root's
-  // prefetch is issued a full window before the root executes.
-  std::deque<StackEntry, ArenaAllocator<StackEntry>> root_window_;
+  // prefetch is issued a full window before the root executes. Roots are
+  // created only while it holds fewer than prefetch_depth entries.
+  std::deque<StackEntry> root_window_;
   bool creating_roots_ = false;
   FlatSet<const void*> cache_;     // arrived objects
   FlatSet<const void*> inflight_;  // prefetches not yet back

@@ -8,11 +8,10 @@
 namespace dpa::rt {
 
 SyncEngine::SyncEngine(Cluster& cluster, NodeId node,
-                       const RuntimeConfig& cfg, Arena& arena,
-                       fm::HandlerId h_req, fm::HandlerId h_reply,
-                       fm::HandlerId h_accum, bool use_cache)
-    : EngineBase(cluster, node, cfg, arena, h_req, h_reply, h_accum),
-      stack_(ArenaAllocator<std::pair<GlobalRef, ThreadFn>>(&arena)),
+                       const RuntimeConfig& cfg, fm::HandlerId h_req,
+                       fm::HandlerId h_reply, fm::HandlerId h_accum,
+                       bool use_cache)
+    : EngineBase(cluster, node, cfg, h_req, h_reply, h_accum),
       use_cache_(use_cache) {}
 
 bool SyncEngine::cache_lookup(const void* addr) {

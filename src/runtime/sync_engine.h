@@ -23,7 +23,7 @@ class SyncEngine final : public EngineBase {
   // use_cache=true  -> EngineKind::kCaching
   // use_cache=false -> EngineKind::kBlocking
   SyncEngine(Cluster& cluster, NodeId node, const RuntimeConfig& cfg,
-             Arena& arena, fm::HandlerId h_req, fm::HandlerId h_reply,
+             fm::HandlerId h_req, fm::HandlerId h_reply,
              fm::HandlerId h_accum, bool use_cache);
 
   void require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) override;
@@ -38,11 +38,8 @@ class SyncEngine final : public EngineBase {
 
   bool cache_lookup(const void* addr);  // probes + maintains LRU order
 
-  // LIFO continuation stack: depth-first. Arena-backed — it churns at
-  // thread rate and dies with the phase.
-  std::vector<std::pair<GlobalRef, ThreadFn>,
-              ArenaAllocator<std::pair<GlobalRef, ThreadFn>>>
-      stack_;
+  // LIFO continuation stack: depth-first.
+  std::vector<std::pair<GlobalRef, ThreadFn>> stack_;
   // Cached object set plus an eviction order list (FIFO or LRU per config).
   std::list<const void*> order_;
   FlatMap<const void*, std::list<const void*>::iterator> cache_;

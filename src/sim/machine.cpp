@@ -8,7 +8,7 @@
 namespace dpa::sim {
 
 void NodeProc::post(Task task) {
-  pending_.push_back(std::move(task));
+  pending_.push(std::move(task));
   if (!drain_scheduled_) {
     drain_scheduled_ = true;
     const Time at = std::max(engine_.now(), busy_until_);
@@ -23,8 +23,7 @@ void NodeProc::drain() {
   // A task posted from within a running task lands here before busy_until_
   // caught up with that task's end; start no earlier than the node is free.
   const Time start = std::max(engine_.now(), busy_until_);
-  Task task = std::move(pending_.front());
-  pending_.pop_front();
+  Task task = pending_.pop();
 
   Cpu cpu(id_, start);
   task(cpu);

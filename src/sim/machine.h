@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "sim/engine.h"
 #include "sim/network.h"
 #include "sim/time.h"
+#include "support/fifo.h"
 #include "support/inline_fn.h"
 
 namespace dpa::sim {
@@ -54,7 +54,7 @@ class NodeProc {
 
   Engine& engine_;
   NodeId id_;
-  std::deque<Task> pending_;
+  Fifo<Task> pending_;
   bool drain_scheduled_ = false;
   Time busy_until_ = 0;
   NodeStats stats_;

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "support/arena.h"
+#include "support/fifo.h"
 #include "support/flat_map.h"
 #include "support/inline_fn.h"
 #include "support/options.h"
@@ -215,6 +213,29 @@ TEST(SmallVector, ClearThenReuse) {
   EXPECT_TRUE(v.empty());
   v.push_back(42);
   EXPECT_EQ(v[0], 42);
+}
+
+// ---------- Fifo ----------
+
+TEST(Fifo, KeepsOrderWhileGrowingCompactingAndSwapping) {
+  Fifo<std::unique_ptr<int>> q;
+  int in = 0, out = 0;
+  // The backlog grows, then holds steady without ever draining, so pushes
+  // keep finding the vector full with a consumed prefix to compact away.
+  for (int round = 0; round < 4000; ++round) {
+    q.push(std::make_unique<int>(in++));
+    if (round < 300) q.push(std::make_unique<int>(in++));
+    ASSERT_EQ(*q.front(), out);
+    ASSERT_EQ(*q.pop(), out++);
+  }
+  EXPECT_EQ(q.size(), 300u);
+  Fifo<std::unique_ptr<int>> other;
+  other.swap(q);
+  EXPECT_TRUE(q.empty());
+  while (!other.empty()) ASSERT_EQ(*other.pop(), out++);
+  EXPECT_EQ(out, in);
+  q.push(std::make_unique<int>(in));
+  EXPECT_EQ(*q.pop(), in);
 }
 
 // ---------- Options ----------
@@ -536,77 +557,6 @@ TEST(InlineFn, SelfMoveAssignSafe) {
 TEST(InlineFn, InvocableWithArgumentsAndConst) {
   const InlineFn<int(int, int), 48> fn([](int a, int b) { return a * b; });
   EXPECT_EQ(fn(6, 7), 42);
-}
-
-// ---------- Arena ----------
-
-TEST(Arena, BumpAllocatesAlignedAndResets) {
-  Arena arena(1024);
-  void* a = arena.allocate(100, 8);
-  void* b = arena.allocate(100, 64);
-  EXPECT_NE(a, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 64, 0u);
-  EXPECT_GE(arena.bytes_requested(), 200u);
-
-  // Oversized request gets its own chunk rather than failing.
-  void* big = arena.allocate(4096, 16);
-  EXPECT_NE(big, nullptr);
-  const std::size_t chunks = arena.num_chunks();
-
-  arena.reset();
-  EXPECT_EQ(arena.bytes_requested(), 0u);
-  // Chunks are recycled, not freed: same pointer comes back first.
-  void* a2 = arena.allocate(100, 8);
-  EXPECT_EQ(a, a2);
-  EXPECT_EQ(arena.num_chunks(), chunks);
-}
-
-TEST(Arena, RecycleReusesFreedBlocks) {
-  Arena arena(4096);
-  void* p = arena.allocate(256, 8);
-  arena.recycle(p, 256);
-  void* q = arena.allocate(256, 8);
-  EXPECT_EQ(p, q);  // came off the free list, not the bump pointer
-  // A different size must not hit that bucket.
-  void* r = arena.allocate(128, 8);
-  EXPECT_NE(r, q);
-}
-
-TEST(Arena, ContainerChurnDoesNotGrowWithoutBound) {
-  // A deque pushed and popped far more times than its peak size must reuse
-  // its node blocks through the free lists: reserved bytes stay flat.
-  Arena arena;
-  {
-    std::deque<std::uint64_t, ArenaAllocator<std::uint64_t>> q{
-        ArenaAllocator<std::uint64_t>(&arena)};
-    for (int round = 0; round < 1000; ++round) {
-      for (int i = 0; i < 256; ++i) q.push_back(std::uint64_t(i));
-      while (!q.empty()) q.pop_front();
-    }
-  }
-  // Peak live data is 256 * 8B = 2KB; without recycling this would be MBs.
-  EXPECT_LE(arena.bytes_reserved(), 256 * 1024u);
-}
-
-TEST(Arena, AllocatorAdapterWorksAcrossPhases) {
-  Arena arena;
-  using Alloc = ArenaAllocator<std::pair<const int, int>>;
-  for (int phase = 0; phase < 3; ++phase) {
-    {
-      std::vector<int, ArenaAllocator<int>> v{ArenaAllocator<int>(&arena)};
-      for (int i = 0; i < 10000; ++i) v.push_back(i);
-      EXPECT_EQ(v[9999], 9999);
-      // Rebind path: a map with a different node type on the same arena.
-      std::map<int, int, std::less<int>, Alloc> m{std::less<int>(),
-                                                  Alloc(&arena)};
-      for (int i = 0; i < 100; ++i) m[i] = i * 2;
-      EXPECT_EQ(m.at(99), 198);
-    }
-    arena.reset();  // all containers above are dead; safe to recycle
-  }
-  EXPECT_EQ(ArenaAllocator<int>(&arena), ArenaAllocator<long>(&arena));
-  Arena other;
-  EXPECT_NE(ArenaAllocator<int>(&arena), ArenaAllocator<int>(&other));
 }
 
 }  // namespace
