@@ -118,7 +118,14 @@ std::string Expr::to_string() const {
           sym = ">";
           break;
       }
-      return "(" + lhs->to_string() + " " + sym + " " + rhs->to_string() + ")";
+      std::string out = "(";
+      out += lhs->to_string();
+      out += ' ';
+      out += sym;
+      out += ' ';
+      out += rhs->to_string();
+      out += ')';
+      return out;
     }
   }
   return "?";

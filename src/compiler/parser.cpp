@@ -75,9 +75,9 @@ class Lexer {
     // Multi-char symbols first.
     for (const char* sym : {"->", "+="}) {
       const std::size_t len = 2;
-      if (src_.substr(pos_, len) == sym) {
+      if (src_.compare(pos_, len, sym) == 0) {
         current_.kind = Token::K::kSymbol;
-        current_.text = sym;
+        current_.text = src_.substr(pos_, len);
         pos_ += len;
         return;
       }

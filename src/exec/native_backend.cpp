@@ -117,7 +117,7 @@ NativeBackend::~NativeBackend() {
       watchdog_->stop = true;
     }
     watchdog_->cv.notify_all();
-    watchdog_->thread.join();
+    if (watchdog_->thread.joinable()) watchdog_->thread.join();
   }
   {
     std::lock_guard<std::mutex> lk(phase_mu_);
@@ -168,10 +168,14 @@ obs::TraceShard* NativeBackend::worker_shard(std::uint32_t w) const {
 bool NativeBackend::arm_watchdog(const WatchdogConfig& cfg) {
   if (!cfg.enabled()) return true;
   DPA_CHECK(watchdog_ == nullptr) << "watchdog already armed";
-  DPA_CHECK(cfg.scan_interval > 0);
+  DPA_CHECK(cfg.scan_interval >= 0);
   watchdog_ = std::make_unique<WatchdogState>();
   watchdog_->cfg = cfg;
-  watchdog_->thread = std::thread([this] { watchdog_main(); });
+  watchdog_->last_produced.assign(nodes_.size(), 0);
+  watchdog_->last_consumed.assign(nodes_.size(), 0);
+  watchdog_->node_stuck.assign(nodes_.size(), false);
+  if (cfg.scan_interval > 0)
+    watchdog_->thread = std::thread([this] { watchdog_main(); });
   return true;
 }
 
@@ -272,6 +276,16 @@ std::int32_t NativeBackend::try_steal(std::uint32_t w) {
 
 void NativeBackend::deliver_train(NodeId src, NodeId dst) {
   Node& sn = *nodes_[src];
+  if (!remote_.empty() && remote_[dst]) {
+    std::vector<Packet>& wire = sn.wire_trains[dst];
+    if (wire.empty()) return;
+    DPA_DCHECK(sn.pending >= wire.size());
+    sn.pending -= std::uint32_t(wire.size());
+    ++sn.msg.trains_sent;
+    sink_(src, dst, wire);
+    wire.clear();
+    return;
+  }
   std::vector<Task>& batch = sn.trains[dst];
   if (batch.empty()) return;
   DPA_DCHECK(sn.pending >= batch.size());
@@ -293,6 +307,7 @@ void NativeBackend::deliver_train(NodeId src, NodeId dst) {
       inbox_depth = dn.inbox.size() + batch.size();
     }
     for (auto& t : batch) dn.inbox.push(std::move(t));
+    dn.has_mail.store(true, std::memory_order_relaxed);
   }
   batch.clear();
   // After the mailbox append: the destination's host (whoever wins the
@@ -343,16 +358,31 @@ void NativeBackend::post(NodeId node, Task task) {
       deliver_train(NodeId(tls_node), node);
     return;
   }
-  // Main thread: pre-phase seeding. Counted on the destination's shard —
-  // single-writer still holds because workers are parked between phases
-  // (the epoch publish orders these writes before the phase releases).
+  // Main thread: pre-phase seeding, or a held phase's delivery from
+  // outside the pool. Counted on the destination's shard. Before a phase
+  // its workers are parked (the epoch publish orders these writes before
+  // the phase releases); during a held phase the increment is an atomic
+  // read-modify-write beside the host's own, and the hold keeps the
+  // quiescence scan failing for as long as such posts can happen.
   Node& dn = *nodes_[node];
   dn.produced.fetch_add(1, std::memory_order_seq_cst);
   {
     std::lock_guard<std::mutex> lk(dn.mu);
     dn.inbox.push(std::move(task));
+    dn.has_mail.store(true, std::memory_order_relaxed);
   }
   activate(node);
+}
+
+Task NativeBackend::delivery(HandlerId handler, Packet pkt) {
+  DPA_DCHECK(handler < handlers_.size());
+  const Handler* fn = handlers_[handler].get();
+  Node* dn = nodes_[pkt.dst].get();
+  return [fn, dn, pkt = std::move(pkt)](Cpu& task_cpu) {
+    ++dn->msg.msgs_recv;
+    dn->msg.bytes_recv += pkt.bytes;
+    (*fn)(task_cpu, pkt);
+  };
 }
 
 void NativeBackend::send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
@@ -364,14 +394,34 @@ void NativeBackend::send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
   ++sn.msg.frags_sent;  // no MTU segmentation in-process
   sn.msg.bytes_sent += bytes;
 
-  const Handler* fn = handlers_[handler].get();
   Packet pkt{src, dst, handler, bytes, std::move(data)};
-  Node* dn = nodes_[dst].get();
-  post(dst, [fn, dn, pkt = std::move(pkt)](Cpu& task_cpu) {
-    ++dn->msg.msgs_recv;
-    dn->msg.bytes_recv += pkt.bytes;
-    (*fn)(task_cpu, pkt);
-  });
+  if (!remote_.empty() && remote_[dst]) {
+    // Bound for another process: the packet itself rides the train, for
+    // the sink to marshal when the train departs.
+    std::vector<Packet>& train = sn.wire_trains[dst];
+    train.push_back(std::move(pkt));
+    ++sn.pending;
+    if (train.size() >= tuning_.train_max) deliver_train(src, dst);
+    return;
+  }
+  post(dst, delivery(handler, std::move(pkt)));
+}
+
+void NativeBackend::set_remote(std::vector<bool> remote, RemoteSink sink) {
+  DPA_CHECK(remote.size() == nodes_.size() && sink != nullptr);
+  remote_ = std::move(remote);
+  sink_ = std::move(sink);
+  for (auto& n : nodes_) n->wire_trains.resize(nodes_.size());
+}
+
+void NativeBackend::deliver(NodeId src, NodeId dst, HandlerId handler,
+                            std::shared_ptr<void> data, std::uint32_t bytes) {
+  DPA_DCHECK(tls_node < 0) << "deliver() runs outside the pool";
+  DPA_DCHECK(held_.load(std::memory_order_relaxed));
+  DPA_DCHECK(remote_.empty() || !remote_[dst]);
+  deliveries_.fetch_add(1, std::memory_order_seq_cst);
+  post(dst, delivery(handler, Packet{src, dst, handler, bytes,
+                                     std::move(data)}));
 }
 
 void NativeBackend::flush(Cpu& cpu, NodeId node) {
@@ -407,12 +457,49 @@ Time NativeBackend::begin_phase() {
 }
 
 PhaseExec NativeBackend::run_phase() {
+  start_phase();
+  return finish_phase();
+}
+
+void NativeBackend::start_held_phase(std::function<void()> on_idle) {
+  on_idle_ = std::move(on_idle);
+  // A fresh generation, so the seeds' drain counts as news.
+  idle_noted_.store(deliveries_.load(std::memory_order_relaxed) - 1,
+                    std::memory_order_relaxed);
+  held_.store(true, std::memory_order_seq_cst);
+  start_phase();
+}
+
+void NativeBackend::note_idle() {
+  // Read the generation before the scan: a delivery the scan misses bumps
+  // it, and the worker that later finds the pool idle again reports anew.
+  const std::uint64_t gen = deliveries_.load(std::memory_order_seq_cst);
+  if (idle_noted_.load(std::memory_order_relaxed) == gen || !idle())
+    return;
+  if (idle_noted_.exchange(gen, std::memory_order_relaxed) != gen) on_idle_();
+}
+
+PhaseExec NativeBackend::release_hold() {
+  // After this store nothing outside the pool posts again. If the pool
+  // has already drained, its workers are parked on a scan the hold
+  // failed: confirm quiescence for them, as a worker's scan would, and
+  // wake them to the barrier.
+  held_.store(false, std::memory_order_seq_cst);
+  if (quiescent()) quiesced_.store(true, std::memory_order_release);
+  wake_all_workers();
+  return finish_phase();
+}
+
+void NativeBackend::start_phase() {
   phase_t0_ = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lk(phase_mu_);
     ++phase_epoch_;
   }
   phase_cv_.notify_all();
+}
+
+PhaseExec NativeBackend::finish_phase() {
   {
     std::unique_lock<std::mutex> lk(phase_mu_);
     phase_cv_.wait(lk, [this] { return done_epoch_ == phase_epoch_; });
@@ -478,7 +565,25 @@ void NativeBackend::worker_main(std::uint32_t w) {
 // stating: quiescence implies every run queue is empty, because a queued
 // activation exists only while its node has an unconsumed task (the
 // producer that won the CAS had already bumped `produced`).
+//
+// A held phase adds one producer outside the pool (deliver()), and the
+// hold is its one outstanding unit of work. quiescent() reads the hold
+// before the consumed pass, as if it were one more consumed counter: a
+// scan that sees it released comes after every external post in the
+// total order (the holder posts only before it releases), so the argument
+// above applies unchanged; a scan that sees it held fails.
 bool NativeBackend::quiescent() const {
+  return !held_.load(std::memory_order_seq_cst) && idle();
+}
+
+std::uint64_t NativeBackend::tasks_done() const {
+  std::uint64_t consumed = 0;
+  for (const auto& n : nodes_)
+    consumed += n->consumed.load(std::memory_order_seq_cst);
+  return consumed;
+}
+
+bool NativeBackend::idle() const {
   std::uint64_t consumed = 0;
   for (const auto& n : nodes_)
     consumed += n->consumed.load(std::memory_order_seq_cst);
@@ -498,8 +603,23 @@ std::uint64_t NativeBackend::outstanding() const {
 }
 
 void NativeBackend::watchdog_main() {
-  const WatchdogConfig& cfg = watchdog_->cfg;
-  std::uint64_t watched_epoch = 0;
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lk(watchdog_->mu);
+      watchdog_->cv.wait_for(
+          lk, std::chrono::nanoseconds(watchdog_->cfg.scan_interval),
+          [this] { return watchdog_->stop; });
+      if (watchdog_->stop) return;
+    }
+    if (watchdog_sweep()) return;
+  }
+}
+
+bool NativeBackend::watchdog_sweep() {
+  WatchdogState& wd = *watchdog_;
+  const WatchdogConfig& cfg = wd.cfg;
+  std::lock_guard<std::mutex> sweep_lk(wd.sweep_mu);
+  if (watchdog_fired()) return true;
   // Per-NODE progress tracking. With whole-node stealing a node's work
   // migrates between workers mid-phase, so any thread-keyed notion of
   // progress ("is the original host still running?") would flag a healthy
@@ -507,71 +627,63 @@ void NativeBackend::watchdog_main() {
   // counters are placement-oblivious: a sweep counts as progress when any
   // node's (produced, consumed) pair moved, no matter which worker moved
   // it. The residue also names the stuck nodes in the flight record.
-  std::vector<std::uint64_t> last_produced(nodes_.size(), 0);
-  std::vector<std::uint64_t> last_consumed(nodes_.size(), 0);
-  std::vector<bool> node_stuck(nodes_.size(), false);
-  std::uint32_t stuck = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(watchdog_->mu);
-      watchdog_->cv.wait_for(lk, std::chrono::nanoseconds(cfg.scan_interval),
-                             [this] { return watchdog_->stop; });
-      if (watchdog_->stop) return;
-    }
-    std::uint64_t epoch;
-    bool active;
-    std::chrono::steady_clock::time_point t0;
-    {
-      // phase_mu_ orders this read against run_phase's epoch publish: an
-      // active epoch implies phase_t0_ and shards_ are visible here too.
-      std::lock_guard<std::mutex> lk(phase_mu_);
-      epoch = phase_epoch_;
-      active = phase_epoch_ != done_epoch_ && !stop_;
-      t0 = phase_t0_;
-    }
-    if (!active) {
-      stuck = 0;
-      watched_epoch = 0;
-      continue;
-    }
-    if (epoch != watched_epoch) {
-      watched_epoch = epoch;
-      stuck = 0;
-      std::fill(last_produced.begin(), last_produced.end(), 0);
-      std::fill(last_consumed.begin(), last_consumed.end(), 0);
-    }
-    bool progress = false;
-    std::uint64_t produced = 0, consumed = 0;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      const std::uint64_t c = nodes_[i]->consumed.load(std::memory_order_seq_cst);
-      const std::uint64_t p = nodes_[i]->produced.load(std::memory_order_seq_cst);
-      const bool moved = p != last_produced[i] || c != last_consumed[i];
-      progress |= moved;
-      node_stuck[i] = !moved && p != c;
-      last_produced[i] = p;
-      last_consumed[i] = c;
-      produced += p;
-      consumed += c;
-    }
-    if (produced == consumed) {  // drained (or about to finish): healthy
-      stuck = 0;
-      continue;
-    }
-    stuck = progress ? 0 : stuck + 1;
-    const Time elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-    if (cfg.phase_deadline > 0 && elapsed > cfg.phase_deadline) {
-      watchdog_fire("phase deadline exceeded", elapsed, epoch, stuck,
-                    node_stuck);
-      return;
-    }
-    if (cfg.stuck_scans > 0 && stuck >= cfg.stuck_scans) {
-      watchdog_fire("quiescence counters made no progress", elapsed, epoch,
-                    stuck, node_stuck);
-      return;
-    }
+  std::uint64_t epoch;
+  bool active;
+  std::chrono::steady_clock::time_point t0;
+  {
+    // phase_mu_ orders this read against run_phase's epoch publish: an
+    // active epoch implies phase_t0_ and shards_ are visible here too.
+    std::lock_guard<std::mutex> lk(phase_mu_);
+    epoch = phase_epoch_;
+    active = phase_epoch_ != done_epoch_ && !stop_;
+    t0 = phase_t0_;
   }
+  if (!active) {
+    wd.stuck = 0;
+    wd.watched_epoch = 0;
+    return false;
+  }
+  if (epoch != wd.watched_epoch) {
+    wd.watched_epoch = epoch;
+    wd.stuck = 0;
+    std::fill(wd.last_produced.begin(), wd.last_produced.end(), 0);
+    std::fill(wd.last_consumed.begin(), wd.last_consumed.end(), 0);
+  }
+  bool progress = false;
+  std::uint64_t produced = 0, consumed = 0;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const std::uint64_t c = nodes_[i]->consumed.load(std::memory_order_seq_cst);
+    const std::uint64_t p = nodes_[i]->produced.load(std::memory_order_seq_cst);
+    const bool moved = p != wd.last_produced[i] || c != wd.last_consumed[i];
+    progress |= moved;
+    wd.node_stuck[i] = !moved && p != c;
+    wd.last_produced[i] = p;
+    wd.last_consumed[i] = c;
+    produced += p;
+    consumed += c;
+  }
+  // Drained (or about to finish): healthy. A held phase whose pool has
+  // run everything it was given waits here too — the hold is not a
+  // node's task, so it never reads as stuck.
+  if (produced == consumed) {
+    wd.stuck = 0;
+    return false;
+  }
+  wd.stuck = progress ? 0 : wd.stuck + 1;
+  const Time elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+  if (cfg.phase_deadline > 0 && elapsed > cfg.phase_deadline) {
+    watchdog_fire("phase deadline exceeded", elapsed, epoch, wd.stuck,
+                  wd.node_stuck);
+    return true;
+  }
+  if (cfg.stuck_scans > 0 && wd.stuck >= cfg.stuck_scans) {
+    watchdog_fire("quiescence counters made no progress", elapsed, epoch,
+                  wd.stuck, wd.node_stuck);
+    return true;
+  }
+  return false;
 }
 
 void NativeBackend::watchdog_fire(const char* reason, Time elapsed,
@@ -686,6 +798,7 @@ void NativeBackend::run_worker_phase(std::uint32_t w) {
       end_park_spell(obs::UnparkCause::kQuiesced);
       return;
     }
+    if (held_.load(std::memory_order_relaxed)) note_idle();
     // Idle escalation: spin briefly (work usually arrives within the spin
     // window when workers have their own cores), then share the core, then
     // surrender it. Parking is what keeps oversubscribed runs (workers >>
@@ -754,22 +867,27 @@ void NativeBackend::run_node(std::uint32_t w, NodeId id) {
       stall_cv_.wait(lk, [this] { return stall_released_; });
     }
     bool ran = false;
-    {
+    // The flag spares the lock when no mail came; the deactivation recheck
+    // below reads the inbox itself, so a stale flag delays mail but never
+    // strands it.
+    if (n.has_mail.load(std::memory_order_acquire)) {
       std::lock_guard<std::mutex> lk(n.mu);
-      if (!n.inbox.empty()) batch.swap(n.inbox);
+      batch.swap(n.inbox);
+      n.has_mail.store(false, std::memory_order_relaxed);
     }
     if (sh != nullptr && !batch.empty())
       sh->instant(obs::Ev::kWorkerDrain, id,
                   since_phase_start(std::chrono::steady_clock::now()),
                   batch.size());
-    // Incoming messages first, then self-posted scheduler work — the same
-    // "yield to the inbox" policy the simulator's node processor has.
+    // Incoming messages first, then self-posted scheduler work, back to
+    // the inbox as soon as mail arrives — the same "yield to the inbox"
+    // policy the simulator's node processor has.
     if (!batch.empty()) {
-      drain(n, id, sh, batch);
+      drain(n, id, sh, batch, false);
       ran = true;
     }
     if (!n.local.empty()) {
-      drain(n, id, sh, n.local);
+      drain(n, id, sh, n.local, true);
       ran = true;
     }
     if (ran) continue;  // our own tasks may have posted more to us
@@ -803,23 +921,24 @@ void NativeBackend::run_node(std::uint32_t w, NodeId id) {
 }
 
 void NativeBackend::drain(Node& n, NodeId id, obs::TraceShard* sh,
-                          Fifo<Task>& queue) {
+                          Fifo<Task>& queue, bool yield_to_mail) {
   const auto b0 = std::chrono::steady_clock::now();
   const Time batch_start = since_phase_start(b0);
   while (!queue.empty()) {
     Task task = queue.pop();
     if (sh == nullptr) {
       run_task(n, id, batch_start, task);
-      continue;
+    } else {
+      const auto t0 = std::chrono::steady_clock::now();
+      run_task(n, id, since_phase_start(t0), task);
+      const auto t1 = std::chrono::steady_clock::now();
+      sh->span(obs::Ev::kWorkerRun, id, since_phase_start(t0),
+               since_phase_start(t1));
+      sh->profile.task_service_ns.add(std::uint64_t(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+              .count()));
     }
-    const auto t0 = std::chrono::steady_clock::now();
-    run_task(n, id, since_phase_start(t0), task);
-    const auto t1 = std::chrono::steady_clock::now();
-    sh->span(obs::Ev::kWorkerRun, id, since_phase_start(t0),
-             since_phase_start(t1));
-    sh->profile.task_service_ns.add(std::uint64_t(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count()));
+    if (yield_to_mail && n.has_mail.load(std::memory_order_relaxed)) break;
   }
   const auto b1 = std::chrono::steady_clock::now();
   n.stats.busy_total +=

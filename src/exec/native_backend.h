@@ -19,7 +19,10 @@
 //     (src, seq)-sorted accumulation commit is schedule-independent.
 //   * Each node keeps an MPSC mailbox (mutex + FIFO) for cross-node posts
 //     and an unlocked local queue for self-posts (a node's scheduler
-//     kicking itself never takes a lock).
+//     kicking itself never takes a lock). Its host drains the mailbox
+//     first and goes back to it between self-posted tasks as soon as a
+//     producer flags new mail, so a message waits behind at most one
+//     local task, not behind all of them.
 //   * send() appends a delivery task to the sending node's per-destination
 //     *train* — an outbound buffer in the sending Node, written only by
 //     that node's host, like its local queue. A train is handed to the
@@ -34,6 +37,14 @@
 //     across a batch, exactly like per-message wire overhead is amortized
 //     by pointer aggregation. In-process delivery stays lossless and
 //     per-(src,dst) FIFO, unordered across sources — like the model.
+//     Trains to nodes outside the pool (set_remote: the proc backend's
+//     other processes) carry packets instead of tasks and depart, at the
+//     same three points, into a RemoteSink rather than a mailbox.
+//   * A held phase (start_held_phase) runs with one unit of outstanding
+//     work owned by the caller, which meanwhile delivers messages from
+//     outside the pool into node mailboxes and reads idle() — "only the
+//     hold is outstanding" — until release_hold() lets the phase quiesce.
+//     That is how a proc worker serves its peers while it computes.
 //   * Phase termination is global quiescence over *sharded* counters: each
 //     node owns a (produced, consumed) pair — tasks created on it vs. tasks
 //     finished on it — each written only by the thread currently running
@@ -95,6 +106,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -186,6 +198,36 @@ class NativeBackend final : public Backend {
     return nodes_[node]->stats;
   }
 
+  // --- A pool that is one process of several (the proc backend) --------
+  // Departs a train of messages bound for a node outside this pool; runs
+  // on the source node's host worker, with the packets in send order.
+  using RemoteSink =
+      std::function<void(NodeId src, NodeId dst, std::vector<Packet>& train)>;
+  // Marks the nodes `remote[n]` as living outside this pool: messages to
+  // them ride the sender's per-destination trains like any other and
+  // leave through `sink` at the same points (train_max, flush(), before
+  // the sender deactivates). Call between phases, before the first one.
+  void set_remote(std::vector<bool> remote, RemoteSink sink);
+
+  // Starts a phase while the caller holds one unit of outstanding work
+  // (the "hold"), so the pool cannot quiesce until release_hold(). While
+  // it holds, the caller may deliver() messages that arrived from outside.
+  // Seed the phase's first tasks with post() before this call. `on_idle`
+  // runs on a pool worker when the pool goes idle after the start or a
+  // delivery: a wakeup hint for the holder, which reads idle() itself.
+  void start_held_phase(std::function<void()> on_idle);
+  // The holding thread only: hands a message from a remote node to dst's
+  // mailbox, as a train from a local node would.
+  void deliver(NodeId src, NodeId dst, HandlerId handler,
+               std::shared_ptr<void> data, std::uint32_t bytes);
+  // Every task posted so far has run — in a held phase, only the hold is
+  // outstanding. The quiescence confirm's two-pass scan (see the .cpp).
+  bool idle() const;
+  // Tasks finished by this pool since construction (monotonic).
+  std::uint64_t tasks_done() const;
+  // Drops the hold, waits for the phase to quiesce and returns its record.
+  PhaseExec release_hold();
+
   // Attaches session->ensure_shards(num_nodes()) (null detaches).
   void attach_obs(obs::Session* session) override;
   // Attaches a sink directly, e.g. one of custom shard capacity; it grows
@@ -197,6 +239,13 @@ class NativeBackend final : public Backend {
   bool watchdog_fired() const {
     return watchdog_fired_.load(std::memory_order_acquire);
   }
+
+  // Test-only: one watchdog sweep now, exactly as the monitor thread runs
+  // it; returns whether the watchdog has fired. Armed with
+  // scan_interval == 0 the watchdog has no monitor thread, and sweeps
+  // happen only here: a test that places them between known counter
+  // moves checks the stuck logic without depending on host timing.
+  bool watchdog_sweep_for_test() { return watchdog_sweep(); }
 
   // Process-wide default watchdog, applied to every subsequently
   // constructed NativeBackend. Bench harnesses build their Clusters deep
@@ -237,6 +286,10 @@ class NativeBackend final : public Backend {
     // batches by the hosting worker.
     std::mutex mu;
     Fifo<Task> inbox;
+    // Set by producers (under mu) whenever they append to the inbox and
+    // cleared by the host when it swaps the inbox out, so the host can
+    // check for mail between tasks without taking the lock.
+    std::atomic<bool> has_mail{false};
     // Self-posts from the hosting worker; never locked (only the host
     // touches it, and the activation handoff orders host switches).
     Fifo<Task> local;
@@ -247,6 +300,9 @@ class NativeBackend final : public Backend {
     // across them. Host-only like `local` (main-thread posts bypass
     // trains); a departed train's vector keeps its capacity for the next.
     std::vector<std::vector<Task>> trains;
+    // Trains to remote nodes (sized only once set_remote() ran): packets,
+    // since they leave through the RemoteSink, not a mailbox.
+    std::vector<std::vector<Packet>> wire_trains;
     std::uint32_t pending = 0;
     NodeStats stats;
     MsgStats msg;  // sent-side fields written by host, recv-side by host
@@ -298,10 +354,13 @@ class NativeBackend final : public Backend {
   // scheduling; never preempted mid-mailbox).
   void run_node(std::uint32_t w, NodeId id);
   // Runs `queue` (the swapped-out inbox, or the local queue, which the
-  // tasks may append to) until it is empty. One clock pair times the whole
-  // batch for busy_total/finish_time; per-task clock reads happen only with
-  // a trace shard attached (run spans, task service times).
-  void drain(Node& n, NodeId id, obs::TraceShard* sh, Fifo<Task>& queue);
+  // tasks may append to) until it is empty, or — for the local queue —
+  // until mail arrives: a message waits behind at most one self-posted
+  // task. One clock pair times the whole batch for busy_total/finish_time;
+  // per-task clock reads happen only with a trace shard attached (run
+  // spans, task service times).
+  void drain(Node& n, NodeId id, obs::TraceShard* sh, Fifo<Task>& queue,
+             bool yield_to_mail);
   // Runs one task on a Cpu starting at `start`, then counts it consumed.
   void run_task(Node& n, NodeId id, Time start, const Task& task);
   // Makes `id` runnable if it is idle: CAS active 0 -> 1, enqueue on its
@@ -322,6 +381,8 @@ class NativeBackend final : public Backend {
   // correctness-bearing scan is quiescent()).
   std::uint64_t outstanding() const;
   void watchdog_main();
+  // One sweep over the per-node counters; true once the watchdog fired.
+  bool watchdog_sweep();
   void watchdog_fire(const char* reason, Time elapsed, std::uint64_t epoch,
                      std::uint32_t stuck, const std::vector<bool>& node_stuck);
   // Hands `src`'s train for `dst` (if non-empty) to the destination
@@ -330,7 +391,17 @@ class NativeBackend final : public Backend {
   void deliver_train(NodeId src, NodeId dst);
   // Delivers every non-empty train of `src`.
   void flush_trains(NodeId src);
+  // A message from `pkt.src` as a task on `pkt.dst`: counts the receipt,
+  // then runs the handler.
+  Task delivery(HandlerId handler, Packet pkt);
+  // Publishes a new phase epoch to the workers, and waits for its end.
+  void start_phase();
+  PhaseExec finish_phase();
+  // idle(), and no hold outstanding: the phase is over.
   bool quiescent() const;
+  // A worker found nothing to run in a held phase: calls on_idle_ once per
+  // delivery generation if the pool is idle.
+  void note_idle();
   void wake_all_workers();
   Time since_phase_start(std::chrono::steady_clock::time_point t) const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(t - phase_t0_)
@@ -347,6 +418,18 @@ class NativeBackend final : public Backend {
   // the rest skip straight to the barrier (quiescence is stable within a
   // phase). Reset by begin_phase while workers are parked between phases.
   std::atomic<bool> quiesced_{false};
+  // The external unit of work of a held phase (start_held_phase); while
+  // set, the quiescence scan fails.
+  std::atomic<bool> held_{false};
+  std::function<void()> on_idle_;
+  // deliver() calls so far, and the count the last on_idle_ call saw.
+  std::atomic<std::uint64_t> deliveries_{0};
+  std::atomic<std::uint64_t> idle_noted_{0};
+
+  // Nodes outside this pool and where their trains go (set_remote); empty
+  // for a single-process pool.
+  std::vector<bool> remote_;
+  RemoteSink sink_;
 
   // Phase start/stop plumbing. Workers park on phase_cv_ between phases;
   // run_phase publishes a new epoch to release them and waits on done
@@ -376,6 +459,14 @@ class NativeBackend final : public Backend {
     std::condition_variable cv;
     bool stop = false;
     std::thread thread;
+    // Sweep state, under sweep_mu (the monitor thread and test-driven
+    // sweeps may both run one).
+    std::mutex sweep_mu;
+    std::uint64_t watched_epoch = 0;
+    std::uint32_t stuck = 0;
+    std::vector<std::uint64_t> last_produced;
+    std::vector<std::uint64_t> last_consumed;
+    std::vector<bool> node_stuck;
   };
   std::unique_ptr<WatchdogState> watchdog_;
   std::atomic<bool> watchdog_fired_{false};

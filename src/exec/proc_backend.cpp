@@ -3,6 +3,7 @@
 #include <errno.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <time.h>
@@ -46,9 +47,13 @@ constexpr std::uint8_t kRunSum = 1;    // add: u64 delta lanes
 // Flush accumulated span-diff records to the wire at this payload size.
 constexpr std::size_t kSpanChunkBytes = 512 * 1024;
 
-// Depth at which a data link's per-(src, dst) train auto-flushes into one
-// frame (wire aggregation).
-constexpr std::uint32_t kTrainMax = 16;
+// A data link never splits a train on its own: the inner pool's trains
+// decide when messages leave, and each departing train is one frame.
+constexpr std::uint32_t kLinkTrainMax = ~std::uint32_t(0);
+
+// The pump loop's longest sleep; arrivals, the coordinator and the pool
+// going idle all wake it sooner.
+constexpr int kPumpWaitMs = 1;
 
 std::int64_t mono_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -131,8 +136,9 @@ struct Report {
 std::mutex g_defaults_mu;
 ProcBackend::Config g_default_config;
 
-// Queues one control payload and pumps: it is on the wire when this
-// returns, and any frames that arrived meanwhile have been delivered.
+// Queues one control payload and writes it: it is on the wire when this
+// returns unless the kernel buffer is full (the next poll() writes the
+// rest).
 void send_ctl(transport::PipeChannel& ctl, NodeId src, NodeId dst,
               std::uint16_t tag, std::vector<std::uint8_t> bytes) {
   ctl.send(src, dst, tag, std::move(bytes));
@@ -209,36 +215,34 @@ void ProcBackend::send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
                        std::shared_ptr<void> data, std::uint32_t bytes) {
   DPA_CHECK(role_ == Role::kWorker)
       << "proc backend send outside a phase (no task context)";
-  if (owner_of(dst) == self_) {
-    // Same process: the inner pool's train/mailbox path end to end.
-    inner_->send(cpu, src, dst, handler, std::move(data), bytes);
-    return;
-  }
-  const HandlerEntry& entry = *handlers_[handler];
-  DPA_CHECK(bool(entry.codec.marshal))
-      << "handler '" << entry.name
-      << "' crosses a process boundary but has no wire codec";
-  std::vector<std::uint8_t> body = entry.codec.marshal(data.get(), bytes);
-  std::vector<std::uint8_t> wire(4 + body.size());
-  std::memcpy(wire.data(), &bytes, 4);  // modeled size rides the frame
-  std::memcpy(wire.data() + 4, body.data(), body.size());
+  // Counted before the message can leave, inside the sending task: a pool
+  // that reports idle has counted every message it sent, so one still in
+  // a train shows as a sent/recv mismatch, never as quiet.
+  if (owner_of(dst) != self_) links_[owner_of(dst)]->sent.fetch_add(1);
+  inner_->send(cpu, src, dst, handler, std::move(data), bytes);
+}
 
+void ProcBackend::send_train(NodeId src, NodeId dst,
+                             std::vector<Packet>& train) {
   PeerLink& link = *links_[owner_of(dst)];
-  remote_msgs_sent_.fetch_add(1, std::memory_order_relaxed);
-  remote_bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
-  link.sent.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(link.mu);
-  link.pipe->send(src, dst, handler, std::move(wire));
+  for (const Packet& pkt : train) {
+    const HandlerEntry& entry = *handlers_[pkt.handler];
+    DPA_CHECK(bool(entry.codec.marshal))
+        << "handler '" << entry.name
+        << "' crosses a process boundary but has no wire codec";
+    std::vector<std::uint8_t> body =
+        entry.codec.marshal(pkt.data.get(), pkt.bytes);
+    std::vector<std::uint8_t> wire(4 + body.size());
+    std::memcpy(wire.data(), &pkt.bytes, 4);  // modeled size rides along
+    std::copy(body.begin(), body.end(), wire.begin() + 4);  // may be empty
+    link.pipe->send(src, dst, pkt.handler, std::move(wire));
+  }
+  link.pipe->flush(src);
 }
 
 void ProcBackend::flush(Cpu& cpu, NodeId node) {
-  if (role_ != Role::kWorker) return;
-  inner_->flush(cpu, node);
-  for (auto& link : links_) {
-    if (link == nullptr) continue;
-    std::lock_guard<std::mutex> lk(link->mu);
-    link->pipe->flush(node);
-  }
+  if (role_ == Role::kWorker) inner_->flush(cpu, node);
 }
 
 Time ProcBackend::begin_phase() {
@@ -355,8 +359,8 @@ void ProcBackend::coordinator_loop() {
   bool done_sent = false;
   std::uint32_t round = 0;
 
-  // Deliveries run inside any poll() and inside every send_ctl(), whose
-  // flush pumps: the current report must be reset before a probe goes out.
+  // Deliveries run inside poll(), on this thread: the current report is
+  // reset before the next probe goes out.
   for (std::uint32_t w = 0; w < procs_; ++w) {
     ctl_[w]->set_deliver([this, &ws, &round, w](
                              const transport::FrameHeader& h,
@@ -674,52 +678,9 @@ void ProcBackend::worker_main(std::uint32_t self) {
                                  ctl_fds_[self][1]});
   ctl.set_control(true);
 
-  // Data links: one framed channel per peer worker.
-  links_.clear();
-  links_.resize(procs_);
-  for (std::uint32_t v = 0; v < procs_; ++v) {
-    if (v == self) continue;
-    const int fd = self < v ? data_fds_[self][v][0] : data_fds_[v][self][1];
-    auto link = std::make_unique<PeerLink>();
-    link->pipe = std::make_unique<transport::PipeChannel>(
-        num_nodes_, kTrainMax, transport::PipeChannel::Endpoint{fd});
-    PeerLink* raw = link.get();
-    link->pipe->set_deliver([this, raw](const transport::FrameHeader& h,
-                                        const transport::FramePayload& p) {
-      // Application payload from another process: [u32 modeled_bytes]
-      // [codec bytes] under the handler-id tag. Rebuild the packet and
-      // stage it as a post for the next sub-phase.
-      DPA_CHECK(p.tag < handlers_.size()) << "unknown handler tag on wire";
-      HandlerEntry* entry = handlers_[p.tag].get();
-      DPA_CHECK(bool(entry->codec.unmarshal))
-          << "handler '" << entry->name << "' has no unmarshal";
-      DPA_CHECK(p.bytes.size() >= 4);
-      std::uint32_t modeled = 0;
-      std::memcpy(&modeled, p.bytes.data(), 4);
-      std::shared_ptr<void> data =
-          entry->codec.unmarshal(p.bytes.data() + 4, p.bytes.size() - 4);
-      Packet pkt;
-      pkt.src = h.src;
-      pkt.dst = h.dst;
-      pkt.handler = p.tag;
-      pkt.data = std::move(data);
-      pkt.bytes = modeled;
-      const NodeId dst = h.dst;
-      Task task = [entry, pkt = std::move(pkt)](Cpu& cpu) {
-        entry->fn(cpu, pkt);
-      };
-      std::lock_guard<std::mutex> lk(inbound_mu_);
-      pending_inbound_.emplace_back(dst, std::move(task));
-      ++raw->recv;
-      remote_msgs_recv_ += 1;
-      remote_bytes_recv_ += modeled;
-    });
-    links_[v] = std::move(link);
-  }
-
-  // The local execution substrate: a fresh inner pool (threads never
-  // survive a fork, so it must be built on this side of it), fronted by
-  // trampolines onto the registered handlers.
+  // The local execution substrate: a fresh pool (threads never survive a
+  // fork, so it must be built on this side of it), fronted by trampolines
+  // onto the registered handlers.
   inner_ = std::make_unique<NativeBackend>(num_nodes_);
   for (auto& h : handlers_) {
     HandlerEntry* entry = h.get();
@@ -735,11 +696,50 @@ void ProcBackend::worker_main(std::uint32_t self) {
     inner_->arm_watchdog(cfg);
   }
 
-  const std::vector<NodeId> owned = nodes_owned_by(self);
+  // Data links: one framed channel per peer worker. Only this thread reads
+  // them, and it posts each payload into its node's mailbox as the frame
+  // decodes, so per-(src, dst) FIFO order holds.
+  links_.clear();
+  links_.resize(procs_);
+  for (std::uint32_t v = 0; v < procs_; ++v) {
+    if (v == self) continue;
+    const int fd = self < v ? data_fds_[self][v][0] : data_fds_[v][self][1];
+    auto link = std::make_unique<PeerLink>();
+    link->pipe = std::make_unique<transport::PipeChannel>(
+        num_nodes_, kLinkTrainMax, transport::PipeChannel::Endpoint{fd});
+    PeerLink* raw = link.get();
+    link->pipe->set_deliver([this, raw](const transport::FrameHeader& h,
+                                        const transport::FramePayload& p) {
+      // Application payload from another process: [u32 modeled_bytes]
+      // [codec bytes] under the handler-id tag.
+      DPA_CHECK(p.tag < handlers_.size()) << "unknown handler tag on wire";
+      const HandlerEntry& entry = *handlers_[p.tag];
+      DPA_CHECK(bool(entry.codec.unmarshal))
+          << "handler '" << entry.name << "' has no unmarshal";
+      DPA_CHECK(p.bytes.size() >= 4);
+      std::uint32_t modeled = 0;
+      std::memcpy(&modeled, p.bytes.data(), 4);
+      ++raw->recv;
+      inner_->deliver(h.src, h.dst, p.tag,
+                      entry.codec.unmarshal(p.bytes.data() + 4,
+                                            p.bytes.size() - 4),
+                      modeled);
+    });
+    links_[v] = std::move(link);
+  }
+  if (procs_ > 1) {
+    // Trains to other processes' nodes leave through the links.
+    std::vector<bool> remote(num_nodes_);
+    for (NodeId n = 0; n < num_nodes_; ++n) remote[n] = owner_of(n) != self;
+    inner_->set_remote(std::move(remote),
+                       [this](NodeId src, NodeId dst,
+                              std::vector<Packet>& train) {
+                         send_train(src, dst, train);
+                       });
+  }
 
-  // Control-message flags, written by the delivery callback. It runs on
-  // this thread inside ctl.poll() and inside every send_ctl(), whose flush
-  // pumps the control link.
+  // Control-message flags, written by the delivery callback on this
+  // thread, inside ctl.poll().
   bool got_done = false;
   bool got_abort = false;
   bool probe_pending = false;
@@ -766,135 +766,91 @@ void ProcBackend::worker_main(std::uint32_t self) {
     }
   });
 
-  // Accumulated results across sub-phases.
-  std::vector<NodeStats> acc(num_nodes_);
-  MsgStats msg_acc;
-  SchedStats sched_acc;
-  std::uint64_t tasks_acc = 0;
-  Time subphase_offset = 0;
+  // One live phase: seed the owned nodes, then run the pool under a hold
+  // while this thread pumps the links into it.
+  const std::vector<NodeId> owned = nodes_owned_by(self);
+  inner_->begin_phase();
+  for (NodeId n : owned)
+    for (Task& task : staged_posts_[n]) inner_->post(n, std::move(task));
+  // The pool signals each return to idle on an eventfd, so a probe held
+  // for a busy pool is answered as soon as the pool drains.
+  const int idle_fd = eventfd(0, EFD_NONBLOCK);
+  DPA_CHECK(idle_fd >= 0) << "eventfd: " << std::strerror(errno);
+  inner_->start_held_phase([idle_fd] {
+    const std::uint64_t one = 1;
+    (void)!::write(idle_fd, &one, sizeof(one));
+  });
 
-  bool first = true;
   std::int64_t last_reported = -1;
   std::uint64_t pump_iters = 0;
-
+  std::vector<pollfd> fds;
   for (;;) {
-    // 1. Run everything runnable locally: one inner sub-phase. The inner
-    // pool reaches local quiescence because DPA threads are non-blocking
-    // continuations — a pending remote require holds no task.
-    std::vector<std::pair<NodeId, Task>> batch;
-    {
-      std::lock_guard<std::mutex> lk(inbound_mu_);
-      batch.swap(pending_inbound_);
-    }
-    bool have_seeds = false;
-    if (first)
-      for (NodeId n : owned) have_seeds = have_seeds || !staged_posts_[n].empty();
-    if (!batch.empty() || have_seeds) {
-      inner_->begin_phase();
-      if (first) {
-        for (NodeId n : owned)
-          while (!staged_posts_[n].empty()) {
-            inner_->post(n, std::move(staged_posts_[n].front()));
-            staged_posts_[n].pop_front();
-          }
-      }
-      for (auto& [node, task] : batch) inner_->post(node, std::move(task));
-      const PhaseExec pe = inner_->run_phase();
-      tasks_acc += pe.events;
-      for (NodeId n : owned) {
-        const NodeStats& st = inner_->node_stats(n);
-        NodeStats& a = acc[n];
-        for (int k = 0; k < kNumWorkKinds; ++k) a.busy[k] += st.busy[k];
-        a.busy_total += st.busy_total;
-        a.tasks_run += st.tasks_run;
-        if (st.tasks_run > 0) a.finish_time = subphase_offset + st.finish_time;
-      }
-      subphase_offset += pe.elapsed;
-      msg_acc += pe.msgs;
-      sched_acc += pe.sched;
-      // Anything the sub-phase buffered for other processes departs now;
-      // termination depends on it (sent counts include these payloads).
-      for (auto& link : links_) {
-        if (link == nullptr) continue;
-        std::lock_guard<std::mutex> lk(link->mu);
-        for (NodeId n : owned) link->pipe->flush(n);
-      }
-    }
-    first = false;
-
-    // 2. Pump the data links: inbound payloads become staged posts. A dead
-    // peer needs no report: the coordinator reaps its pid and reads EOF on
-    // its control channel.
+    // 1. Pump the data links: arrivals go straight into node mailboxes,
+    // and any backlog a pool thread could not write goes out.
     for (auto& link : links_) {
       if (link == nullptr) continue;
       std::lock_guard<std::mutex> lk(link->mu);
       link->pipe->poll();
     }
 
-    // 3. Pump the control link.
+    // 2. Pump the control link. A dead coordinator leaves nobody to
+    // report to.
     ctl.poll();
-    if (got_abort) _exit(1);
+    if (got_abort || ctl.status() == transport::ChannelStatus::kPeerDown)
+      _exit(1);
 
-    // 4. Chaos hook: die abruptly, as a crashed process would.
+    // 3. Chaos hook: die abruptly, as a crashed process would.
     if (config_.kill_worker_for_test == std::int32_t(self_) &&
         ++pump_iters >= config_.kill_after_pumps) {
       _exit(42);
     }
 
-    // 5. Done broadcast: commit, diff, ship, leave.
-    if (got_done) {
-      worker_finalize(ctl, owned, acc, msg_acc, sched_acc, tasks_acc);
-      // not reached
-    }
+    // 4. Done broadcast: release the pool, then commit, diff, ship, leave.
+    if (got_done) break;
 
-    // 6. Answer the latest probe (whether or not we are quiescent — the
-    // coordinator needs the report to advance rounds).
-    bool quiescent;
-    {
-      std::lock_guard<std::mutex> lk(inbound_mu_);
-      quiescent = pending_inbound_.empty();
-    }
-    if (probe_pending && std::int64_t(probe_round) > last_reported) {
-      // Retire the round before sending: the report's own pump may deliver
-      // the next probe, which must stay pending.
+    // 5. Answer the latest probe once the pool has drained what it holds:
+    // a report from a busy pool could only say "not quiescent" and cost
+    // the coordinator a round. Reading the links before the counters
+    // means every payload counted as received is already a posted task.
+    const bool idle = inner_->idle();
+    if (probe_pending && idle && std::int64_t(probe_round) > last_reported) {
       last_reported = std::int64_t(probe_round);
       probe_pending = false;
       Wr rep;
       rep.u32(probe_round);
-      rep.u8(quiescent ? 1 : 0);
-      rep.u64(tasks_acc);
+      rep.u8(idle ? 1 : 0);
+      rep.u64(inner_->tasks_done());
       for (std::uint32_t v = 0; v < procs_; ++v)
-        rep.u64(links_[v] == nullptr
-                    ? 0
-                    : links_[v]->sent.load(std::memory_order_relaxed));
-      for (std::uint32_t v = 0; v < procs_; ++v) {
-        if (links_[v] == nullptr) {
-          rep.u64(0);
-          continue;
-        }
-        std::lock_guard<std::mutex> lk(links_[v]->mu);
-        rep.u64(links_[v]->recv);
-      }
+        rep.u64(links_[v] == nullptr ? 0 : links_[v]->sent.load());
+      for (std::uint32_t v = 0; v < procs_; ++v)
+        rep.u64(links_[v] == nullptr ? 0 : links_[v]->recv);
       send_ctl(ctl, kCtlWorker, kCtlCoord, kTagReport, std::move(rep.b));
     }
 
-    // 7. Nothing to run and nothing in hand: sleep on the wire. A probe or
-    // done broadcast that a send delivered goes round the loop at once.
-    if (quiescent && !probe_pending && !got_done && !got_abort) {
-      std::vector<pollfd> fds;
-      fds.push_back(pollfd{ctl.wire_fd(), POLLIN, 0});
-      for (auto& link : links_)
-        if (link != nullptr)
-          fds.push_back(pollfd{link->pipe->wire_fd(), POLLIN, 0});
-      ::poll(fds.data(), nfds_t(fds.size()), 1);
+    // 6. Sleep on the wire and the pool: arrivals, the coordinator, room
+    // for a backlog, or the pool going idle wake us.
+    fds.clear();
+    fds.push_back(pollfd{idle_fd, POLLIN, 0});
+    fds.push_back(pollfd{ctl.wire_fd(), POLLIN, 0});
+    for (auto& link : links_) {
+      if (link == nullptr) continue;
+      std::lock_guard<std::mutex> lk(link->mu);
+      const short events =
+          link->pipe->tx_backlog() > 0 ? POLLIN | POLLOUT : POLLIN;
+      fds.push_back(pollfd{link->pipe->wire_fd(), events, 0});
+    }
+    ::poll(fds.data(), nfds_t(fds.size()), kPumpWaitMs);
+    if (fds[0].revents & POLLIN) {
+      std::uint64_t count = 0;
+      (void)!::read(idle_fd, &count, sizeof(count));
     }
   }
+  worker_finalize(ctl, owned, inner_->release_hold());
 }
 
-void ProcBackend::worker_finalize(
-    transport::PipeChannel& ctl, const std::vector<NodeId>& owned,
-    const std::vector<NodeStats>& acc, const MsgStats& msg_acc,
-    const SchedStats& sched_acc, std::uint64_t tasks_acc) {
+void ProcBackend::worker_finalize(transport::PipeChannel& ctl,
+                                  const std::vector<NodeId>& owned,
+                                  const PhaseExec& pe) {
   // 1. Phase epilogues for the owned nodes, in node order: this is where
   // staged accumulations commit (src, seq)-sorted — run them *before* the
   // span diff so their writes are captured.
@@ -981,30 +937,22 @@ void ProcBackend::worker_finalize(
   }
   flush_diff(true);
 
-  // 3. Merged execution statistics. Cross-process messages left through
-  // the data links, so they count on top of the inner pool's — one
-  // fragment each, as on the simulator — and each frame is one train.
+  // 3. Execution statistics. The pool counted cross-process messages as
+  // it counts its own — one fragment each, as on the simulator, and one
+  // train per frame; the links add the socket's own counters.
   {
     WireStats wire;
     for (auto& link : links_)
       if (link != nullptr) wire += link->pipe->wire_stats();
-    const std::uint64_t remote_sent = remote_msgs_sent_.load();
-    MsgStats msg = msg_acc;
-    msg.msgs_sent += remote_sent;
-    msg.frags_sent += remote_sent;
-    msg.msgs_recv += remote_msgs_recv_;
-    msg.bytes_sent += remote_bytes_sent_.load();
-    msg.bytes_recv += remote_bytes_recv_;
-    msg.trains_sent += wire.frames_sent;
     Wr s;
-    s.u64(tasks_acc);
-    s.pod(msg);
-    s.pod(sched_acc);
+    s.u64(pe.events);
+    s.pod(pe.msgs);
+    s.pod(pe.sched);
     s.pod(wire);
     s.u32(std::uint32_t(owned.size()));
     for (NodeId n : owned) {
       s.u32(n);
-      s.pod(acc[n]);
+      s.pod(inner_->node_stats(n));
     }
     send_ctl(ctl, kCtlWorker, kCtlCoord, kTagStats, std::move(s.b));
   }

@@ -1,14 +1,14 @@
 // ProcBackend: multi-process execution over the transport layer.
 //
 // A coordinator process forks one worker process per group of nodes at
-// each run_phase(); every worker runs the existing M:N NativeBackend pool
-// over the full node-id space but executes only the nodes it owns
-// (owner(node) = node % procs — the same modular affinity the native
-// scheduler uses). Cross-process messages travel as encoded frames over
-// one AF_UNIX socketpair per process pair (a transport::PipeChannel at
-// each end); a per-worker control socketpair — every frame stamped
-// kFrameFlagControl — carries the coordinator-driven termination
-// protocol, the span diffs, and the result blobs.
+// each run_phase(); every worker runs one M:N NativeBackend pool over the
+// full node-id space but executes only the nodes it owns (owner(node) =
+// node % procs — the same modular affinity the native scheduler uses).
+// Cross-process messages travel as encoded frames over one AF_UNIX
+// socketpair per process pair (a transport::PipeChannel at each end); a
+// per-worker control socketpair — every frame stamped kFrameFlagControl —
+// carries the coordinator-driven termination protocol, the span diffs,
+// and the result blobs.
 //
 // Reliability: none is layered on. A stream socket between live
 // processes is lossless and FIFO — exactly the guarantee the paper's
@@ -22,20 +22,28 @@
 //     list, creates the socketpairs, and forks the workers — each child a
 //     copy-on-write replica of the engines, handlers and application
 //     state at phase start.
-//   * A worker alternates *sub-phases* with channel pumping: seed the
-//     staged posts for its owned nodes into a freshly constructed inner
-//     NativeBackend, run it to local quiescence, flush the peer trains,
-//     then pump every channel — inbound remote messages become posts for
-//     the next sub-phase. DPA threads are non-blocking continuations, so
-//     local quiescence is always reachable: a pending remote require
-//     holds no task, and the engines' done() flags simply stay false
-//     until the replies arrive and drive another sub-phase.
-//   * Termination is the PR-5/7 two-pass quiescence shape lifted to
-//     frame level: the coordinator broadcasts probe rounds; each worker
-//     reports (quiescent?, tasks run, per-peer sent/recv payload
-//     counts). The phase is done when two consecutive rounds are
-//     identical, every worker is quiescent, and the sent/recv matrices
-//     match pairwise.
+//   * A worker builds its pool (threads never survive a fork), seeds the
+//     staged posts of its owned nodes, and runs ONE live held phase of
+//     it (NativeBackend::start_held_phase): the worker's main thread
+//     holds one unit of outstanding work, so the pool cannot quiesce on
+//     its own while the main thread pumps the links. Each inbound frame
+//     is posted into its destination node's mailbox as it decodes — the
+//     way Illinois FM ran handlers on arrival — so a node's peers are
+//     served while it computes. Only the pump loop reads the links, which
+//     keeps per-(src, dst) FIFO order.
+//   * Outbound, messages to another process's nodes ride the pool's own
+//     per-destination trains and leave where native trains leave (at
+//     train_max, on Backend::flush, before the sender deactivates): the
+//     departing train goes to send_train(), which marshals it into one
+//     frame on the peer link, instead of to a mailbox.
+//   * Termination is the two-pass quiescence shape lifted to frame
+//     level: the coordinator broadcasts probe rounds; each worker answers
+//     once its pool is idle (only the hold outstanding) with (quiescent,
+//     tasks run, per-peer sent/recv payload counts). Sends are counted
+//     inside the sending task, before the message can leave. The phase
+//     is done when two consecutive rounds are identical, every worker is
+//     quiescent, and the sent/recv matrices match pairwise; the done
+//     broadcast then releases each worker's hold.
 //   * After the done broadcast each worker runs the phase epilogue for
 //     its owned nodes (committing staged accumulations (src, seq)-sorted
 //     — the determinism-bearing step), diffs every registered span
@@ -45,11 +53,12 @@
 //     copy it. The coordinator applies the runs directly: owned writes are
 //     disjoint, so application order cannot matter, and kSumU64 spans
 //     travel as per-lane deltas that simply add.
-//   * Control sends pump their channel (send + PipeChannel::flush): a
-//     control frame is on the wire when the send returns, and frames that
-//     arrived meanwhile are delivered inside it. So a probe or the done
-//     broadcast can land during a worker's own send, and the worker loop
-//     sleeps on the wire only when it holds neither.
+//   * Control sends write their frame at once (send + PipeChannel::flush);
+//     frames are read and delivered only by poll(), on the thread that
+//     owns the channel. The worker's pump loop sleeps in poll(2) on its
+//     control and data links and on an eventfd the pool signals when it
+//     goes idle, so a probe held for a busy pool is answered as soon as
+//     the pool drains.
 //
 // Byte-identity across sim / native / proc: replies carry phase-start
 // object state (the fork snapshot) exactly as the single-process phases
@@ -161,9 +170,10 @@ class ProcBackend final : public Backend {
   };
 
   // One worker's data link to a peer process: a duplex socketpair end
-  // speaking the frame codec. `mu` serializes sends from concurrent
-  // inner-pool workers against the pump loop; `sent` and `recv` count
-  // application payloads for the termination protocol.
+  // speaking the frame codec. `mu` serializes the inner pool's departing
+  // trains against the pump loop; `sent` (bumped by sending tasks) and
+  // `recv` (by the pump loop) count application payloads for the
+  // termination protocol.
   struct PeerLink {
     std::mutex mu;
     std::unique_ptr<transport::PipeChannel> pipe;
@@ -175,12 +185,12 @@ class ProcBackend final : public Backend {
 
   void spawn_workers();
   [[noreturn]] void worker_main(std::uint32_t self);
+  // The inner pool's sink for trains bound to another process's nodes:
+  // marshals the packets into one frame on that process's link.
+  void send_train(NodeId src, NodeId dst, std::vector<Packet>& train);
   [[noreturn]] void worker_finalize(transport::PipeChannel& ctl,
                                     const std::vector<NodeId>& owned,
-                                    const std::vector<NodeStats>& acc,
-                                    const MsgStats& msg_acc,
-                                    const SchedStats& sched_acc,
-                                    std::uint64_t tasks_acc);
+                                    const PhaseExec& pe);
   void coordinator_loop();
   // Applies one control payload from worker `from` (ctl delivery callback)
   // during probe round `round`.
@@ -232,16 +242,6 @@ class ProcBackend final : public Backend {
   std::uint32_t self_ = 0;
   std::unique_ptr<NativeBackend> inner_;
   std::vector<std::unique_ptr<PeerLink>> links_;  // indexed by peer worker
-  // Inbound remote messages staged between sub-phases. Guarded: channel
-  // deliveries can run on inner-pool threads (a task's flush() pumps).
-  std::mutex inbound_mu_;
-  std::vector<std::pair<NodeId, Task>> pending_inbound_;
-  // Cross-process application-message accounting, merged into MsgStats in
-  // the simulator's units: modeled bytes, one fragment per message.
-  std::atomic<std::uint64_t> remote_msgs_sent_{0};
-  std::atomic<std::uint64_t> remote_bytes_sent_{0};
-  std::uint64_t remote_msgs_recv_ = 0;
-  std::uint64_t remote_bytes_recv_ = 0;
 };
 
 }  // namespace dpa::exec

@@ -1,6 +1,7 @@
 #include "runtime/dpa_engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -38,12 +39,19 @@ void DpaEngine::accumulate(sim::Cpu& cpu, GlobalRef ref, AccumFn update) {
   auto& buf = acc_[ref.home];
   buf.emplace_back(ref, std::move(update));
   ++acc_total_;
-  if (buf.size() >= cfg_.agg_max_refs) {
-    std::vector<std::pair<GlobalRef, AccumFn>> items = std::move(buf);
-    buf.clear();
-    acc_total_ -= std::uint32_t(items.size());
-    send_accum(cpu, ref.home, std::move(items));
-  }
+  if (buf.size() >= cfg_.agg_max_refs) flush_accums(cpu, ref.home);
+}
+
+void DpaEngine::flush_accums(sim::Cpu& cpu, NodeId dest) {
+  // The items move into an exactly-sized vector for the message; the
+  // buffer keeps its capacity for the next batch.
+  auto& buf = acc_[dest];
+  std::vector<std::pair<GlobalRef, AccumFn>> items;
+  items.reserve(buf.size());
+  std::move(buf.begin(), buf.end(), std::back_inserter(items));
+  buf.clear();
+  acc_total_ -= std::uint32_t(items.size());
+  send_accum(cpu, dest, std::move(items));
 }
 
 void DpaEngine::require(sim::Cpu& cpu, GlobalRef ref, ThreadFn thread) {
@@ -256,13 +264,9 @@ bool DpaEngine::flush_all(sim::Cpu& cpu) {
   if (agg_total_ == 0 && acc_total_ == 0) return false;
   flush_requests(cpu);
   for (NodeId d = 0; d < acc_.size(); ++d) {
-    auto& buf = acc_[d];
-    if (buf.empty()) continue;
-    std::vector<std::pair<GlobalRef, AccumFn>> items = std::move(buf);
-    buf.clear();
-    acc_total_ -= std::uint32_t(items.size());
+    if (acc_[d].empty()) continue;
     cpu.charge(cfg_.cost.flush_fixed, sim::Work::kComm);
-    send_accum(cpu, d, std::move(items));
+    flush_accums(cpu, d);
   }
   cluster_.exec().flush(cpu, node_);
   return true;
@@ -292,6 +296,7 @@ bool DpaEngine::strip_boundary(sim::Cpu& cpu) {
     local_ready_ = Fifo<std::pair<GlobalRef, ThreadFn>>();
     order_ = Fifo<OrderUnit>();
     for (auto& buf : agg_) buf = std::vector<std::uint32_t>();
+    for (auto& buf : acc_) buf = std::vector<std::pair<GlobalRef, AccumFn>>();
     release_spares();
     return false;
   }

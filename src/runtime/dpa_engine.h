@@ -100,6 +100,8 @@ class DpaEngine final : public EngineBase {
   // relocates them.
   void dispatch_tile(sim::Cpu& cpu, std::uint32_t t);
   void flush_dest(sim::Cpu& cpu, NodeId dest);
+  // Sends dest's buffered accumulations as one message.
+  void flush_accums(sim::Cpu& cpu, NodeId dest);
   bool strip_boundary(sim::Cpu& cpu);
   bool strip_has_uncreated() const;
 
@@ -117,7 +119,8 @@ class DpaEngine final : public EngineBase {
   // request and clears the buffer, keeping its capacity.
   std::vector<std::vector<std::uint32_t>> agg_;
   std::uint32_t agg_total_ = 0;
-  // Per-destination buffered accumulations (flushed with the requests).
+  // Per-destination buffered accumulations (flushed with the requests);
+  // like agg_, each buffer keeps its capacity across flushes.
   std::vector<std::vector<std::pair<GlobalRef, AccumFn>>> acc_;
   std::uint32_t acc_total_ = 0;
   std::uint64_t strip_end_ = 0;    // roots [strip_begin, strip_end) created

@@ -27,18 +27,26 @@ T get(const std::uint8_t* p) {
   return v;
 }
 
-const std::uint32_t* crc_table() {
-  static const auto table = [] {
-    static std::uint32_t t[256];
+// Slice-by-8 tables for the reflected polynomial 0xEDB88320: t[0] is the
+// classic bytewise table, and t[k][i] is the CRC of byte i followed by k
+// zero bytes, so eight table lookups fold one 64-bit word at a time.
+using CrcTables = std::uint32_t[8][256];
+
+const CrcTables& crc_tables() {
+  static const auto* tables = [] {
+    static CrcTables t;
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k)
         c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      t[0][i] = c;
     }
-    return t;
+    for (std::uint32_t i = 0; i < 256; ++i)
+      for (int k = 1; k < 8; ++k)
+        t[k][i] = t[0][t[k - 1][i] & 0xffu] ^ (t[k - 1][i] >> 8);
+    return &t;
   }();
-  return table;
+  return *tables;
 }
 
 }  // namespace
@@ -59,10 +67,24 @@ const char* to_string(DecodeStatus s) {
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
                     std::uint32_t seed) {
-  const std::uint32_t* t = crc_table();
+  const CrcTables& t = crc_tables();
   std::uint32_t c = seed ^ 0xffffffffu;
-  for (std::size_t i = 0; i < len; ++i)
-    c = t[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+  // Eight bytes per step, assembled little-endian so the result does not
+  // depend on the host's byte order; the tail goes bytewise.
+  for (; len >= 8; data += 8, len -= 8) {
+    const std::uint32_t lo = c ^ (std::uint32_t(data[0]) |
+                                  std::uint32_t(data[1]) << 8 |
+                                  std::uint32_t(data[2]) << 16 |
+                                  std::uint32_t(data[3]) << 24);
+    const std::uint32_t hi = std::uint32_t(data[4]) |
+                             std::uint32_t(data[5]) << 8 |
+                             std::uint32_t(data[6]) << 16 |
+                             std::uint32_t(data[7]) << 24;
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len) c = t[0][(c ^ *data) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 

@@ -105,7 +105,8 @@ enum class DecodeStatus : std::uint8_t {
 
 const char* to_string(DecodeStatus s);
 
-// CRC-32 (IEEE reflected polynomial 0xEDB88320), the frame checksum.
+// CRC-32 (IEEE reflected polynomial 0xEDB88320), the frame checksum,
+// computed eight bytes per step (slice-by-8).
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
                     std::uint32_t seed = 0);
 

@@ -66,9 +66,38 @@ void PipeChannel::flush(NodeId src) {
   if (s.pending > 0)
     for (NodeId d = 0; d < NodeId(s.train.size()); ++d) flush_dest(src, d);
   DPA_DCHECK(s.pending == 0);
-  // Pump on any backlog, not only on trains encoded just now: a train that
-  // filled inside send() is already queued with nothing left pending.
-  if (!tx_.empty() && !pumping_) pump();
+  // Write on any backlog, not only on trains encoded just now: a train
+  // that filled inside send() is already queued with nothing left pending.
+  if (!pumping_) write_backlog();
+}
+
+bool PipeChannel::write_backlog() {
+  // Push backlog until the kernel buffer is full. send() with MSG_NOSIGNAL
+  // instead of raw write(): a dead peer must surface as EPIPE ->
+  // kPeerDown, not as a process-killing SIGPIPE.
+  bool progress = false;
+  while (!tx_.empty() && !peer_down_) {
+    const auto& f = tx_.front();
+    const ssize_t n =
+        ::send(fd_, f.data() + tx_off_, f.size() - tx_off_, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EPIPE || errno == ECONNRESET) {
+        peer_down_ = true;
+        break;
+      }
+      DPA_CHECK(errno == EAGAIN || errno == EWOULDBLOCK)
+          << "pipe write: " << std::strerror(errno);
+      break;
+    }
+    progress = true;
+    tx_off_ += std::size_t(n);
+    if (tx_off_ == f.size()) {
+      tx_.pop_front();
+      tx_off_ = 0;
+    }
+  }
+  return progress;
 }
 
 std::size_t PipeChannel::pump() {
@@ -78,31 +107,7 @@ std::size_t PipeChannel::pump() {
   std::size_t delivered = 0;
   bool progress = true;
   while (progress && !peer_down_) {
-    progress = false;
-    // Write side: push backlog until the kernel buffer is full. send()
-    // with MSG_NOSIGNAL instead of raw write(): a dead peer must surface
-    // as EPIPE -> kPeerDown, not as a process-killing SIGPIPE.
-    while (!tx_.empty()) {
-      const auto& f = tx_.front();
-      const ssize_t n = ::send(fd_, f.data() + tx_off_,
-                               f.size() - tx_off_, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EPIPE || errno == ECONNRESET) {
-          peer_down_ = true;
-          break;
-        }
-        DPA_CHECK(errno == EAGAIN || errno == EWOULDBLOCK)
-            << "pipe write: " << std::strerror(errno);
-        break;
-      }
-      progress = true;
-      tx_off_ += std::size_t(n);
-      if (tx_off_ == f.size()) {
-        tx_.pop_front();
-        tx_off_ = 0;
-      }
-    }
+    progress = write_backlog();
     // Read side: drain the socket into the reassembly buffer. EOF means
     // the peer closed its half — also kPeerDown, never an abort.
     while (!peer_down_) {

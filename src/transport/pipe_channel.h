@@ -13,13 +13,16 @@
 // flushed arrives, once, in order. The one failure is the peer dying,
 // which surfaces as ChannelStatus::kPeerDown.
 //
-// I/O model — a miniature event loop, single-threaded and non-blocking:
-//   * flush appends encoded frames to a TX backlog;
-//   * pump() writes as much backlog as the kernel buffer takes (partial
-//     writes resume mid-frame), then reads everything available,
+// I/O model — a miniature event loop, non-blocking, used by one thread at
+// a time:
+//   * flush appends encoded frames to a TX backlog and writes as much of
+//     it as the kernel buffer takes (partial writes resume mid-frame);
+//   * poll() also writes the backlog, then reads everything available,
 //     decodes complete frames from the reassembly buffer, and delivers.
-// Writes never block, so the link makes progress as long as both ends keep
-// pumping — which is what their owners' poll() loops do.
+// Only poll() reads, so deliveries run on the thread that polls even when
+// other threads flush (under the owner's lock). Writes never block, so the
+// link makes progress as long as both ends keep polling — which is what
+// their owners' loops do.
 #pragma once
 
 #include <cstdint>
@@ -74,12 +77,11 @@ class PipeChannel {
   void send(NodeId src, NodeId dst, std::uint16_t tag,
             std::vector<std::uint8_t> bytes);
 
-  // Encodes each non-empty train of src as one frame, queues it, and pumps
-  // whenever the TX backlog is non-empty. Contract: a queued frame leaves
-  // on this call unless the kernel buffer is full (a later pump writes the
-  // rest); called from inside a delivery callback, the enclosing pump
-  // writes it. The pump also reads, so send()+flush() may run the
-  // delivery callback before flush() returns.
+  // Encodes each non-empty train of src as one frame, queues it, and
+  // writes whenever the TX backlog is non-empty. Contract: a queued frame
+  // leaves on this call unless the kernel buffer is full (a later poll()
+  // writes the rest); called from inside a delivery callback, the
+  // enclosing poll() writes it. Never reads or delivers.
   void flush(NodeId src);
 
   // Writes backlog / reads / decodes / delivers; returns payloads
@@ -109,6 +111,8 @@ class PipeChannel {
   };
 
   void flush_dest(NodeId src, NodeId dst);
+  // Writes backlog until the kernel buffer is full; true if any byte left.
+  bool write_backlog();
   std::size_t pump();
 
   std::uint32_t train_max_;

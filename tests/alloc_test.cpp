@@ -155,5 +155,65 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(sim ? "Sim" : "Native") + std::get<1>(info.param).name;
     });
 
+// Allocations per accumulation message in a steady 2-node DPA(50) phase:
+// node 0's roots each make kRequiresPerRoot remote accumulates into node
+// 1's objects, which leave in messages of up to agg_max_refs updates. The
+// count is the difference between a phase of 2R roots and one of R roots
+// (both after a warm-up), against the difference in messages, so the
+// phase's fixed cost (engines, strip containers) cancels. A message costs
+// its AccumPayload and its exactly-sized item vector; the per-destination
+// buffer that fills it keeps its capacity. The bound's slack is for
+// containers that grow with the phase, not with each message: the
+// receiver's per-phase staging vector doubles once more in the larger
+// phase, and on native the workers' run queues (std::deque) take a block
+// per 128 node activations, a count that host timing decides.
+struct AccumAllocs {
+  std::uint64_t allocs = 0;  // 2R-root phase minus R-root phase
+  std::uint64_t msgs = 0;    // accumulation messages, likewise
+};
+
+AccumAllocs remote_accum_allocs(exec::BackendKind kind) {
+  constexpr std::uint64_t kRoots = 5'000;
+  Cluster cluster(2, kind);
+  std::vector<gas::GPtr<Obj>> objs;
+  for (std::uint64_t i = 0; i < kObjects; ++i)
+    objs.push_back(cluster.heap.make<Obj>(1, Obj{0.0}));
+  PhaseRunner runner(cluster, RuntimeConfig::dpa(50));
+  const auto measure = [&](std::uint64_t roots) {
+    std::vector<NodeWork> w(2);
+    w[0].count = roots;
+    w[0].item = [&objs](Ctx& ctx, std::uint64_t i) {
+      for (std::uint64_t k = 0; k < kRequiresPerRoot; ++k)
+        ctx.accumulate(objs[(i * kRequiresPerRoot + k) % kObjects],
+                       [](Obj& o) { o.val += 1.0; });
+    };
+    const std::uint64_t before = g_allocs.load();
+    const PhaseResult r = runner.run(std::move(w));
+    const std::uint64_t allocs = g_allocs.load() - before;
+    EXPECT_TRUE(r.completed) << r.diagnostics;
+    EXPECT_EQ(r.rt.accums_issued, roots * kRequiresPerRoot);
+    return AccumAllocs{allocs, r.rt.accum_msgs};
+  };
+  measure(2 * kRoots);  // warm-up
+  const AccumAllocs small = measure(kRoots);
+  const AccumAllocs large = measure(2 * kRoots);
+  EXPECT_GT(large.msgs, small.msgs);
+  return AccumAllocs{large.allocs - small.allocs, large.msgs - small.msgs};
+}
+
+TEST(AllocTest, RemoteAccumulationsAllocateTwicePerMessage) {
+  for (const exec::BackendKind kind :
+       {exec::BackendKind::kSim, exec::BackendKind::kNative}) {
+    const bool sim = kind == exec::BackendKind::kSim;
+    const AccumAllocs a = remote_accum_allocs(kind);
+    RecordProperty(sim ? "sim_allocs" : "native_allocs",
+                   std::to_string(a.allocs));
+    RecordProperty(sim ? "sim_msgs" : "native_msgs", std::to_string(a.msgs));
+    EXPECT_LE(a.allocs, 2 * a.msgs + 8)
+        << (sim ? "sim: " : "native: ") << a.allocs << " allocations for "
+        << a.msgs << " accumulation messages";
+  }
+}
+
 }  // namespace
 }  // namespace dpa::rt

@@ -109,8 +109,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(8, 16, 24),
                        ::testing::Values(4.0, 5.0, 6.0)),
     [](const auto& info) {
-      return "p" + std::to_string(std::get<0>(info.param)) + "_ws" +
-             std::to_string(int(std::get<1>(info.param)));
+      std::string name = "p";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_ws";
+      name += std::to_string(int(std::get<1>(info.param)));
+      return name;
     });
 
 // ---------- FMM: engine sweep keeps counts identical ----------

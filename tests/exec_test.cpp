@@ -455,10 +455,13 @@ TEST(NativeBackend, QuiescenceStaysExactWhileStealsAreInFlight) {
 TEST(NativeBackend, WatchdogStaysQuietWhileStolenNodeMakesProgress) {
   // Regression for the M:N port of the stall watchdog: progress is counted
   // per NODE (placement-oblivious counters), not per thread. Here node 2's
-  // work is stolen by worker 1 and trickles along slowly — many watchdog
-  // sweeps — while node 2's original lane (worker 0) sits blocked the
-  // whole time. A thread-keyed sweep would see a parked/wedged-looking
-  // original host and fire; the node-keyed sweep must stay quiet.
+  // work is stolen by worker 1 and trickles along — one sweep per task —
+  // while node 2's original lane (worker 0) sits blocked the whole time. A
+  // thread-keyed sweep would see a wedged-looking original host and fire;
+  // the node-keyed sweep must stay quiet. The sweeps are test-driven
+  // (scan_interval 0: no monitor thread): each runs at the start of a
+  // trickle task, after the previous one was counted consumed, so the
+  // outcome does not depend on how promptly the host wakes a sleeper.
   constexpr std::uint32_t kTasks = 30;
   exec::NativeBackend::Tuning tuning;
   tuning.workers = 2;
@@ -468,23 +471,25 @@ TEST(NativeBackend, WatchdogStaysQuietWhileStolenNodeMakesProgress) {
   exec::NativeBackend backend(3, tuning);
   exec::WatchdogConfig cfg;
   cfg.stuck_scans = 2;
-  cfg.scan_interval = 1'000'000;  // 1 ms: many sweeps across the phase
+  cfg.scan_interval = 0;
   cfg.fatal = false;
   ASSERT_TRUE(backend.arm_watchdog(cfg));
 
   std::atomic<std::uint32_t> done{0};
-  auto* b = &backend;
+  std::atomic<std::uint32_t> fired_sweeps{0};
   struct Trickle {
-    exec::Backend* b;
+    exec::NativeBackend* b;
     std::atomic<std::uint32_t>* done;
+    std::atomic<std::uint32_t>* fired;
     void operator()(std::uint32_t i) const {
-      std::this_thread::sleep_for(std::chrono::microseconds(300));
+      if (b->watchdog_sweep_for_test()) fired->fetch_add(1);
       done->fetch_add(1, std::memory_order_release);
       if (i + 1 >= kTasks) return;
       const Trickle self = *this;
       b->post(2, [self, i](exec::Cpu&) { self(i + 1); });
     }
   };
+  const Trickle trickle{&backend, &done, &fired_sweeps};
   backend.begin_phase();
   // Blocker on node 0 (affinity worker 0) gated on the trickle finishing:
   // node 2 (also affinity worker 0) can only run via a steal by worker 1.
@@ -492,12 +497,13 @@ TEST(NativeBackend, WatchdogStaysQuietWhileStolenNodeMakesProgress) {
     while (done.load(std::memory_order_acquire) < kTasks)
       std::this_thread::yield();
   });
-  backend.post(2, [b, &done](exec::Cpu&) { Trickle{b, &done}(0); });
+  backend.post(2, [trickle](exec::Cpu&) { trickle(0); });
   const exec::PhaseExec pe = backend.run_phase();
 
   EXPECT_EQ(done.load(), kTasks);
   EXPECT_GE(pe.sched.steals, 1u);
   EXPECT_EQ(backend.last_worker(2), 1);
+  EXPECT_EQ(fired_sweeps.load(), 0u);
   EXPECT_FALSE(backend.watchdog_fired());
 }
 
@@ -784,43 +790,64 @@ TEST(NativeBackend, WatchdogFiresOnWedgedWorkerAndDumpsFlightRecord) {
 }
 
 TEST(NativeBackend, WatchdogStaysQuietOnHealthyPhases) {
-  // An armed watchdog must never fire on phases that merely take a few
+  // An armed watchdog must never fire on phases that merely take many
   // sweeps to finish: progress on the counters resets the stuck count.
+  // Test-driven sweeps (scan_interval 0: no monitor thread) run at the
+  // start of every task of a chain that hops across the four nodes. Task
+  // i+1 reaches its node in a train that departs only after task i was
+  // counted consumed, so every sweep follows a counter move, whatever the
+  // host's timing. The control: sweeps with nothing moving in between
+  // count as stuck, and the stuck_scans-th fires.
+  constexpr std::uint32_t kTasks = 64;
   exec::NativeBackend::Tuning tuning;
   tuning.idle_spins = 4;
   tuning.idle_yields = 2;
   tuning.park_timeout_us = 50;
-  exec::NativeBackend backend(4, tuning);
   exec::WatchdogConfig cfg;
   cfg.stuck_scans = 2;
-  cfg.scan_interval = 1'000'000;  // 1 ms: many sweeps per phase below
+  cfg.scan_interval = 0;
   cfg.fatal = false;
-  ASSERT_TRUE(backend.arm_watchdog(cfg));
 
-  std::atomic<std::uint64_t> ran{0};
-  struct Spawner {
-    exec::Backend* b;
-    std::atomic<std::uint64_t>* ran;
-    void operator()(int depth, std::uint32_t node) const {
+  exec::NativeBackend backend(4, tuning);
+  ASSERT_TRUE(backend.arm_watchdog(cfg));
+  std::atomic<std::uint32_t> ran{0};
+  std::atomic<std::uint32_t> fired_sweeps{0};
+  struct Hop {
+    exec::NativeBackend* b;
+    std::atomic<std::uint32_t>* ran;
+    std::atomic<std::uint32_t>* fired;
+    void operator()(std::uint32_t i) const {
+      if (b->watchdog_sweep_for_test()) fired->fetch_add(1);
       ran->fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      if (depth == 0) return;
-      const Spawner self = *this;
-      for (int c = 0; c < 2; ++c) {
-        const std::uint32_t next = (node + 1 + std::uint32_t(c)) % 4;
-        b->post(next,
-                [self, depth, next](exec::Cpu&) { self(depth - 1, next); });
-      }
+      if (i + 1 >= kTasks) return;
+      const Hop self = *this;
+      const std::uint32_t next = (i + 1) % 4;
+      b->post(next, [self, i](exec::Cpu&) { self(i + 1); });
     }
   };
-  Spawner spawner{&backend, &ran};
+  const Hop hop{&backend, &ran, &fired_sweeps};
   for (int phase = 0; phase < 2; ++phase) {
     backend.begin_phase();
-    backend.post(0, [spawner](exec::Cpu&) { spawner(6, 0); });
+    backend.post(0, [hop](exec::Cpu&) { hop(0); });
     backend.run_phase();
   }
-  EXPECT_EQ(ran.load(), 2 * ((1u << 7) - 1));
+  EXPECT_EQ(ran.load(), 2 * kTasks);
+  EXPECT_EQ(fired_sweeps.load(), 0u);
   EXPECT_FALSE(backend.watchdog_fired());
+
+  exec::NativeBackend stalled(4, tuning);
+  ASSERT_TRUE(stalled.arm_watchdog(cfg));
+  std::vector<bool> fired;
+  stalled.begin_phase();
+  stalled.post(0, [&stalled, &fired](exec::Cpu&) {
+    for (int k = 0; k < 3; ++k)
+      fired.push_back(stalled.watchdog_sweep_for_test());
+  });
+  stalled.run_phase();
+  // The first sweep sees the phase's counters move from zero; the next two
+  // see nothing move while this task is outstanding.
+  EXPECT_EQ(fired, (std::vector<bool>{false, false, true}));
+  EXPECT_TRUE(stalled.watchdog_fired());
 }
 
 TEST(NativeEngines, Em3dPublishesWorkerTraceAndProfiles) {

@@ -57,12 +57,16 @@ TEST(ProcBackend, ClampsProcessCountToTheNodeCount) {
   EXPECT_EQ(under.num_procs(), 1u);  // and always at least one
 }
 
-// A four-node ring: node n owns one value and adds its successor's
-// phase-start value to it. With procs=2 every dependency crosses a process
+// A four-node ring: node n owns one value and stores its sum with its
+// successor's value. With procs=2 every dependency crosses a process
 // boundary (owners alternate 0,1,0,1), so the phase exercises the full
-// remote require/reply path plus the span-diff result merge.
+// remote require/reply path plus the span-diff result merge. The sum has
+// its own field: on the single-process backends a reply carries the live
+// object, so a node that overwrote the value its predecessor reads would
+// race with that read.
 struct RingVal {
   double v = 0;
+  double sum = 0;
 };
 
 rt::PhaseResult run_ring_phase(
@@ -73,21 +77,22 @@ rt::PhaseResult run_ring_phase(
 
   std::vector<gas::GPtr<RingVal>> ptrs;
   for (std::uint32_t n = 0; n < 4; ++n)
-    ptrs.push_back(cluster.heap.make<RingVal>(n, RingVal{double(n + 1)}));
+    ptrs.push_back(cluster.heap.make<RingVal>(n, RingVal{double(n + 1), 0}));
 
   std::vector<rt::NodeWork> work(4);
   for (std::uint32_t n = 0; n < 4; ++n) {
     work[n].count = 1;
     work[n].item = [&ptrs, n](rt::Ctx& ctx, std::uint64_t) {
       RingVal* mine = gas::GlobalHeap::mutate(ptrs[n]);
-      ctx.require(ptrs[(n + 1) % 4],
-                  [mine](rt::Ctx&, const RingVal& dep) { mine->v += dep.v; });
+      ctx.require(ptrs[(n + 1) % 4], [mine](rt::Ctx&, const RingVal& dep) {
+        mine->sum = mine->v + dep.v;
+      });
     };
   }
   const rt::PhaseResult r = runner.run(std::move(work), "ring");
   if (out != nullptr) {
     out->clear();
-    for (const auto& p : ptrs) out->push_back(p.addr->v);
+    for (const auto& p : ptrs) out->push_back(p.addr->sum);
   }
   return r;
 }
@@ -99,7 +104,7 @@ TEST(ProcBackend, CrossProcessRingPhaseComputesTheRightValues) {
   std::vector<double> vals;
   const rt::PhaseResult r = run_ring_phase(&vals);
   ASSERT_TRUE(r.completed) << r.diagnostics;
-  // v[n] = (n+1) + successor's phase-start value (n+2, wrapping to 1).
+  // sum[n] = (n+1) + successor's value (n+2, wrapping to 1).
   const std::vector<double> want = {1 + 2, 2 + 3, 3 + 4, 4 + 1};
   EXPECT_EQ(vals, want);
   EXPECT_GT(r.elapsed, 0);
@@ -215,6 +220,68 @@ TEST(ProcBackend, BackToBackPhasesAllTerminate) {
             << "procs=" << procs << " phase " << k << " node " << n;
     }
   }
+}
+
+TEST(ProcBackend, PeerMessageIsServedWhileTheBusyNodeComputes) {
+  // Node 0 (worker 0) runs a self-posted chain of up to kChain tasks that
+  // stops early once a message from node 1 (worker 1) has been served. A
+  // worker that read its links only after its nodes ran dry would serve
+  // the message after the whole chain. A live pool posts it into node 0's
+  // mailbox as it arrives, and node 0 yields to its mailbox between
+  // chain tasks, so the handler runs mid-chain. The chain is long enough
+  // (seconds) that only a peer stalled that long could make it finish
+  // first; the check counts tasks, not time.
+  constexpr std::uint64_t kChain = 20'000'000;
+  struct Result {
+    std::uint64_t chain = 0;      // chain tasks run
+    std::uint64_t served_at = 0;  // chain tasks run before the handler
+    std::uint64_t served = 0;
+  };
+  exec::ProcBackend::Config cfg;
+  cfg.procs = 2;
+  exec::ProcBackend backend(2, cfg);
+  Result res;
+  const exec::ScopedPhaseSpan span(backend,
+                                   exec::PhaseSpan{&res, sizeof(res)});
+  exec::WireCodec empty;
+  empty.marshal = [](const void*, std::uint32_t) {
+    return std::vector<std::uint8_t>();
+  };
+  empty.unmarshal = [](const std::uint8_t*, std::size_t) {
+    return std::shared_ptr<void>();
+  };
+  Result* r = &res;
+  const exec::HandlerId ping = backend.register_handler(
+      "ping",
+      [r](exec::Cpu&, const exec::Packet&) {
+        r->served_at = r->chain;
+        r->served = 1;
+      },
+      empty);
+  struct Chain {
+    exec::Backend* b;
+    Result* r;
+    void operator()(exec::Cpu&) const {
+      ++r->chain;
+      if (r->served == 0 && r->chain < kChain) b->post(0, *this);
+    }
+  };
+  exec::Backend* b = &backend;
+  backend.begin_phase();
+  backend.post(0, Chain{b, r});
+  backend.post(1, [b, ping](exec::Cpu& cpu) {
+    b->send(cpu, 1, 0, ping, nullptr, 16);
+  });
+  const exec::PhaseExec pe = backend.run_phase();
+  ASSERT_TRUE(pe.diagnostics.empty()) << pe.diagnostics;
+  EXPECT_EQ(res.served, 1u);
+  EXPECT_LT(res.served_at, kChain)
+      << "the message waited for node 0's whole chain";
+  // The chain task already queued when the message arrived runs once
+  // more, sees it served, and ends the chain.
+  EXPECT_EQ(res.chain, res.served_at + 1);
+  EXPECT_EQ(pe.msgs.msgs_sent, 1u);
+  EXPECT_EQ(pe.msgs.msgs_recv, 1u);
 }
 
 TEST(ProcBackend, SpanMergeShipsExactlyTheChangedBytes) {

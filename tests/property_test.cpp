@@ -152,7 +152,9 @@ TEST_P(EngineProperty, ResultAndInvariantsHold) {
     EXPECT_EQ(n.busy_total + n.idle, r.elapsed);
   }
 
-  if (r.rt.request_msgs > 0) EXPECT_GE(r.rt.aggregation_factor(), 1.0);
+  if (r.rt.request_msgs > 0) {
+    EXPECT_GE(r.rt.aggregation_factor(), 1.0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -174,7 +174,8 @@ TEST(SmallVector, SpillsToHeapAndPreservesContents) {
 
 TEST(SmallVector, MoveTransfersHeapBuffer) {
   SmallVector<std::string, 2> v;
-  for (int i = 0; i < 10; ++i) v.push_back("s" + std::to_string(i));
+  for (int i = 0; i < 10; ++i)
+    v.push_back(std::string("s").append(std::to_string(i)));
   SmallVector<std::string, 2> w = std::move(v);
   EXPECT_EQ(w.size(), 10u);
   EXPECT_EQ(w[9], "s9");
