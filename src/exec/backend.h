@@ -84,10 +84,7 @@ struct PhaseExec {
 struct WatchdogConfig {
   Time phase_deadline = 0;        // wall ns per phase; 0 = no deadline
   std::uint32_t stuck_scans = 0;  // no-progress sweeps before firing; 0 = off
-  // ns between watchdog sweeps; 0 = no monitor thread, sweeps only on
-  // NativeBackend::watchdog_sweep_for_test() (tests that must not depend
-  // on host timing)
-  Time scan_interval = 50'000'000;
+  Time scan_interval = 50'000'000;  // ns between watchdog sweeps
   std::string dump_path;  // flight-recorder JSON ("" = stderr summary only)
   bool fatal = true;      // abort after dumping (fail loudly instead of hang)
 

@@ -117,7 +117,7 @@ NativeBackend::~NativeBackend() {
       watchdog_->stop = true;
     }
     watchdog_->cv.notify_all();
-    if (watchdog_->thread.joinable()) watchdog_->thread.join();
+    watchdog_->thread.join();
   }
   {
     std::lock_guard<std::mutex> lk(phase_mu_);
@@ -168,14 +168,13 @@ obs::TraceShard* NativeBackend::worker_shard(std::uint32_t w) const {
 bool NativeBackend::arm_watchdog(const WatchdogConfig& cfg) {
   if (!cfg.enabled()) return true;
   DPA_CHECK(watchdog_ == nullptr) << "watchdog already armed";
-  DPA_CHECK(cfg.scan_interval >= 0);
+  DPA_CHECK(cfg.scan_interval > 0);
   watchdog_ = std::make_unique<WatchdogState>();
   watchdog_->cfg = cfg;
   watchdog_->last_produced.assign(nodes_.size(), 0);
   watchdog_->last_consumed.assign(nodes_.size(), 0);
   watchdog_->node_stuck.assign(nodes_.size(), false);
-  if (cfg.scan_interval > 0)
-    watchdog_->thread = std::thread([this] { watchdog_main(); });
+  watchdog_->thread = std::thread([this] { watchdog_main(); });
   return true;
 }
 
@@ -419,7 +418,6 @@ void NativeBackend::deliver(NodeId src, NodeId dst, HandlerId handler,
   DPA_DCHECK(tls_node < 0) << "deliver() runs outside the pool";
   DPA_DCHECK(held_.load(std::memory_order_relaxed));
   DPA_DCHECK(remote_.empty() || !remote_[dst]);
-  deliveries_.fetch_add(1, std::memory_order_seq_cst);
   post(dst, delivery(handler, Packet{src, dst, handler, bytes,
                                      std::move(data)}));
 }
@@ -461,22 +459,9 @@ PhaseExec NativeBackend::run_phase() {
   return finish_phase();
 }
 
-void NativeBackend::start_held_phase(std::function<void()> on_idle) {
-  on_idle_ = std::move(on_idle);
-  // A fresh generation, so the seeds' drain counts as news.
-  idle_noted_.store(deliveries_.load(std::memory_order_relaxed) - 1,
-                    std::memory_order_relaxed);
+void NativeBackend::start_held_phase() {
   held_.store(true, std::memory_order_seq_cst);
   start_phase();
-}
-
-void NativeBackend::note_idle() {
-  // Read the generation before the scan: a delivery the scan misses bumps
-  // it, and the worker that later finds the pool idle again reports anew.
-  const std::uint64_t gen = deliveries_.load(std::memory_order_seq_cst);
-  if (idle_noted_.load(std::memory_order_relaxed) == gen || !idle())
-    return;
-  if (idle_noted_.exchange(gen, std::memory_order_relaxed) != gen) on_idle_();
 }
 
 PhaseExec NativeBackend::release_hold() {
@@ -798,7 +783,6 @@ void NativeBackend::run_worker_phase(std::uint32_t w) {
       end_park_spell(obs::UnparkCause::kQuiesced);
       return;
     }
-    if (held_.load(std::memory_order_relaxed)) note_idle();
     // Idle escalation: spin briefly (work usually arrives within the spin
     // window when workers have their own cores), then share the core, then
     // surrender it. Parking is what keeps oversubscribed runs (workers >>

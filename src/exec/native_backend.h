@@ -212,10 +212,8 @@ class NativeBackend final : public Backend {
   // Starts a phase while the caller holds one unit of outstanding work
   // (the "hold"), so the pool cannot quiesce until release_hold(). While
   // it holds, the caller may deliver() messages that arrived from outside.
-  // Seed the phase's first tasks with post() before this call. `on_idle`
-  // runs on a pool worker when the pool goes idle after the start or a
-  // delivery: a wakeup hint for the holder, which reads idle() itself.
-  void start_held_phase(std::function<void()> on_idle);
+  // Seed the phase's first tasks with post() before this call.
+  void start_held_phase();
   // The holding thread only: hands a message from a remote node to dst's
   // mailbox, as a train from a local node would.
   void deliver(NodeId src, NodeId dst, HandlerId handler,
@@ -241,10 +239,10 @@ class NativeBackend final : public Backend {
   }
 
   // Test-only: one watchdog sweep now, exactly as the monitor thread runs
-  // it; returns whether the watchdog has fired. Armed with
-  // scan_interval == 0 the watchdog has no monitor thread, and sweeps
-  // happen only here: a test that places them between known counter
-  // moves checks the stuck logic without depending on host timing.
+  // it; returns whether the watchdog has fired. Armed with a scan_interval
+  // longer than the test, sweeps happen only here: a test that places them
+  // between known counter moves checks the stuck logic without depending
+  // on host timing.
   bool watchdog_sweep_for_test() { return watchdog_sweep(); }
 
   // Process-wide default watchdog, applied to every subsequently
@@ -399,9 +397,6 @@ class NativeBackend final : public Backend {
   PhaseExec finish_phase();
   // idle(), and no hold outstanding: the phase is over.
   bool quiescent() const;
-  // A worker found nothing to run in a held phase: calls on_idle_ once per
-  // delivery generation if the pool is idle.
-  void note_idle();
   void wake_all_workers();
   Time since_phase_start(std::chrono::steady_clock::time_point t) const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(t - phase_t0_)
@@ -421,10 +416,6 @@ class NativeBackend final : public Backend {
   // The external unit of work of a held phase (start_held_phase); while
   // set, the quiescence scan fails.
   std::atomic<bool> held_{false};
-  std::function<void()> on_idle_;
-  // deliver() calls so far, and the count the last on_idle_ call saw.
-  std::atomic<std::uint64_t> deliveries_{0};
-  std::atomic<std::uint64_t> idle_noted_{0};
 
   // Nodes outside this pool and where their trains go (set_remote); empty
   // for a single-process pool.

@@ -3,7 +3,6 @@
 #include <errno.h>
 #include <poll.h>
 #include <signal.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <time.h>
@@ -51,9 +50,11 @@ constexpr std::size_t kSpanChunkBytes = 512 * 1024;
 // decide when messages leave, and each departing train is one frame.
 constexpr std::uint32_t kLinkTrainMax = ~std::uint32_t(0);
 
-// The pump loop's longest sleep; arrivals, the coordinator and the pool
-// going idle all wake it sooner.
-constexpr int kPumpWaitMs = 1;
+// The pump loop's longest sleep; arrivals, the coordinator and room for a
+// backlog wake it sooner. While a probe waits for a busy pool, nothing
+// wakes it when the pool drains, so it rechecks at the shorter interval.
+constexpr long kPumpWaitNs = 1'000'000;
+constexpr long kIdleRecheckNs = 50'000;
 
 std::int64_t mono_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -117,19 +118,19 @@ struct Rd {
   }
 };
 
-// One worker's termination-protocol report. The done condition compares
-// whole reports, so any monotonic counter moving between rounds keeps the
-// phase alive.
+// One worker's termination-protocol report. A worker reports only once
+// its pool is locally quiescent, so every report says so. The done
+// condition compares whole reports, so any monotonic counter moving
+// between rounds keeps the phase alive.
 struct Report {
   bool valid = false;
-  std::uint8_t quiescent = 0;
   std::uint64_t tasks = 0;
   std::vector<std::uint64_t> sent;
   std::vector<std::uint64_t> recv;
 
   friend bool operator==(const Report& a, const Report& b) {
-    return a.valid == b.valid && a.quiescent == b.quiescent &&
-           a.tasks == b.tasks && a.sent == b.sent && a.recv == b.recv;
+    return a.valid == b.valid && a.tasks == b.tasks && a.sent == b.sent &&
+           a.recv == b.recv;
   }
 };
 
@@ -435,12 +436,12 @@ void ProcBackend::coordinator_loop() {
       bool all_reported = true;
       for (auto& s : ws) all_reported = all_reported && s.cur.valid;
       if (all_reported) {
-        // Done = two consecutive identical rounds, all quiescent, and the
-        // pairwise sent/recv matrices matching — the PR-5/7 two-pass
-        // quiescence confirm, lifted to frame level.
+        // Done = two consecutive identical rounds of reports (each sent
+        // by a locally quiescent worker) and the pairwise sent/recv
+        // matrices matching — the native pool's two-pass quiescence
+        // confirm, lifted to frame level.
         bool quiet = true;
-        for (auto& s : ws)
-          quiet = quiet && s.prev.valid && s.cur == s.prev && s.cur.quiescent;
+        for (auto& s : ws) quiet = quiet && s.prev.valid && s.cur == s.prev;
         if (quiet) {
           for (std::uint32_t a = 0; a < procs_ && quiet; ++a)
             for (std::uint32_t b = 0; b < procs_ && quiet; ++b)
@@ -492,7 +493,6 @@ void ProcBackend::coordinator_apply(std::uint32_t from, std::uint16_t tag,
       DPA_CHECK(rnd == round) << "worker " << from << " reported round "
                               << rnd << " during round " << round;
       cur.valid = true;
-      cur.quiescent = r.u8();
       cur.tasks = r.u64();
       cur.sent.assign(procs_, 0);
       cur.recv.assign(procs_, 0);
@@ -772,14 +772,7 @@ void ProcBackend::worker_main(std::uint32_t self) {
   inner_->begin_phase();
   for (NodeId n : owned)
     for (Task& task : staged_posts_[n]) inner_->post(n, std::move(task));
-  // The pool signals each return to idle on an eventfd, so a probe held
-  // for a busy pool is answered as soon as the pool drains.
-  const int idle_fd = eventfd(0, EFD_NONBLOCK);
-  DPA_CHECK(idle_fd >= 0) << "eventfd: " << std::strerror(errno);
-  inner_->start_held_phase([idle_fd] {
-    const std::uint64_t one = 1;
-    (void)!::write(idle_fd, &one, sizeof(one));
-  });
+  inner_->start_held_phase();
 
   std::int64_t last_reported = -1;
   std::uint64_t pump_iters = 0;
@@ -818,7 +811,6 @@ void ProcBackend::worker_main(std::uint32_t self) {
       probe_pending = false;
       Wr rep;
       rep.u32(probe_round);
-      rep.u8(idle ? 1 : 0);
       rep.u64(inner_->tasks_done());
       for (std::uint32_t v = 0; v < procs_; ++v)
         rep.u64(links_[v] == nullptr ? 0 : links_[v]->sent.load());
@@ -827,10 +819,9 @@ void ProcBackend::worker_main(std::uint32_t self) {
       send_ctl(ctl, kCtlWorker, kCtlCoord, kTagReport, std::move(rep.b));
     }
 
-    // 6. Sleep on the wire and the pool: arrivals, the coordinator, room
-    // for a backlog, or the pool going idle wake us.
+    // 6. Sleep on the wire: arrivals, the coordinator or room for a
+    // backlog wake us; a probe held for a busy pool, the recheck timeout.
     fds.clear();
-    fds.push_back(pollfd{idle_fd, POLLIN, 0});
     fds.push_back(pollfd{ctl.wire_fd(), POLLIN, 0});
     for (auto& link : links_) {
       if (link == nullptr) continue;
@@ -839,11 +830,8 @@ void ProcBackend::worker_main(std::uint32_t self) {
           link->pipe->tx_backlog() > 0 ? POLLIN | POLLOUT : POLLIN;
       fds.push_back(pollfd{link->pipe->wire_fd(), events, 0});
     }
-    ::poll(fds.data(), nfds_t(fds.size()), kPumpWaitMs);
-    if (fds[0].revents & POLLIN) {
-      std::uint64_t count = 0;
-      (void)!::read(idle_fd, &count, sizeof(count));
-    }
+    const timespec wait{0, probe_pending ? kIdleRecheckNs : kPumpWaitNs};
+    ::ppoll(fds.data(), nfds_t(fds.size()), &wait, nullptr);
   }
   worker_finalize(ctl, owned, inner_->release_hold());
 }

@@ -38,12 +38,12 @@
 //     frame on the peer link, instead of to a mailbox.
 //   * Termination is the two-pass quiescence shape lifted to frame
 //     level: the coordinator broadcasts probe rounds; each worker answers
-//     once its pool is idle (only the hold outstanding) with (quiescent,
-//     tasks run, per-peer sent/recv payload counts). Sends are counted
-//     inside the sending task, before the message can leave. The phase
-//     is done when two consecutive rounds are identical, every worker is
-//     quiescent, and the sent/recv matrices match pairwise; the done
-//     broadcast then releases each worker's hold.
+//     only once its pool is idle (only the hold outstanding), so every
+//     report says "locally quiescent", with the tasks run and per-peer
+//     sent/recv payload counts. Sends are counted inside the sending
+//     task, before the message can leave. The phase is done when two
+//     consecutive rounds are identical and the sent/recv matrices match
+//     pairwise; the done broadcast then releases each worker's hold.
 //   * After the done broadcast each worker runs the phase epilogue for
 //     its owned nodes (committing staged accumulations (src, seq)-sorted
 //     — the determinism-bearing step), diffs every registered span
@@ -55,10 +55,10 @@
 //     travel as per-lane deltas that simply add.
 //   * Control sends write their frame at once (send + PipeChannel::flush);
 //     frames are read and delivered only by poll(), on the thread that
-//     owns the channel. The worker's pump loop sleeps in poll(2) on its
-//     control and data links and on an eventfd the pool signals when it
-//     goes idle, so a probe held for a busy pool is answered as soon as
-//     the pool drains.
+//     owns the channel. The worker's pump loop sleeps in ppoll(2) on its
+//     control and data links; while a probe waits for its busy pool it
+//     wakes every 50 us to recheck the pool, so the probe is answered
+//     soon after the pool drains.
 //
 // Byte-identity across sim / native / proc: replies carry phase-start
 // object state (the fork snapshot) exactly as the single-process phases

@@ -33,6 +33,10 @@
 namespace dpa {
 namespace {
 
+// A watchdog scan interval no test outlives: its monitor thread never
+// sweeps, so the test places every sweep (watchdog_sweep_for_test()).
+constexpr exec::Time kTestDrivenSweeps = 3'600'000'000'000;  // 1 h
+
 TEST(SenseBarrier, RoundsDoNotInterleave) {
   constexpr std::uint32_t kThreads = 4;
   constexpr int kRounds = 200;
@@ -458,9 +462,9 @@ TEST(NativeBackend, WatchdogStaysQuietWhileStolenNodeMakesProgress) {
   // work is stolen by worker 1 and trickles along — one sweep per task —
   // while node 2's original lane (worker 0) sits blocked the whole time. A
   // thread-keyed sweep would see a wedged-looking original host and fire;
-  // the node-keyed sweep must stay quiet. The sweeps are test-driven
-  // (scan_interval 0: no monitor thread): each runs at the start of a
-  // trickle task, after the previous one was counted consumed, so the
+  // the node-keyed sweep must stay quiet. The sweeps are test-driven (the
+  // monitor thread's interval outlasts the test): each runs at the start
+  // of a trickle task, after the previous one was counted consumed, so the
   // outcome does not depend on how promptly the host wakes a sleeper.
   constexpr std::uint32_t kTasks = 30;
   exec::NativeBackend::Tuning tuning;
@@ -471,7 +475,7 @@ TEST(NativeBackend, WatchdogStaysQuietWhileStolenNodeMakesProgress) {
   exec::NativeBackend backend(3, tuning);
   exec::WatchdogConfig cfg;
   cfg.stuck_scans = 2;
-  cfg.scan_interval = 0;
+  cfg.scan_interval = kTestDrivenSweeps;
   cfg.fatal = false;
   ASSERT_TRUE(backend.arm_watchdog(cfg));
 
@@ -792,12 +796,12 @@ TEST(NativeBackend, WatchdogFiresOnWedgedWorkerAndDumpsFlightRecord) {
 TEST(NativeBackend, WatchdogStaysQuietOnHealthyPhases) {
   // An armed watchdog must never fire on phases that merely take many
   // sweeps to finish: progress on the counters resets the stuck count.
-  // Test-driven sweeps (scan_interval 0: no monitor thread) run at the
-  // start of every task of a chain that hops across the four nodes. Task
-  // i+1 reaches its node in a train that departs only after task i was
-  // counted consumed, so every sweep follows a counter move, whatever the
-  // host's timing. The control: sweeps with nothing moving in between
-  // count as stuck, and the stuck_scans-th fires.
+  // Test-driven sweeps (the monitor thread's interval outlasts the test)
+  // run at the start of every task of a chain that hops across the four
+  // nodes. Task i+1 reaches its node in a train that departs only after
+  // task i was counted consumed, so every sweep follows a counter move,
+  // whatever the host's timing. The control: sweeps with nothing moving
+  // in between count as stuck, and the stuck_scans-th fires.
   constexpr std::uint32_t kTasks = 64;
   exec::NativeBackend::Tuning tuning;
   tuning.idle_spins = 4;
@@ -805,7 +809,7 @@ TEST(NativeBackend, WatchdogStaysQuietOnHealthyPhases) {
   tuning.park_timeout_us = 50;
   exec::WatchdogConfig cfg;
   cfg.stuck_scans = 2;
-  cfg.scan_interval = 0;
+  cfg.scan_interval = kTestDrivenSweeps;
   cfg.fatal = false;
 
   exec::NativeBackend backend(4, tuning);

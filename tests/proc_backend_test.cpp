@@ -169,11 +169,11 @@ struct PingPong {
 TEST(ProcBackend, BackToBackPhasesAllTerminate) {
   // Termination rounds back to back: one cluster runs a 6-node ring phase
   // after phase, and every dependency crosses a process boundary at both
-  // process counts. Control sends pump their channel, so a worker's report
-  // can deliver the next probe; a worker that lost it would leave the
-  // coordinator waiting, and the phase deadline turns that into a failed
-  // phase with a diagnosis instead of a hang. One inner thread per worker
-  // process keeps the 400 forks light next to concurrently running tests.
+  // process counts. Each round is a probe to every worker and a report
+  // back; a worker that lost a probe would leave the coordinator waiting,
+  // and the phase deadline turns that into a failed phase with a diagnosis
+  // instead of a hang. One inner thread per worker process keeps the 400
+  // forks light next to concurrently running tests.
   constexpr std::uint32_t kNodes = 6;
   constexpr int kPhases = 200;
   exec::NativeBackend::Tuning one_thread;
