@@ -10,7 +10,7 @@
 //                     pre-Backend tree.
 //   * NativeBackend — an M:N pool of worker threads multiplexing the
 //                     simulated nodes (whole-node work stealing, MPSC
-//                     mailboxes, a sense-reversing phase barrier). Messages
+//                     mailboxes, a counted phase end). Messages
 //                     are real cross-thread handoffs; phase elapsed time is
 //                     real monotonic wall-clock, so the DPA engine's tiling
 //                     and aggregation produce *measured* wins, not modeled
@@ -72,7 +72,9 @@ struct PhaseExec {
   std::string diagnostics;
 };
 
-// Stall-watchdog policy (native backend). Default-constructed = disabled;
+// Stall-watchdog policy (NativeBackend::arm_watchdog, and
+// ProcBackend::Config::watchdog for each worker's pool and the proc
+// coordinator's phase deadline). Default-constructed = disabled;
 // --watchdog-ms on the backend-aware benches arms both triggers. The
 // watchdog is a monitor thread that sweeps the quiescence counters every
 // scan_interval; it fires — dumps a flight-recorder JSON and (when fatal)
@@ -191,14 +193,6 @@ class Backend {
   // into per-worker shards (obs/shard_sink.h). Must be called between
   // phases. No-op on backends that record nothing of their own (proc).
   virtual void attach_obs(obs::Session* session) { (void)session; }
-
-  // Arms the stall watchdog; returns false when this backend has no
-  // watchdog (the simulator is deterministic — it cannot stall, it can
-  // only be wrong). Must be called between phases.
-  virtual bool arm_watchdog(const WatchdogConfig& cfg) {
-    (void)cfg;
-    return false;
-  }
 
   // --- Multi-process hooks ---------------------------------------------
   // All of these are meaningful only on BackendKind::kProc; the defaults

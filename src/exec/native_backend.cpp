@@ -56,30 +56,11 @@ std::uint32_t resolve_workers(const NativeBackend::Tuning& t,
 
 }  // namespace
 
-void SenseBarrier::arrive_and_wait(bool* my_sense) {
-  const bool sense = *my_sense;
-  if (count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    count_.store(n_, std::memory_order_relaxed);
-    sense_.store(sense, std::memory_order_release);
-  } else {
-    int spins = 0;
-    while (sense_.load(std::memory_order_acquire) != sense) {
-      if (++spins < 1024) {
-        cpu_pause();
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  }
-  *my_sense = !sense;
-}
-
 NativeBackend::NativeBackend(std::uint32_t num_nodes)
     : NativeBackend(num_nodes, default_tuning()) {}
 
 NativeBackend::NativeBackend(std::uint32_t num_nodes, const Tuning& tuning)
-    : tuning_(tuning),
-      finish_barrier_(resolve_workers(tuning, num_nodes)) {
+    : tuning_(tuning) {
   DPA_CHECK(num_nodes > 0);
   DPA_CHECK(tuning_.train_max > 0);
   const std::uint32_t num_workers = resolve_workers(tuning_, num_nodes);
@@ -165,8 +146,8 @@ obs::TraceShard* NativeBackend::worker_shard(std::uint32_t w) const {
   return shards_ != nullptr ? &shards_->shard(num_nodes() + w) : nullptr;
 }
 
-bool NativeBackend::arm_watchdog(const WatchdogConfig& cfg) {
-  if (!cfg.enabled()) return true;
+void NativeBackend::arm_watchdog(const WatchdogConfig& cfg) {
+  if (!cfg.enabled()) return;
   DPA_CHECK(watchdog_ == nullptr) << "watchdog already armed";
   DPA_CHECK(cfg.scan_interval > 0);
   watchdog_ = std::make_unique<WatchdogState>();
@@ -175,22 +156,6 @@ bool NativeBackend::arm_watchdog(const WatchdogConfig& cfg) {
   watchdog_->last_consumed.assign(nodes_.size(), 0);
   watchdog_->node_stuck.assign(nodes_.size(), false);
   watchdog_->thread = std::thread([this] { watchdog_main(); });
-  return true;
-}
-
-void NativeBackend::test_stall_node(NodeId id) {
-  std::lock_guard<std::mutex> lk(stall_mu_);
-  stall_released_ = false;
-  stall_node_.store(std::int32_t(id), std::memory_order_release);
-}
-
-void NativeBackend::release_test_stalls() {
-  {
-    std::lock_guard<std::mutex> lk(stall_mu_);
-    stall_released_ = true;
-    stall_node_.store(-1, std::memory_order_release);
-  }
-  stall_cv_.notify_all();
 }
 
 HandlerId NativeBackend::register_handler(std::string /*name*/, Handler fn,
@@ -468,7 +433,7 @@ PhaseExec NativeBackend::release_hold() {
   // After this store nothing outside the pool posts again. If the pool
   // has already drained, its workers are parked on a scan the hold
   // failed: confirm quiescence for them, as a worker's scan would, and
-  // wake them to the barrier.
+  // wake them to leave the phase.
   held_.store(false, std::memory_order_seq_cst);
   if (quiescent()) quiesced_.store(true, std::memory_order_release);
   wake_all_workers();
@@ -487,7 +452,7 @@ void NativeBackend::start_phase() {
 PhaseExec NativeBackend::finish_phase() {
   {
     std::unique_lock<std::mutex> lk(phase_mu_);
-    phase_cv_.wait(lk, [this] { return done_epoch_ == phase_epoch_; });
+    done_cv_.wait(lk, [this] { return done_epoch_ == phase_epoch_; });
   }
   PhaseExec out;
   out.elapsed = since_phase_start(std::chrono::steady_clock::now());
@@ -506,7 +471,6 @@ PhaseExec NativeBackend::finish_phase() {
 
 void NativeBackend::worker_main(std::uint32_t w) {
   tls_worker = std::int32_t(w);
-  bool barrier_sense = true;
   std::uint64_t epoch = 0;
   for (;;) {
     {
@@ -517,17 +481,20 @@ void NativeBackend::worker_main(std::uint32_t w) {
     }
     run_worker_phase(w);
     // Quiescent: every worker independently confirms (or reads quiesced_)
-    // and arrives here. The barrier's acquire/release chain makes all
-    // pre-barrier writes visible to worker 0, which signals the main
-    // thread.
-    finish_barrier_.arrive_and_wait(&barrier_sense);
-    if (w == 0) {
-      {
-        std::lock_guard<std::mutex> lk(phase_mu_);
+    // and counts itself out under phase_mu_. The last one publishes the
+    // phase's end; every worker's phase writes precede its count in the
+    // mutex's order, so the main thread, which reads done_epoch_ under the
+    // same mutex, sees them all.
+    bool last;
+    {
+      std::lock_guard<std::mutex> lk(phase_mu_);
+      last = ++workers_out_ == workers_.size();
+      if (last) {
+        workers_out_ = 0;
         done_epoch_ = epoch;
       }
-      phase_cv_.notify_all();
     }
+    if (last) done_cv_.notify_one();
   }
 }
 
@@ -559,13 +526,6 @@ void NativeBackend::worker_main(std::uint32_t w) {
 // above applies unchanged; a scan that sees it held fails.
 bool NativeBackend::quiescent() const {
   return !held_.load(std::memory_order_seq_cst) && idle();
-}
-
-std::uint64_t NativeBackend::tasks_done() const {
-  std::uint64_t consumed = 0;
-  for (const auto& n : nodes_)
-    consumed += n->consumed.load(std::memory_order_seq_cst);
-  return consumed;
 }
 
 bool NativeBackend::idle() const {
@@ -843,13 +803,6 @@ void NativeBackend::run_node(std::uint32_t w, NodeId id) {
   obs::TraceShard* const sh = worker_shard(w);
   Fifo<Task>& batch = n.batch;
   for (;;) {
-    if (stall_node_.load(std::memory_order_acquire) == std::int32_t(id)) {
-      // Test-only wedge: block (holding no backend locks) until released.
-      // The node stays active the whole time — exactly what a task stuck
-      // in an infinite loop looks like to the watchdog.
-      std::unique_lock<std::mutex> lk(stall_mu_);
-      stall_cv_.wait(lk, [this] { return stall_released_; });
-    }
     bool ran = false;
     // The flag spares the lock when no mail came; the deactivation recheck
     // below reads the inbox itself, so a stale flag delays mail but never

@@ -57,10 +57,12 @@
 //     condvar, so oversubscribed runs (workers >> cores) surrender the core
 //     instead of burning it. Producers wake the parked owner of the queue
 //     they append to; the first worker to confirm quiescence wakes everyone.
-//   * Workers then meet at a sense-reversing barrier; the main thread is
-//     woken through a condvar and is afterwards the only thread touching
-//     runtime state until the next phase (that handoff is the
-//     synchronization point for all per-node stats).
+//   * The phase ends on one counter: each worker leaving the phase counts
+//     itself under phase_mu_, and the last one publishes the phase's end
+//     and wakes the main thread, which reads it under the same mutex. That
+//     mutex hand-off is the synchronization point for all per-node stats:
+//     afterwards the main thread is the only one touching runtime state
+//     until the next phase.
 //
 // Determinism argument (why stealing cannot change physics): the runtime's
 // only ordering promises are per-node task FIFO and the post-quiescence
@@ -96,6 +98,8 @@
 // carries zero instrumentation cost in measurement builds. arm_watchdog()
 // starts a monitor thread that sweeps the per-node quiescence counters and
 // dumps a flight-recorder JSON instead of letting a wedged phase hang CI.
+// A wedged node is simply a task that does not return; the tests build one
+// from a task that blocks on a latch they own.
 //
 // Not supported (sim-only by design): fault injection — the fabric cannot
 // lose messages, so it needs no recovery protocol.
@@ -122,22 +126,6 @@ class TraceShard;
 }  // namespace dpa::obs
 
 namespace dpa::exec {
-
-// Sense-reversing barrier. Each participant keeps its own sense flag
-// (initially true) and passes it by pointer; the last arriver flips the
-// shared sense, releasing the spinners. Reusable immediately — that is the
-// point of sense reversal.
-class SenseBarrier {
- public:
-  explicit SenseBarrier(std::uint32_t n) : n_(n), count_(n) {}
-
-  void arrive_and_wait(bool* my_sense);
-
- private:
-  std::uint32_t n_;
-  std::atomic<std::uint32_t> count_;
-  std::atomic<bool> sense_{false};
-};
 
 class NativeBackend final : public Backend {
  public:
@@ -221,9 +209,8 @@ class NativeBackend final : public Backend {
   // Every task posted so far has run — in a held phase, only the hold is
   // outstanding. The quiescence confirm's two-pass scan (see the .cpp).
   bool idle() const;
-  // Tasks finished by this pool since construction (monotonic).
-  std::uint64_t tasks_done() const;
-  // Drops the hold, waits for the phase to quiesce and returns its record.
+  // Drops the hold, waits for the phase to end as any phase ends (the last
+  // worker out publishes it) and returns its record.
   PhaseExec release_hold();
 
   // Attaches session->ensure_shards(num_nodes()) (null detaches).
@@ -231,7 +218,9 @@ class NativeBackend final : public Backend {
   // Attaches a sink directly, e.g. one of custom shard capacity; it grows
   // to nodes + workers shards. Must be called between phases.
   void attach_shards(obs::ShardedTraceSink* shards);
-  bool arm_watchdog(const WatchdogConfig& cfg) override;
+  // Arms the stall watchdog (see WatchdogConfig); a disabled config is a
+  // no-op. Between phases, at most once per backend.
+  void arm_watchdog(const WatchdogConfig& cfg);
 
   // True once the armed watchdog has fired (it fires at most once).
   bool watchdog_fired() const {
@@ -268,12 +257,6 @@ class NativeBackend final : public Backend {
   std::int32_t last_worker(NodeId id) const {
     return nodes_[id]->last_worker.load(std::memory_order_relaxed);
   }
-
-  // Test-only: wedges node `id` at the top of its drain loop (its host
-  // worker blocks holding no locks) until release_test_stalls().
-  // Simulates a deadlocked node for the watchdog tests.
-  void test_stall_node(NodeId id);
-  void release_test_stalls();
 
  private:
   // Padded to a cache line boundary: stats and queues are written at task
@@ -410,7 +393,7 @@ class NativeBackend final : public Backend {
   std::vector<std::unique_ptr<Handler>> handlers_;
 
   // Set by the first worker whose two-pass scan confirms quiescence; lets
-  // the rest skip straight to the barrier (quiescence is stable within a
+  // the rest leave the phase without a scan (quiescence is stable within a
   // phase). Reset by begin_phase while workers are parked between phases.
   std::atomic<bool> quiesced_{false};
   // The external unit of work of a held phase (start_held_phase); while
@@ -422,16 +405,21 @@ class NativeBackend final : public Backend {
   std::vector<bool> remote_;
   RemoteSink sink_;
 
-  // Phase start/stop plumbing. Workers park on phase_cv_ between phases;
-  // run_phase publishes a new epoch to release them and waits on done
-  // acknowledgment from the barrier's last wave.
+  // Phase start/stop plumbing, all under phase_mu_. Workers park on
+  // phase_cv_ between phases; start_phase publishes a new epoch to release
+  // them. Each worker leaving the phase bumps workers_out_, and the last
+  // one resets it, sets done_epoch_ and wakes the main thread on done_cv_.
+  // The main thread has a condvar of its own so that this wake-up does not
+  // also wake the workers already out, which measurably slowed native
+  // phases.
   std::mutex phase_mu_;
   std::condition_variable phase_cv_;
+  std::condition_variable done_cv_;
   std::uint64_t phase_epoch_ = 0;
   std::uint64_t done_epoch_ = 0;
+  std::uint32_t workers_out_ = 0;
   bool stop_ = false;
 
-  SenseBarrier finish_barrier_;
   std::chrono::steady_clock::time_point phase_t0_;
   // Accumulated wall-clock across completed phases: the backend's
   // monotonically increasing "now", used only for phase bracketing.
@@ -461,14 +449,6 @@ class NativeBackend final : public Backend {
   };
   std::unique_ptr<WatchdogState> watchdog_;
   std::atomic<bool> watchdog_fired_{false};
-
-  // Test-only stall hooks (see test_stall_node). The stalled worker waits
-  // on stall_cv_ holding no backend locks, so the watchdog can inspect
-  // everything while it is wedged.
-  std::atomic<std::int32_t> stall_node_{-1};
-  std::mutex stall_mu_;
-  std::condition_variable stall_cv_;
-  bool stall_released_ = false;
 
   std::vector<std::thread> threads_;
 };

@@ -13,11 +13,11 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
-#include <type_traits>
 #include <utility>
 
 #include "exec/native_backend.h"
 #include "support/assert.h"
+#include "support/bytes.h"
 
 namespace dpa::exec {
 
@@ -46,10 +46,6 @@ constexpr std::uint8_t kRunSum = 1;    // add: u64 delta lanes
 // Flush accumulated span-diff records to the wire at this payload size.
 constexpr std::size_t kSpanChunkBytes = 512 * 1024;
 
-// A data link never splits a train on its own: the inner pool's trains
-// decide when messages leave, and each departing train is one frame.
-constexpr std::uint32_t kLinkTrainMax = ~std::uint32_t(0);
-
 // The pump loop's longest sleep; arrivals, the coordinator and room for a
 // backlog wake it sooner. While a probe waits for a busy pool, nothing
 // wakes it when the pool drains, so it rechecks at the shorter interval.
@@ -62,88 +58,29 @@ std::int64_t mono_ns() {
       .count();
 }
 
-// Native-endian scratch encoders for control payloads (both ends of the
-// wire are fork-related processes on one machine, running one binary — so
-// a trivially copyable struct travels as its bytes, as PhaseRunner ships
-// RtNodeStats).
-struct Wr {
-  std::vector<std::uint8_t> b;
-  void u8(std::uint8_t v) { b.push_back(v); }
-  void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
-  void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
-  template <class T>
-  void pod(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    raw(&v, sizeof(v));
-  }
-  void raw(const void* p, std::size_t n) {
-    const auto* c = static_cast<const std::uint8_t*>(p);
-    b.insert(b.end(), c, c + n);
-  }
-};
-
-struct Rd {
-  const std::uint8_t* p;
-  std::size_t n;
-  std::size_t off = 0;
-  explicit Rd(const std::vector<std::uint8_t>& bytes)
-      : p(bytes.data()), n(bytes.size()) {}
-  std::size_t remaining() const { return n - off; }
-  std::uint8_t u8() {
-    std::uint8_t v = 0;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    raw(&v, sizeof(v));
-    return v;
-  }
-  template <class T>
-  T pod() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    T v{};
-    raw(&v, sizeof(v));
-    return v;
-  }
-  void raw(void* out, std::size_t len) {
-    DPA_CHECK(off + len <= n) << "truncated control payload";
-    std::memcpy(out, p + off, len);
-    off += len;
-  }
-};
-
-// One worker's termination-protocol report. A worker reports only once
-// its pool is locally quiescent, so every report says so. The done
-// condition compares whole reports, so any monotonic counter moving
-// between rounds keeps the phase alive.
+// One worker's termination-protocol report: its per-peer sent/recv
+// payload counts. A worker reports only once its pool is idle, so every
+// report also says "locally quiescent".
 struct Report {
   bool valid = false;
-  std::uint64_t tasks = 0;
   std::vector<std::uint64_t> sent;
   std::vector<std::uint64_t> recv;
 
-  friend bool operator==(const Report& a, const Report& b) {
-    return a.valid == b.valid && a.tasks == b.tasks && a.sent == b.sent &&
-           a.recv == b.recv;
-  }
+  friend bool operator==(const Report&, const Report&) = default;
 };
 
 std::mutex g_defaults_mu;
 ProcBackend::Config g_default_config;
 
-// Queues one control payload and writes it: it is on the wire when this
+// Sends one control payload as its own frame: it is on the wire when this
 // returns unless the kernel buffer is full (the next poll() writes the
 // rest).
 void send_ctl(transport::PipeChannel& ctl, NodeId src, NodeId dst,
               std::uint16_t tag, std::vector<std::uint8_t> bytes) {
-  ctl.send(src, dst, tag, std::move(bytes));
-  ctl.flush(src);
+  std::vector<transport::FramePayload> one(1);
+  one[0].tag = tag;
+  one[0].bytes = std::move(bytes);
+  ctl.send_frame(src, dst, one);
 }
 
 std::uint64_t load_u64(const std::uint8_t* p) {
@@ -171,7 +108,6 @@ ProcBackend::ProcBackend(std::uint32_t num_nodes, const Config& config)
     : num_nodes_(num_nodes), config_(config) {
   DPA_CHECK(num_nodes_ > 0);
   procs_ = std::clamp<std::uint32_t>(config_.procs, 1, num_nodes_);
-  if (config_.watchdog.enabled()) watchdog_cfg_ = config_.watchdog;
   staged_posts_.resize(num_nodes_);
   node_stats_.resize(num_nodes_);
 }
@@ -225,21 +161,24 @@ void ProcBackend::send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
 
 void ProcBackend::send_train(NodeId src, NodeId dst,
                              std::vector<Packet>& train) {
-  PeerLink& link = *links_[owner_of(dst)];
-  std::lock_guard<std::mutex> lk(link.mu);
-  for (const Packet& pkt : train) {
+  std::vector<transport::FramePayload> frame(train.size());
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    const Packet& pkt = train[i];
     const HandlerEntry& entry = *handlers_[pkt.handler];
     DPA_CHECK(bool(entry.codec.marshal))
         << "handler '" << entry.name
         << "' crosses a process boundary but has no wire codec";
-    std::vector<std::uint8_t> body =
+    const std::vector<std::uint8_t> body =
         entry.codec.marshal(pkt.data.get(), pkt.bytes);
-    std::vector<std::uint8_t> wire(4 + body.size());
-    std::memcpy(wire.data(), &pkt.bytes, 4);  // modeled size rides along
-    std::copy(body.begin(), body.end(), wire.begin() + 4);  // may be empty
-    link.pipe->send(src, dst, pkt.handler, std::move(wire));
+    std::vector<std::uint8_t>& wire = frame[i].bytes;
+    wire.reserve(sizeof(pkt.bytes) + body.size());
+    put(wire, pkt.bytes);  // the modeled size rides along
+    put_raw(wire, body.data(), body.size());
+    frame[i].tag = pkt.handler;
   }
-  link.pipe->flush(src);
+  PeerLink& link = *links_[owner_of(dst)];
+  std::lock_guard<std::mutex> lk(link.mu);
+  link.pipe->send_frame(src, dst, frame);
 }
 
 void ProcBackend::flush(Cpu& cpu, NodeId node) {
@@ -341,7 +280,7 @@ void ProcBackend::spawn_workers() {
   ctl_.clear();
   for (std::uint32_t w = 0; w < procs_; ++w) {
     auto ch = std::make_unique<transport::PipeChannel>(
-        2u, 1u, transport::PipeChannel::Endpoint{ctl_fds_[w][0]});
+        transport::PipeChannel::Endpoint{ctl_fds_[w][0]});
     ch->set_control(true);
     ctl_fds_[w][0] = -1;  // channel owns it now
     ctl_.push_back(std::move(ch));
@@ -412,9 +351,9 @@ void ProcBackend::coordinator_loop() {
   };
 
   {
-    Wr probe;
-    probe.u32(round);
-    broadcast(kTagProbe, std::move(probe.b));
+    std::vector<std::uint8_t> probe;
+    put(probe, round);
+    broadcast(kTagProbe, std::move(probe));
   }
 
   const std::int64_t t_start = mono_ns();
@@ -426,8 +365,8 @@ void ProcBackend::coordinator_loop() {
                  ws[dead].wait_status);
       return;
     }
-    if (watchdog_cfg_.phase_deadline > 0 &&
-        mono_ns() - t_start > watchdog_cfg_.phase_deadline) {
+    if (config_.watchdog.phase_deadline > 0 &&
+        mono_ns() - t_start > config_.watchdog.phase_deadline) {
       fail_phase("phase deadline exceeded (coordinator watchdog)", -1, -1, 0);
       return;
     }
@@ -439,7 +378,11 @@ void ProcBackend::coordinator_loop() {
         // Done = two consecutive identical rounds of reports (each sent
         // by a locally quiescent worker) and the pairwise sent/recv
         // matrices matching — the native pool's two-pass quiescence
-        // confirm, lifted to frame level.
+        // confirm, lifted to frame level. The reports carry no task
+        // counts, and need none: after an idle report a worker's pool runs
+        // new tasks only for payloads its pump loop delivers, each counted
+        // in recv, so two rounds with equal sent/recv also ran the same
+        // tasks.
         bool quiet = true;
         for (auto& s : ws) quiet = quiet && s.prev.valid && s.cur == s.prev;
         if (quiet) {
@@ -456,9 +399,9 @@ void ProcBackend::coordinator_loop() {
             s.cur = Report{};
           }
           ++round;
-          Wr probe;
-          probe.u32(round);
-          broadcast(kTagProbe, std::move(probe.b));
+          std::vector<std::uint8_t> probe;
+          put(probe, round);
+          broadcast(kTagProbe, std::move(probe));
         }
         continue;
       }
@@ -485,38 +428,37 @@ void ProcBackend::coordinator_apply(std::uint32_t from, std::uint16_t tag,
   Report& cur = *static_cast<Report*>(cur_report);
   switch (tag) {
     case kTagReport: {
-      Rd r(bytes);
-      const std::uint32_t rnd = r.u32();
+      ByteReader r(bytes);
+      const auto rnd = r.get<std::uint32_t>();
       // A worker answers only its newest probe, and the next probe goes out
       // only once every worker answered this one. A report from any other
       // round would feed the done decision stale counts.
       DPA_CHECK(rnd == round) << "worker " << from << " reported round "
                               << rnd << " during round " << round;
       cur.valid = true;
-      cur.tasks = r.u64();
       cur.sent.assign(procs_, 0);
       cur.recv.assign(procs_, 0);
-      for (auto& v : cur.sent) v = r.u64();
-      for (auto& v : cur.recv) v = r.u64();
+      for (auto& v : cur.sent) v = r.get<std::uint64_t>();
+      for (auto& v : cur.recv) v = r.get<std::uint64_t>();
       break;
     }
     case kTagSpan: {
-      Rd r(bytes);
+      ByteReader r(bytes);
       while (r.remaining() > 0) {
-        const std::uint8_t kind = r.u8();
-        const std::uint32_t idx = r.u32();
-        const std::uint64_t off = r.u64();
-        const std::uint32_t len = r.u32();
+        const auto kind = r.get<std::uint8_t>();
+        const auto idx = r.get<std::uint32_t>();
+        const auto off = r.get<std::uint64_t>();
+        const auto len = r.get<std::uint32_t>();
         DPA_CHECK(idx < spans_.size() && off + len <= spans_[idx].bytes)
             << "span diff out of range";
         char* base =
             const_cast<char*>(static_cast<const char*>(spans_[idx].addr));
         if (kind == kRunBytes) {
-          r.raw(base + off, len);
+          r.get_raw(base + off, len);
         } else {
           DPA_CHECK(kind == kRunSum && len % 8 == 0);
           for (std::uint32_t i = 0; i < len; i += 8) {
-            const std::uint64_t delta = r.u64();
+            const auto delta = r.get<std::uint64_t>();
             std::uint64_t cur_v = 0;
             std::memcpy(&cur_v, base + off + i, 8);
             cur_v += delta;
@@ -527,25 +469,25 @@ void ProcBackend::coordinator_apply(std::uint32_t from, std::uint16_t tag,
       break;
     }
     case kTagEpilogue: {
-      Rd r(bytes);
-      const std::uint32_t node = r.u32();
-      const std::uint32_t len = r.u32();
+      ByteReader r(bytes);
+      const auto node = r.get<std::uint32_t>();
+      const auto len = r.get<std::uint32_t>();
       DPA_CHECK(node < num_nodes_ && owner_of(node) == from);
       phase_.epilogues[node].resize(len);
-      if (len > 0) r.raw(phase_.epilogues[node].data(), len);
+      r.get_raw(phase_.epilogues[node].data(), len);
       break;
     }
     case kTagStats: {
-      Rd r(bytes);
-      phase_.events += r.u64();
-      phase_.msgs += r.pod<MsgStats>();
-      phase_.sched += r.pod<SchedStats>();
-      phase_.wire += r.pod<WireStats>();
-      const std::uint32_t n = r.u32();
+      ByteReader r(bytes);
+      phase_.events += r.get<std::uint64_t>();
+      phase_.msgs += r.get<MsgStats>();
+      phase_.sched += r.get<SchedStats>();
+      phase_.wire += r.get<WireStats>();
+      const auto n = r.get<std::uint32_t>();
       for (std::uint32_t i = 0; i < n; ++i) {
-        const NodeId id = r.u32();
+        const auto id = r.get<NodeId>();
         DPA_CHECK(id < num_nodes_ && owner_of(id) == from);
-        node_stats_[id] = r.pod<NodeStats>();
+        node_stats_[id] = r.get<NodeStats>();
       }
       break;
     }
@@ -609,12 +551,12 @@ void ProcBackend::kill_and_reap_all() {
 void ProcBackend::write_flight_record(const std::string& reason,
                                       std::int32_t dead_worker,
                                       pid_t dead_pid, int wait_status) {
-  if (watchdog_cfg_.dump_path.empty()) {
+  if (config_.watchdog.dump_path.empty()) {
     std::fprintf(stderr, "[proc-backend] %s (worker %d, pid %d)\n",
                  reason.c_str(), dead_worker, int(dead_pid));
     return;
   }
-  std::FILE* f = std::fopen(watchdog_cfg_.dump_path.c_str(), "w");
+  std::FILE* f = std::fopen(config_.watchdog.dump_path.c_str(), "w");
   if (f == nullptr) return;
   std::ostringstream j;
   j << "{\n"
@@ -673,9 +615,8 @@ void ProcBackend::worker_main(std::uint32_t self) {
   }
 
   // Control link to the coordinator (all frames flagged control).
-  transport::PipeChannel ctl(2u, 1u,
-                             transport::PipeChannel::Endpoint{
-                                 ctl_fds_[self][1]});
+  transport::PipeChannel ctl(
+      transport::PipeChannel::Endpoint{ctl_fds_[self][1]});
   ctl.set_control(true);
 
   // The local execution substrate: a fresh pool (threads never survive a
@@ -689,8 +630,8 @@ void ProcBackend::worker_main(std::uint32_t self) {
           entry->fn(cpu, pkt);
         }));
   }
-  if (watchdog_cfg_.enabled()) {
-    WatchdogConfig cfg = watchdog_cfg_;
+  if (config_.watchdog.enabled()) {
+    WatchdogConfig cfg = config_.watchdog;
     if (!cfg.dump_path.empty())
       cfg.dump_path += ".w" + std::to_string(self);
     inner_->arm_watchdog(cfg);
@@ -706,7 +647,7 @@ void ProcBackend::worker_main(std::uint32_t self) {
     const int fd = self < v ? data_fds_[self][v][0] : data_fds_[v][self][1];
     auto link = std::make_unique<PeerLink>();
     link->pipe = std::make_unique<transport::PipeChannel>(
-        num_nodes_, kLinkTrainMax, transport::PipeChannel::Endpoint{fd});
+        transport::PipeChannel::Endpoint{fd});
     PeerLink* raw = link.get();
     link->pipe->set_deliver([this, raw](const transport::FrameHeader& h,
                                         const transport::FramePayload& p) {
@@ -716,13 +657,11 @@ void ProcBackend::worker_main(std::uint32_t self) {
       const HandlerEntry& entry = *handlers_[p.tag];
       DPA_CHECK(bool(entry.codec.unmarshal))
           << "handler '" << entry.name << "' has no unmarshal";
-      DPA_CHECK(p.bytes.size() >= 4);
-      std::uint32_t modeled = 0;
-      std::memcpy(&modeled, p.bytes.data(), 4);
+      ByteReader r(p.bytes);
+      const auto modeled = r.get<std::uint32_t>();
       ++raw->recv;
       inner_->deliver(h.src, h.dst, p.tag,
-                      entry.codec.unmarshal(p.bytes.data() + 4,
-                                            p.bytes.size() - 4),
+                      entry.codec.unmarshal(r.pos(), r.remaining()),
                       modeled);
     });
     links_[v] = std::move(link);
@@ -748,12 +687,10 @@ void ProcBackend::worker_main(std::uint32_t self) {
                       const transport::FramePayload& p) {
     (void)h;
     switch (p.tag) {
-      case kTagProbe: {
-        Rd r(p.bytes);
-        probe_round = r.u32();
+      case kTagProbe:
+        probe_round = ByteReader(p.bytes).get<std::uint32_t>();
         probe_pending = true;
         break;
-      }
       case kTagDone:
         got_done = true;
         break;
@@ -775,7 +712,6 @@ void ProcBackend::worker_main(std::uint32_t self) {
   inner_->start_held_phase();
 
   std::int64_t last_reported = -1;
-  std::uint64_t pump_iters = 0;
   std::vector<pollfd> fds;
   for (;;) {
     // 1. Pump the data links: arrivals go straight into node mailboxes,
@@ -792,16 +728,10 @@ void ProcBackend::worker_main(std::uint32_t self) {
     if (got_abort || ctl.status() == transport::ChannelStatus::kPeerDown)
       _exit(1);
 
-    // 3. Chaos hook: die abruptly, as a crashed process would.
-    if (config_.kill_worker_for_test == std::int32_t(self_) &&
-        ++pump_iters >= config_.kill_after_pumps) {
-      _exit(42);
-    }
-
-    // 4. Done broadcast: release the pool, then commit, diff, ship, leave.
+    // 3. Done broadcast: release the pool, then commit, diff, ship, leave.
     if (got_done) break;
 
-    // 5. Answer the latest probe once the pool has drained what it holds:
+    // 4. Answer the latest probe once the pool has drained what it holds:
     // a report from a busy pool could only say "not quiescent" and cost
     // the coordinator a round. Reading the links before the counters
     // means every payload counted as received is already a posted task.
@@ -809,17 +739,17 @@ void ProcBackend::worker_main(std::uint32_t self) {
     if (probe_pending && idle && std::int64_t(probe_round) > last_reported) {
       last_reported = std::int64_t(probe_round);
       probe_pending = false;
-      Wr rep;
-      rep.u32(probe_round);
-      rep.u64(inner_->tasks_done());
+      std::vector<std::uint8_t> rep;
+      put(rep, probe_round);
       for (std::uint32_t v = 0; v < procs_; ++v)
-        rep.u64(links_[v] == nullptr ? 0 : links_[v]->sent.load());
+        put(rep, links_[v] == nullptr ? std::uint64_t(0)
+                                      : links_[v]->sent.load());
       for (std::uint32_t v = 0; v < procs_; ++v)
-        rep.u64(links_[v] == nullptr ? 0 : links_[v]->recv);
-      send_ctl(ctl, kCtlWorker, kCtlCoord, kTagReport, std::move(rep.b));
+        put(rep, links_[v] == nullptr ? std::uint64_t(0) : links_[v]->recv);
+      send_ctl(ctl, kCtlWorker, kCtlCoord, kTagReport, std::move(rep));
     }
 
-    // 6. Sleep on the wire: arrivals, the coordinator or room for a
+    // 5. Sleep on the wire: arrivals, the coordinator or room for a
     // backlog wake us; a probe held for a busy pool, the recheck timeout.
     fds.clear();
     fds.push_back(pollfd{ctl.wire_fd(), POLLIN, 0});
@@ -842,25 +772,24 @@ void ProcBackend::worker_finalize(transport::PipeChannel& ctl,
   // 1. Phase epilogues for the owned nodes, in node order: this is where
   // staged accumulations commit (src, seq)-sorted — run them *before* the
   // span diff so their writes are captured.
-  std::vector<std::string> blobs(owned.size());
-  for (std::size_t i = 0; i < owned.size(); ++i) {
-    blobs[i] = phase_epilogue_ ? phase_epilogue_(owned[i]) : std::string();
-    Wr msg;
-    msg.u32(owned[i]);
-    msg.u32(std::uint32_t(blobs[i].size()));
-    msg.raw(blobs[i].data(), blobs[i].size());
-    send_ctl(ctl, kCtlWorker, kCtlCoord, kTagEpilogue, std::move(msg.b));
+  for (const NodeId n : owned) {
+    const std::string blob = phase_epilogue_ ? phase_epilogue_(n) : "";
+    std::vector<std::uint8_t> msg;
+    put(msg, n);
+    put(msg, std::uint32_t(blob.size()));
+    put_raw(msg, blob.data(), blob.size());
+    send_ctl(ctl, kCtlWorker, kCtlCoord, kTagEpilogue, std::move(msg));
   }
 
   // 2. Span diffs against the coordinator's pre-fork snapshot (inherited
   // copy-on-write; only read here). Byte-exact runs only: workers own
   // disjoint bytes, and shipping any unchanged neighbor byte would clobber
   // another worker's write at the coordinator.
-  Wr diff;
+  std::vector<std::uint8_t> diff;
   auto flush_diff = [&](bool force) {
-    if (diff.b.empty() || (!force && diff.b.size() < kSpanChunkBytes)) return;
-    send_ctl(ctl, kCtlWorker, kCtlCoord, kTagSpan, std::move(diff.b));
-    diff = Wr{};
+    if (diff.empty() || (!force && diff.size() < kSpanChunkBytes)) return;
+    send_ctl(ctl, kCtlWorker, kCtlCoord, kTagSpan, std::move(diff));
+    diff.clear();
   };
   std::uint64_t snapshot_off = 0;
   for (std::size_t i = 0; i < spans_.size(); ++i) {
@@ -878,18 +807,15 @@ void ProcBackend::worker_finalize(transport::PipeChannel& ctl,
           continue;
         }
         const std::uint64_t start = lane;
-        Wr deltas;
-        for (; lane < lanes; ++lane) {
-          const std::uint64_t c = load_u64(cur + lane * 8);
-          const std::uint64_t o = load_u64(old + lane * 8);
-          if (c == o) break;
-          deltas.u64(c - o);
-        }
-        diff.u8(kRunSum);
-        diff.u32(std::uint32_t(i));
-        diff.u64(start * 8);
-        diff.u32(std::uint32_t(deltas.b.size()));
-        diff.raw(deltas.b.data(), deltas.b.size());
+        while (lane < lanes &&
+               load_u64(cur + lane * 8) != load_u64(old + lane * 8))
+          ++lane;
+        put(diff, kRunSum);
+        put(diff, std::uint32_t(i));
+        put(diff, start * 8);
+        put(diff, std::uint32_t((lane - start) * 8));
+        for (std::uint64_t l = start; l < lane; ++l)
+          put(diff, load_u64(cur + l * 8) - load_u64(old + l * 8));
         flush_diff(false);
       }
       continue;
@@ -913,11 +839,11 @@ void ProcBackend::worker_finalize(transport::PipeChannel& ctl,
       while (len > 0) {
         const std::uint64_t take =
             std::min<std::uint64_t>(len, kSpanChunkBytes);
-        diff.u8(kRunBytes);
-        diff.u32(std::uint32_t(i));
-        diff.u64(start + (p - start - len));
-        diff.u32(std::uint32_t(take));
-        diff.raw(cur + start + (p - start - len), take);
+        put(diff, kRunBytes);
+        put(diff, std::uint32_t(i));
+        put(diff, start + (p - start - len));
+        put(diff, std::uint32_t(take));
+        put_raw(diff, cur + start + (p - start - len), take);
         len -= take;
         flush_diff(false);
       }
@@ -932,17 +858,17 @@ void ProcBackend::worker_finalize(transport::PipeChannel& ctl,
     WireStats wire;
     for (auto& link : links_)
       if (link != nullptr) wire += link->pipe->wire_stats();
-    Wr s;
-    s.u64(pe.events);
-    s.pod(pe.msgs);
-    s.pod(pe.sched);
-    s.pod(wire);
-    s.u32(std::uint32_t(owned.size()));
-    for (NodeId n : owned) {
-      s.u32(n);
-      s.pod(inner_->node_stats(n));
+    std::vector<std::uint8_t> s;
+    put(s, pe.events);
+    put(s, pe.msgs);
+    put(s, pe.sched);
+    put(s, wire);
+    put(s, std::uint32_t(owned.size()));
+    for (const NodeId n : owned) {
+      put(s, n);
+      put(s, inner_->node_stats(n));
     }
-    send_ctl(ctl, kCtlWorker, kCtlCoord, kTagStats, std::move(s.b));
+    send_ctl(ctl, kCtlWorker, kCtlCoord, kTagStats, std::move(s));
   }
 
   // 4. Everything shipped: sign off and leave without running atexit or

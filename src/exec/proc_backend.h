@@ -34,16 +34,17 @@
 //   * Outbound, messages to another process's nodes ride the pool's own
 //     per-destination trains and leave where native trains leave (at
 //     train_max, on Backend::flush, before the sender deactivates): the
-//     departing train goes to send_train(), which marshals it into one
-//     frame on the peer link, instead of to a mailbox.
+//     departing train goes to send_train(), which marshals it and hands
+//     it to the peer link as one frame (PipeChannel::send_frame), instead
+//     of to a mailbox. The links keep no trains of their own.
 //   * Termination is the two-pass quiescence shape lifted to frame
 //     level: the coordinator broadcasts probe rounds; each worker answers
 //     only once its pool is idle (only the hold outstanding), so every
-//     report says "locally quiescent", with the tasks run and per-peer
-//     sent/recv payload counts. Sends are counted inside the sending
-//     task, before the message can leave. The phase is done when two
-//     consecutive rounds are identical and the sent/recv matrices match
-//     pairwise; the done broadcast then releases each worker's hold.
+//     report says "locally quiescent", with its per-peer sent/recv
+//     payload counts. Sends are counted inside the sending task, before
+//     the message can leave. The phase is done when two consecutive
+//     rounds are identical and the sent/recv matrices match pairwise; the
+//     done broadcast then releases each worker's hold.
 //   * After the done broadcast each worker runs the phase epilogue for
 //     its owned nodes (committing staged accumulations (src, seq)-sorted
 //     — the determinism-bearing step), diffs every registered span
@@ -53,7 +54,7 @@
 //     copy it. The coordinator applies the runs directly: owned writes are
 //     disjoint, so application order cannot matter, and kSumU64 spans
 //     travel as per-lane deltas that simply add.
-//   * Control sends write their frame at once (send + PipeChannel::flush);
+//   * Each control payload leaves at once as its own frame (send_frame);
 //     frames are read and delivered only by poll(), on the thread that
 //     owns the channel. The worker's pump loop sleeps in ppoll(2) on its
 //     control and data links; while a probe waits for its busy pool it
@@ -102,17 +103,12 @@ class ProcBackend final : public Backend {
   struct Config {
     // Worker process count; clamped to [1, num_nodes].
     std::uint32_t procs = 2;
-    // Armed at construction when enabled() — the harness-flag path, same
-    // plumbing as NativeBackend::set_default_watchdog. arm_watchdog()
-    // overrides it per instance.
+    // Stall policy when enabled(): the coordinator enforces phase_deadline
+    // itself and arms each worker's inner pool with it, so an
+    // intra-worker wedge aborts the worker and surfaces as a reported peer
+    // death. dump_path names the coordinator's flight record; a worker's
+    // pool writes its own beside it, suffixed ".w<worker>".
     WatchdogConfig watchdog;
-    // Chaos hook: worker index that self-terminates (as if killed) after
-    // `kill_after_pumps` pump-loop iterations; -1 = disabled. A worker can
-    // only finish via the coordinator's done broadcast, which arrives in
-    // its pump loop — so kill_after_pumps=1 fires strictly before any
-    // worker can complete the phase.
-    std::int32_t kill_worker_for_test = -1;
-    std::uint32_t kill_after_pumps = 1;
   };
 
   explicit ProcBackend(std::uint32_t num_nodes);
@@ -144,14 +140,6 @@ class ProcBackend final : public Backend {
 
   const NodeStats& node_stats(NodeId node) const override {
     return node_stats_[node];
-  }
-
-  // Stores the policy; the coordinator enforces phase_deadline itself and
-  // forwards the config to each worker's inner pool, so an intra-worker
-  // wedge aborts the worker and surfaces as a reported peer death.
-  bool arm_watchdog(const WatchdogConfig& cfg) override {
-    watchdog_cfg_ = cfg;
-    return true;
   }
 
   void set_span_source(
@@ -230,7 +218,6 @@ class ProcBackend final : public Backend {
   // data_fds_[a][b] (a < b): [a's end, b's end] of the (a, b) socketpair.
   std::vector<std::vector<std::array<int, 2>>> data_fds_;
   std::vector<std::unique_ptr<transport::PipeChannel>> ctl_;
-  WatchdogConfig watchdog_cfg_;
 
   // The phase record the workers' results merge into (run_phase returns
   // it), and the per-node stats behind node_stats().

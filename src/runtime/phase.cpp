@@ -1,7 +1,6 @@
 #include "runtime/phase.h"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -11,6 +10,7 @@
 #include "runtime/prefetch_engine.h"
 #include "runtime/sync_engine.h"
 #include "support/assert.h"
+#include "support/bytes.h"
 
 namespace dpa::rt {
 
@@ -20,27 +20,6 @@ double mean_component(const PhaseResult& r, Time NodeBreakdown::*field) {
   double sum = 0.0;
   for (const auto& n : r.nodes) sum += sim::to_seconds(n.*field);
   return sum / double(r.nodes.size());
-}
-
-// Byte-buffer helpers for the wire codecs and the epilogue blob (native
-// endianness: both ends are fork-related processes on one machine).
-void put_raw(std::vector<std::uint8_t>& b, const void* p, std::size_t n) {
-  const auto* c = static_cast<const std::uint8_t*>(p);
-  b.insert(b.end(), c, c + n);
-}
-template <class T>
-void put(std::vector<std::uint8_t>& b, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  put_raw(b, &v, sizeof(v));
-}
-template <class T>
-T get(const std::uint8_t*& p, const std::uint8_t* end) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T v;
-  DPA_CHECK(std::size_t(end - p) >= sizeof(v)) << "truncated wire payload";
-  std::memcpy(&v, p, sizeof(v));
-  p += sizeof(v);
-  return v;
 }
 
 // The runtime's wire payloads, flattened for the multi-process backend.
@@ -62,12 +41,12 @@ exec::WireCodec refs_codec() {
         return b;
       },
       [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
-        const std::uint8_t* end = p + len;
+        ByteReader r(p, len);
         auto msg = std::make_shared<RefsPayload>();
-        const auto count = get<std::uint32_t>(p, end);
-        DPA_CHECK(std::size_t(end - p) == count * sizeof(GlobalRef));
+        const auto count = r.get<std::uint32_t>();
+        DPA_CHECK(r.remaining() == count * sizeof(GlobalRef));
         msg->refs.resize(count);
-        std::memcpy(msg->refs.data(), p, count * sizeof(GlobalRef));
+        r.get_raw(msg->refs.data(), count * sizeof(GlobalRef));
         return msg;
       }};
 }
@@ -91,19 +70,20 @@ exec::WireCodec accum_codec() {
         return b;
       },
       [](const std::uint8_t* p, std::size_t len) -> std::shared_ptr<void> {
-        const std::uint8_t* end = p + len;
+        ByteReader r(p, len);
         auto accum = std::make_shared<AccumPayload>();
-        accum->accum_seq = get<std::uint64_t>(p, end);
-        const auto count = get<std::uint32_t>(p, end);
+        accum->accum_seq = r.get<std::uint64_t>();
+        const auto count = r.get<std::uint32_t>();
         accum->items.reserve(count);
         for (std::uint32_t i = 0; i < count; ++i) {
-          auto ref = get<GlobalRef>(p, end);
-          const auto ops = get<std::uint64_t>(p, end);
-          const auto size = get<std::uint32_t>(p, end);
-          DPA_CHECK(std::size_t(end - p) >= size);
+          auto ref = r.get<GlobalRef>();
+          const auto ops = r.get<std::uint64_t>();
+          const auto size = r.get<std::uint32_t>();
+          DPA_CHECK(r.remaining() >= size);
           AccumFn fn = AccumFn::adopt_raw(
-              reinterpret_cast<const void*>(std::uintptr_t(ops)), p, size);
-          p += size;
+              reinterpret_cast<const void*>(std::uintptr_t(ops)), r.pos(),
+              size);
+          r.skip(size);
           DPA_CHECK(bool(fn)) << "accumulate closure failed to rehydrate";
           accum->items.emplace_back(ref, std::move(fn));
         }
@@ -241,15 +221,16 @@ PhaseResult PhaseRunner::run(std::vector<NodeWork> work,
       result.completed = false;
       continue;
     }
-    const auto* p = reinterpret_cast<const std::uint8_t*>(blobs[i].data());
-    const std::uint8_t* end = p + blobs[i].size();
-    const bool done = get<std::uint8_t>(p, end) != 0;
-    node_rt[i] = get<RtNodeStats>(p, end);
-    const auto dump_len = get<std::uint32_t>(p, end);
+    ByteReader r(reinterpret_cast<const std::uint8_t*>(blobs[i].data()),
+                 blobs[i].size());
+    const bool done = r.get<std::uint8_t>() != 0;
+    node_rt[i] = r.get<RtNodeStats>();
+    const auto dump_len = r.get<std::uint32_t>();
+    const auto* dump = reinterpret_cast<const char*>(r.pos());
+    r.skip(dump_len);
     if (!done) {
       result.completed = false;
-      diag << std::string_view(reinterpret_cast<const char*>(p), dump_len)
-           << "\n";
+      diag << std::string_view(dump, dump_len) << "\n";
     }
   }
   if (!pe.diagnostics.empty()) {

@@ -23,51 +23,21 @@ void set_nonblocking(int fd) {
 
 }  // namespace
 
-PipeChannel::PipeChannel(std::uint32_t num_nodes, std::uint32_t train_max,
-                         Endpoint ep)
-    : train_max_(train_max), srcs_(num_nodes), fd_(ep.fd) {
-  DPA_CHECK(train_max_ > 0);
+PipeChannel::PipeChannel(Endpoint ep) : fd_(ep.fd) {
   DPA_CHECK(fd_ >= 0) << "PipeChannel needs a valid fd";
-  for (auto& s : srcs_) s.train.resize(num_nodes);
   set_nonblocking(fd_);
 }
 
 PipeChannel::~PipeChannel() { close(fd_); }
 
-void PipeChannel::send(NodeId src, NodeId dst, std::uint16_t tag,
-                       std::vector<std::uint8_t> bytes) {
-  SrcState& s = srcs_[src];
-  auto& tr = s.train[dst];
-  FramePayload p;
-  p.tag = tag;
-  p.bytes = std::move(bytes);
-  tr.push_back(std::move(p));
-  ++s.pending;
-  if (tr.size() >= train_max_) flush_dest(src, dst);
-}
-
-void PipeChannel::flush_dest(NodeId src, NodeId dst) {
-  SrcState& s = srcs_[src];
-  auto& tr = s.train[dst];
-  if (tr.empty()) return;
-  DPA_DCHECK(s.pending >= tr.size());
-  s.pending -= std::uint32_t(tr.size());
+void PipeChannel::send_frame(NodeId src, NodeId dst,
+                             const std::vector<FramePayload>& payloads) {
   std::vector<std::uint8_t> frame;
   encode_frame(src, dst, /*epoch=*/0, mark_control_ ? kFrameFlagControl : 0,
-               tr, &frame);
-  tr.clear();
+               payloads, &frame);
   ++stats_.frames_sent;
   stats_.bytes_sent += frame.size();
   tx_.push_back(std::move(frame));
-}
-
-void PipeChannel::flush(NodeId src) {
-  SrcState& s = srcs_[src];
-  if (s.pending > 0)
-    for (NodeId d = 0; d < NodeId(s.train.size()); ++d) flush_dest(src, d);
-  DPA_DCHECK(s.pending == 0);
-  // Write on any backlog, not only on trains encoded just now: a train
-  // that filled inside send() is already queued with nothing left pending.
   if (!pumping_) write_backlog();
 }
 

@@ -3,24 +3,27 @@
 // another process (the multi-process backend's data and control links;
 // the tests hold both ends in one process).
 //
-// Every train a node flushes is encoded into one frame (transport/frame.h),
-// written to the socket, read on the other end, reassembled from the
-// byte stream, decoded, and delivered payload by payload. The frame
-// header's src/dst route delivery; its epoch is always 0.
+// The channel batches nothing itself: the caller hands it whole trains
+// (the proc backend's departing native trains, or one control payload),
+// and each send_frame() encodes one frame (transport/frame.h). The other
+// end reads the byte stream, reassembles and decodes the frames, and
+// delivers them payload by payload. The frame header's src/dst route
+// delivery; its epoch is always 0.
 //
 // A stream socket between live processes neither drops, duplicates nor
 // reorders bytes, so the channel runs no sequence/ack protocol: what is
-// flushed arrives, once, in order. The one failure is the peer dying,
-// which surfaces as ChannelStatus::kPeerDown.
+// sent arrives, once, in order. The one failure is the peer dying, which
+// surfaces as ChannelStatus::kPeerDown.
 //
 // I/O model — a miniature event loop, non-blocking, used by one thread at
 // a time:
-//   * flush appends encoded frames to a TX backlog and writes as much of
-//     it as the kernel buffer takes (partial writes resume mid-frame);
+//   * send_frame() appends the encoded frame to a TX backlog and writes as
+//     much of the backlog as the kernel buffer takes (partial writes
+//     resume mid-frame);
 //   * poll() also writes the backlog, then reads everything available,
 //     decodes complete frames from the reassembly buffer, and delivers.
 // Only poll() reads, so deliveries run on the thread that polls even when
-// other threads flush (under the owner's lock). Writes never block, so the
+// other threads send (under the owner's lock). Writes never block, so the
 // link makes progress as long as both ends keep polling — which is what
 // their owners' loops do.
 #pragma once
@@ -56,7 +59,7 @@ class PipeChannel {
   struct Endpoint {
     int fd = -1;
   };
-  PipeChannel(std::uint32_t num_nodes, std::uint32_t train_max, Endpoint ep);
+  explicit PipeChannel(Endpoint ep);
 
   ~PipeChannel();
 
@@ -71,18 +74,13 @@ class PipeChannel {
 
   void set_deliver(FrameDeliverFn fn) { deliver_ = std::move(fn); }
 
-  // Appends one payload to src's train for dst. A train that reaches
-  // train_max payloads is encoded into the TX backlog at once; it leaves
-  // at the next flush() or poll().
-  void send(NodeId src, NodeId dst, std::uint16_t tag,
-            std::vector<std::uint8_t> bytes);
-
-  // Encodes each non-empty train of src as one frame, queues it, and
-  // writes whenever the TX backlog is non-empty. Contract: a queued frame
-  // leaves on this call unless the kernel buffer is full (a later poll()
-  // writes the rest); called from inside a delivery callback, the
-  // enclosing poll() writes it. Never reads or delivers.
-  void flush(NodeId src);
+  // Encodes `payloads` as one frame from src to dst, queues it, and writes
+  // the TX backlog. Contract: the frame leaves on this call unless the
+  // kernel buffer is full (a later poll() writes the rest); called from
+  // inside a delivery callback, the enclosing poll() writes it. Never
+  // reads or delivers.
+  void send_frame(NodeId src, NodeId dst,
+                  const std::vector<FramePayload>& payloads);
 
   // Writes backlog / reads / decodes / delivers; returns payloads
   // delivered by this call. Once the peer is down this returns 0 forever
@@ -105,19 +103,11 @@ class PipeChannel {
   int wire_fd() const { return fd_; }
 
  private:
-  struct SrcState {
-    std::vector<std::vector<FramePayload>> train;
-    std::uint32_t pending = 0;
-  };
-
-  void flush_dest(NodeId src, NodeId dst);
   // Writes backlog until the kernel buffer is full; true if any byte left.
   bool write_backlog();
   std::size_t pump();
 
-  std::uint32_t train_max_;
   bool mark_control_ = false;
-  std::vector<SrcState> srcs_;
   FrameDeliverFn deliver_;
 
   int fd_ = -1;

@@ -6,6 +6,7 @@
 // worker, its pid and its nodes, flight-record JSON) instead of a hang, a
 // SIGPIPE, or an abort.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -69,9 +70,13 @@ struct RingVal {
   double sum = 0;
 };
 
+// `doomed` >= 0 names a node whose seeded task ends its worker process
+// with _exit(42), as a crash would (proc only: on the single-process
+// backends it would end the test binary).
 rt::PhaseResult run_ring_phase(
     std::vector<double>* out,
-    exec::BackendKind kind = exec::BackendKind::kProc) {
+    exec::BackendKind kind = exec::BackendKind::kProc,
+    std::int32_t doomed = -1) {
   rt::Cluster cluster(4, kind);
   rt::PhaseRunner runner(cluster, rt::RuntimeConfig::dpa(32));
 
@@ -82,7 +87,8 @@ rt::PhaseResult run_ring_phase(
   std::vector<rt::NodeWork> work(4);
   for (std::uint32_t n = 0; n < 4; ++n) {
     work[n].count = 1;
-    work[n].item = [&ptrs, n](rt::Ctx& ctx, std::uint64_t) {
+    work[n].item = [&ptrs, n, doomed](rt::Ctx& ctx, std::uint64_t) {
+      if (std::int32_t(n) == doomed) _exit(42);
       RingVal* mine = gas::GlobalHeap::mutate(ptrs[n]);
       ctx.require(ptrs[(n + 1) % 4], [mine](rt::Ctx&, const RingVal& dep) {
         mine->sum = mine->v + dep.v;
@@ -349,18 +355,23 @@ TEST(ProcBackend, SpanMergeShipsExactlyTheChangedBytes) {
 }
 
 TEST(ProcBackend, WorkerDeathFailsThePhaseInsteadOfHanging) {
-  const std::string dump = ::testing::TempDir() + "proc_crash_drill.json";
+  // Named per process: copies of this binary running at once must not
+  // remove each other's record.
+  const std::string dump = ::testing::TempDir() + "proc_crash_drill." +
+                           std::to_string(getpid()) + ".json";
   std::remove(dump.c_str());
 
   exec::ProcBackend::Config cfg;
   cfg.procs = 2;
-  cfg.kill_worker_for_test = 1;  // worker 1 self-terminates mid-phase...
-  cfg.kill_after_pumps = 1;      // ...before it can report even once
   cfg.watchdog.phase_deadline = 30'000'000'000;  // backstop: fail, not hang
   cfg.watchdog.dump_path = dump;
   const ScopedProcConfig guard(cfg);
 
-  const rt::PhaseResult r = run_ring_phase(nullptr);
+  // Node 1's seeded task kills worker 1 mid-phase. Its pool cannot go idle
+  // while that task is outstanding, so the worker dies before it can
+  // report even once.
+  const rt::PhaseResult r =
+      run_ring_phase(nullptr, exec::BackendKind::kProc, /*doomed=*/1);
 
   // The phase is a reported error, not a crash and not a hang: the test
   // reaching this line at all is the no-SIGPIPE/no-abort half of the claim.
@@ -394,10 +405,12 @@ TEST(ProcBackend, RecoversCleanlyAfterAFailedPhase) {
   {
     exec::ProcBackend::Config cfg;
     cfg.procs = 2;
-    cfg.kill_worker_for_test = 0;
     cfg.watchdog.phase_deadline = 30'000'000'000;
     const ScopedProcConfig guard(cfg);
-    EXPECT_FALSE(run_ring_phase(nullptr).completed);
+    // Node 0's seeded task kills worker 0.
+    EXPECT_FALSE(
+        run_ring_phase(nullptr, exec::BackendKind::kProc, /*doomed=*/0)
+            .completed);
   }
   exec::ProcBackend::Config cfg;
   cfg.procs = 2;

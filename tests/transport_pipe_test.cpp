@@ -33,6 +33,10 @@ constexpr std::uint32_t kEPerNode = 8;   // E values owned per node
 constexpr std::uint32_t kHPerNode = 8;   // H values owned per node
 constexpr std::uint32_t kDegree = 4;     // H-dependencies per E value
 constexpr std::uint16_t kAccumTag = 3;   // the one application payload tag
+// The sender's trains: a (src, dst) train departs as one frame once it
+// holds this many payloads, and at the end of the phase — the way the proc
+// backend hands the channel its native pool's departing trains.
+constexpr std::size_t kTrainMax = 8;
 
 // One E <- H dependency edge, grouped by the H side's owner (the sender).
 struct Edge {
@@ -145,14 +149,19 @@ std::uint64_t count_remote(const Graph& g) {
 }
 
 std::pair<std::unique_ptr<PipeChannel>, std::unique_ptr<PipeChannel>>
-make_endpoint_pair(std::uint32_t num_nodes, std::uint32_t train_max) {
+make_endpoint_pair() {
   int sv[2] = {-1, -1};
   EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  auto a = std::make_unique<PipeChannel>(num_nodes, train_max,
-                                         PipeChannel::Endpoint{sv[0]});
-  auto b = std::make_unique<PipeChannel>(num_nodes, train_max,
-                                         PipeChannel::Endpoint{sv[1]});
-  return {std::move(a), std::move(b)};
+  return {std::make_unique<PipeChannel>(PipeChannel::Endpoint{sv[0]}),
+          std::make_unique<PipeChannel>(PipeChannel::Endpoint{sv[1]})};
+}
+
+// One payload under `tag` per element of `bytes`.
+std::vector<FramePayload> train_of(
+    std::uint16_t tag, const std::vector<std::vector<std::uint8_t>>& bytes) {
+  std::vector<FramePayload> train;
+  for (const auto& b : bytes) train.push_back(FramePayload{tag, 0, b});
+  return train;
 }
 
 // Pumps the sender `a` and the receiver `b` until a's backlog is on the
@@ -181,7 +190,7 @@ TEST(PipeChannel, Em3dPhaseRoundTripsBitIdentical) {
   const Graph g = build_graph(0xE3D1);
   const std::vector<double> want = run_reference(g);
 
-  auto [a, b] = make_endpoint_pair(kNodes, /*train_max=*/8);
+  auto [a, b] = make_endpoint_pair();
   std::vector<Staged> staged;
   b->set_deliver([&](const FrameHeader& h, const FramePayload& p) {
     EXPECT_EQ(p.tag, kAccumTag);
@@ -190,12 +199,20 @@ TEST(PipeChannel, Em3dPhaseRoundTripsBitIdentical) {
   a->set_deliver([](const FrameHeader&, const FramePayload&) {
     FAIL() << "nothing was sent toward side A";
   });
+  std::vector<std::vector<FramePayload>> trains(kNodes * kNodes);
   run_phase(g, &staged,
             [&](NodeId src, NodeId dst, std::uint64_t,
                 std::vector<std::uint8_t> w) {
-              a->send(src, dst, kAccumTag, std::move(w));
+              auto& train = trains[src * kNodes + dst];
+              train.push_back(FramePayload{kAccumTag, 0, std::move(w)});
+              if (train.size() < kTrainMax) return;
+              a->send_frame(src, dst, train);
+              train.clear();
             });
-  for (NodeId n = 0; n < kNodes; ++n) a->flush(n);
+  for (NodeId src = 0; src < kNodes; ++src)
+    for (NodeId dst = 0; dst < kNodes; ++dst)
+      if (!trains[src * kNodes + dst].empty())
+        a->send_frame(src, dst, trains[src * kNodes + dst]);
   pump_until_delivered(*a, *b);
 
   EXPECT_EQ(a->tx_backlog(), 0u);
@@ -204,7 +221,7 @@ TEST(PipeChannel, Em3dPhaseRoundTripsBitIdentical) {
   EXPECT_EQ(ws.payloads_recv, count_remote(g));
   EXPECT_EQ(ws.frames_recv, sent.frames_sent);
   EXPECT_GT(sent.frames_sent, 0u);
-  // Trains amortize: strictly fewer frames than messages.
+  // A frame carries a whole train: strictly fewer frames than messages.
   EXPECT_LT(sent.frames_sent, ws.payloads_recv);
 
   const std::vector<double> got = commit(g, std::move(staged));
@@ -219,7 +236,7 @@ TEST(PipeChannel, ControlFramesCarryTheControlFlag) {
   // coordinator's termination traffic apart without decoding bodies. A
   // default channel stamps none.
   for (const bool control : {true, false}) {
-    auto [a, b] = make_endpoint_pair(3, /*train_max=*/2);
+    auto [a, b] = make_endpoint_pair();
     if (control) a->set_control(true);
     std::uint64_t delivered = 0;
     b->set_deliver([&](const FrameHeader& h, const FramePayload&) {
@@ -227,11 +244,11 @@ TEST(PipeChannel, ControlFramesCarryTheControlFlag) {
       ++delivered;
     });
     a->set_deliver([](const FrameHeader&, const FramePayload&) {});
-    // Several frames: full trains, a partial train, two sources.
-    for (std::uint8_t i = 0; i < 5; ++i) a->send(0, 1, 1, {i});
-    a->send(2, 0, 1, {9});
-    a->flush(0);
-    a->flush(2);
+    // Several frames: trains of two and of one payload, two sources.
+    a->send_frame(0, 1, train_of(1, {{0}, {1}}));
+    a->send_frame(0, 1, train_of(1, {{2}, {3}}));
+    a->send_frame(0, 1, train_of(1, {{4}}));
+    a->send_frame(2, 0, train_of(1, {{9}}));
     pump_until_delivered(*a, *b);
     EXPECT_EQ(delivered, 6u) << control;
     EXPECT_EQ(b->wire_stats().frames_recv, 4u) << control;
@@ -246,7 +263,7 @@ TEST(PipeChannel, ControlFramesCarryTheControlFlag) {
 // because the coordinator turns it into a reported error.
 
 TEST(PipeEndpoint, TwoChannelsRoundTripOverOneSocketpair) {
-  auto [a, b] = make_endpoint_pair(2, /*train_max=*/4);
+  auto [a, b] = make_endpoint_pair();
   std::vector<std::vector<std::uint8_t>> got;
   b->set_deliver([&](const FrameHeader& h, const FramePayload& p) {
     EXPECT_EQ(h.src, 0u);
@@ -257,8 +274,7 @@ TEST(PipeEndpoint, TwoChannelsRoundTripOverOneSocketpair) {
     FAIL() << "nothing was sent toward side A";
   });
 
-  a->send(0, 1, 7, {1, 2, 3, 4});
-  a->flush(0);
+  a->send_frame(0, 1, train_of(7, {{1, 2, 3, 4}}));
   for (int i = 0; i < 100 && got.empty(); ++i) b->poll();
 
   ASSERT_EQ(got.size(), 1u);
@@ -267,20 +283,18 @@ TEST(PipeEndpoint, TwoChannelsRoundTripOverOneSocketpair) {
   EXPECT_EQ(b->status(), ChannelStatus::kOk);
 }
 
-TEST(PipeEndpoint, FrameQueuedAtTrainMaxLeavesOnFlush) {
-  // train_max = 1 is the proc control channel's setting: send() itself
-  // encodes the one-payload train into the TX backlog, so flush() finds
-  // nothing pending. The frame must still leave on that flush, not wait
-  // for the sender's next poll().
-  auto [a, b] = make_endpoint_pair(2, /*train_max=*/1);
+TEST(PipeEndpoint, SentFrameLeavesBeforeSendFrameReturns) {
+  // A proc control message is one payload in a frame of its own. The
+  // frame must leave on send_frame() itself, not wait for the sender's
+  // next poll().
+  auto [a, b] = make_endpoint_pair();
   std::vector<std::vector<std::uint8_t>> got;
   b->set_deliver([&](const FrameHeader&, const FramePayload& p) {
     got.push_back(p.bytes);
   });
   a->set_deliver([](const FrameHeader&, const FramePayload&) {});
 
-  a->send(0, 1, 7, {5, 6, 7});
-  a->flush(0);
+  a->send_frame(0, 1, train_of(7, {{5, 6, 7}}));
   EXPECT_EQ(a->tx_backlog(), 0u);
   EXPECT_EQ(b->poll(), 1u);  // one non-blocking poll: already in the socket
   ASSERT_EQ(got.size(), 1u);
@@ -288,7 +302,7 @@ TEST(PipeEndpoint, FrameQueuedAtTrainMaxLeavesOnFlush) {
 }
 
 TEST(PipeEndpoint, PeerCloseSurfacesAsPeerDownOnRead) {
-  auto [a, b] = make_endpoint_pair(2, /*train_max=*/4);
+  auto [a, b] = make_endpoint_pair();
   b.reset();  // peer vanishes: its destructor closes the other half
   a->set_deliver([](const FrameHeader&, const FramePayload&) {});
   EXPECT_EQ(a->poll(), 0u);  // EOF, not a crash
@@ -299,28 +313,27 @@ TEST(PipeEndpoint, PeerCloseSurfacesAsPeerDownOnRead) {
 }
 
 TEST(PipeEndpoint, WriteToDeadPeerIsPeerDownNotSigpipe) {
-  auto [a, b] = make_endpoint_pair(2, /*train_max=*/4);
+  auto [a, b] = make_endpoint_pair();
   b.reset();
   a->set_deliver([](const FrameHeader&, const FramePayload&) {});
   // A raw write() here would raise SIGPIPE and kill the process; the
   // channel sends with MSG_NOSIGNAL and maps EPIPE to kPeerDown. Reaching
   // the assertions below IS the no-SIGPIPE proof.
-  a->send(0, 1, 7, std::vector<std::uint8_t>(4096, 0xAB));
-  a->flush(0);
+  a->send_frame(0, 1, train_of(7, {std::vector<std::uint8_t>(4096, 0xAB)}));
   a->poll();
   EXPECT_EQ(a->status(), ChannelStatus::kPeerDown);
 }
 
 TEST(PipeEndpoint, DrainReturnsInsteadOfSpinningOnADeadPeer) {
-  auto [a, b] = make_endpoint_pair(2, /*train_max=*/4);
+  auto [a, b] = make_endpoint_pair();
   b.reset();
   a->set_deliver([](const FrameHeader&, const FramePayload&) {});
   // Queue more than a kernel buffer could absorb unanswered, then drain:
   // the "until no progress" loop must bail on peer-down rather than wait
   // forever for the dead side to read.
   for (int i = 0; i < 64; ++i)
-    a->send(0, 1, 7, std::vector<std::uint8_t>(65536, std::uint8_t(i)));
-  a->flush(0);
+    a->send_frame(
+        0, 1, train_of(7, {std::vector<std::uint8_t>(65536, std::uint8_t(i))}));
   a->drain();  // must return (the test would hang here on a regression)
   EXPECT_EQ(a->status(), ChannelStatus::kPeerDown);
 }
