@@ -103,42 +103,39 @@ struct BackendOptions {
   }
 
   // Installs the native execution policy process-wide — worker-pool size
-  // and watchdog config. Harnesses build their Clusters deep inside app
-  // runners, so the policy is set once here and picked up by every
-  // NativeBackend constructed afterwards.
+  // and, on native, the watchdog, both in the default Tuning; on proc the
+  // process count and the watchdog go in the default ProcBackend::Config.
+  // Harnesses build their Clusters deep inside app runners, so the policy
+  // is set once here and picked up by every backend constructed
+  // afterwards.
   void install() const {
-    if (workers != 0) {
-      if (!native() && !proc()) {
+    if (!native() && !proc()) {
+      if (workers != 0)
         std::fprintf(stderr,
                      "warning: --workers=%lld ignored: the worker pool is a "
                      "native/proc-backend knob (--backend=sim is "
                      "single-threaded by construction)\n",
                      (long long)workers);
-      } else {
-        // On proc this sizes each worker process's *inner* pool.
-        exec::NativeBackend::Tuning tuning =
-            exec::NativeBackend::default_tuning();
-        tuning.workers = std::uint32_t(workers);
-        exec::NativeBackend::set_default_tuning(tuning);
-      }
+      if (watchdog_ms > 0)
+        std::fprintf(stderr,
+                     "warning: --watchdog-ms=%lld ignored: the watchdog "
+                     "guards native/proc phases (--backend=sim is "
+                     "deterministic and cannot stall)\n",
+                     (long long)watchdog_ms);
+      return;
     }
+    // On proc this sizes each worker process's *inner* pool, whose
+    // watchdog the proc config supplies.
+    exec::NativeBackend::Tuning tuning = exec::NativeBackend::default_tuning();
+    if (workers != 0) tuning.workers = std::uint32_t(workers);
+    if (native() && watchdog_ms > 0) tuning.watchdog = watchdog_config();
+    exec::NativeBackend::set_default_tuning(tuning);
     if (proc()) {
       exec::ProcBackend::Config cfg = exec::ProcBackend::default_config();
       cfg.procs = std::uint32_t(procs);
       if (watchdog_ms > 0) cfg.watchdog = watchdog_config();
       exec::ProcBackend::set_default_config(cfg);
-      return;
     }
-    if (watchdog_ms <= 0) return;
-    if (!native()) {
-      std::fprintf(stderr,
-                   "warning: --watchdog-ms=%lld ignored: the watchdog "
-                   "guards native/proc phases (--backend=sim is "
-                   "deterministic and cannot stall)\n",
-                   (long long)watchdog_ms);
-      return;
-    }
-    exec::NativeBackend::set_default_watchdog(watchdog_config());
   }
 
   void announce() const {

@@ -20,7 +20,8 @@
 //                     messages travel as frames over socketpairs.
 //
 // The contract the runtime relies on:
-//   * Tasks posted to a node run serially, in post order, on that node.
+//   * Tasks posted to a node run serially, in post order, on that node. A
+//     task posts only to its own node; between nodes it sends.
 //   * A handler runs as a task on the destination node; a message sent
 //     during a phase is delivered within the same phase, exactly once (on
 //     a faulted simulator FM's own recovery protocol makes it so).
@@ -72,7 +73,7 @@ struct PhaseExec {
   std::string diagnostics;
 };
 
-// Stall-watchdog policy (NativeBackend::arm_watchdog, and
+// Stall-watchdog policy (NativeBackend::Tuning::watchdog, and
 // ProcBackend::Config::watchdog for each worker's pool and the proc
 // coordinator's phase deadline). Default-constructed = disabled;
 // --watchdog-ms on the backend-aware benches arms both triggers. The
@@ -91,6 +92,7 @@ struct WatchdogConfig {
   bool fatal = true;      // abort after dumping (fail loudly instead of hang)
 
   bool enabled() const { return phase_deadline > 0 || stuck_scans > 0; }
+  bool operator==(const WatchdogConfig&) const = default;
 };
 
 // How the multi-process backend merges a registered memory span back into
@@ -149,7 +151,12 @@ class Backend {
                     std::shared_ptr<void> data, std::uint32_t bytes) = 0;
 
   // --- Task spawn ----------------------------------------------------
-  // Enqueues a task on `node`. Tasks run serially in post order.
+  // Enqueues a task on `node`. Tasks run serially in post order. The main
+  // thread seeds any node between phases; a task posts only to its own
+  // node. Between nodes, tasks send(): messages are the one path from
+  // node to node, and the only one that crosses a process boundary. The
+  // native and proc backends fail a task's post to another node loudly,
+  // naming both nodes.
   virtual void post(NodeId node, Task task) = 0;
 
   // --- Outbound flush ------------------------------------------------

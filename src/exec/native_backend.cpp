@@ -13,15 +13,14 @@ namespace dpa::exec {
 
 namespace {
 
-// Process-wide defaults, copied into every NativeBackend at construction
-// (see set_default_watchdog / set_default_tuning).
+// The process-wide default, copied into every single-argument
+// NativeBackend at construction (see set_default_tuning).
 std::mutex g_defaults_mu;
-WatchdogConfig g_default_watchdog;
 NativeBackend::Tuning g_default_tuning;
 
 // The node the current thread is executing a task for (-1 outside
-// run_node, including on the main thread). Lets post() skip the mailbox
-// lock for self-posts and route cross-node work through the node's trains.
+// run_node, including on the main thread). Tells post() a task's
+// self-post, which skips the mailbox lock, from a main-thread seed.
 thread_local std::int32_t tls_node = -1;
 // The worker lane this thread is (-1 on the main thread and the watchdog):
 // names the trace shard backend events record into.
@@ -41,6 +40,17 @@ inline std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
+}
+
+// A message as a task on its destination node: counts the receipt in the
+// destination's `recv` stats, then runs the handler. Returned as the
+// closure itself, so a mailbox builds the Task in place.
+auto delivery(const Handler& fn, MsgStats& recv, Packet pkt) {
+  return [fn = &fn, recv = &recv, pkt = std::move(pkt)](Cpu& cpu) {
+    ++recv->msgs_recv;
+    recv->bytes_recv += pkt.bytes;
+    (*fn)(cpu, pkt);
+  };
 }
 
 std::uint32_t resolve_workers(const NativeBackend::Tuning& t,
@@ -82,12 +92,14 @@ NativeBackend::NativeBackend(std::uint32_t num_nodes, const Tuning& tuning)
   threads_.reserve(num_workers);
   for (std::uint32_t w = 0; w < num_workers; ++w)
     threads_.emplace_back([this, w] { worker_main(w); });
-  WatchdogConfig default_cfg;
-  {
-    std::lock_guard<std::mutex> lk(g_defaults_mu);
-    default_cfg = g_default_watchdog;
+  if (tuning_.watchdog.enabled()) {
+    DPA_CHECK(tuning_.watchdog.scan_interval > 0);
+    watchdog_ = std::make_unique<WatchdogState>();
+    watchdog_->last_produced.assign(num_nodes, 0);
+    watchdog_->last_consumed.assign(num_nodes, 0);
+    watchdog_->node_stuck.assign(num_nodes, false);
+    watchdog_->thread = std::thread([this] { watchdog_main(); });
   }
-  if (default_cfg.enabled()) arm_watchdog(default_cfg);
 }
 
 NativeBackend::~NativeBackend() {
@@ -106,11 +118,6 @@ NativeBackend::~NativeBackend() {
   }
   phase_cv_.notify_all();
   for (auto& t : threads_) t.join();
-}
-
-void NativeBackend::set_default_watchdog(const WatchdogConfig& cfg) {
-  std::lock_guard<std::mutex> lk(g_defaults_mu);
-  g_default_watchdog = cfg;
 }
 
 void NativeBackend::set_default_tuning(const Tuning& tuning) {
@@ -144,18 +151,6 @@ void NativeBackend::attach_shards(obs::ShardedTraceSink* shards) {
 obs::TraceShard* NativeBackend::worker_shard(std::uint32_t w) const {
   if constexpr (!obs::kTraceEnabled) return nullptr;
   return shards_ != nullptr ? &shards_->shard(num_nodes() + w) : nullptr;
-}
-
-void NativeBackend::arm_watchdog(const WatchdogConfig& cfg) {
-  if (!cfg.enabled()) return;
-  DPA_CHECK(watchdog_ == nullptr) << "watchdog already armed";
-  DPA_CHECK(cfg.scan_interval > 0);
-  watchdog_ = std::make_unique<WatchdogState>();
-  watchdog_->cfg = cfg;
-  watchdog_->last_produced.assign(nodes_.size(), 0);
-  watchdog_->last_consumed.assign(nodes_.size(), 0);
-  watchdog_->node_stuck.assign(nodes_.size(), false);
-  watchdog_->thread = std::thread([this] { watchdog_main(); });
 }
 
 HandlerId NativeBackend::register_handler(std::string /*name*/, Handler fn,
@@ -240,27 +235,22 @@ std::int32_t NativeBackend::try_steal(std::uint32_t w) {
 
 void NativeBackend::deliver_train(NodeId src, NodeId dst) {
   Node& sn = *nodes_[src];
+  std::vector<Packet>& train = sn.trains[dst];
+  if (train.empty()) return;
+  DPA_DCHECK(sn.pending >= train.size());
+  sn.pending -= std::uint32_t(train.size());
+  ++sn.msg.trains_sent;
   if (!remote_.empty() && remote_[dst]) {
-    std::vector<Packet>& wire = sn.wire_trains[dst];
-    if (wire.empty()) return;
-    DPA_DCHECK(sn.pending >= wire.size());
-    sn.pending -= std::uint32_t(wire.size());
-    ++sn.msg.trains_sent;
-    sink_(src, dst, wire);
-    wire.clear();
+    sink_(src, dst, train);
+    train.clear();
     return;
   }
-  std::vector<Task>& batch = sn.trains[dst];
-  if (batch.empty()) return;
-  DPA_DCHECK(sn.pending >= batch.size());
-  sn.pending -= std::uint32_t(batch.size());
-  ++sn.msg.trains_sent;
   Node& dn = *nodes_[dst];
   // Trains depart only on the source's hosting worker, so tls_worker names
   // the shard.
   obs::TraceShard* const sh =
       tls_worker >= 0 ? worker_shard(std::uint32_t(tls_worker)) : nullptr;
-  const std::uint64_t depth = batch.size();
+  const std::uint64_t depth = train.size();
   Time w0 = 0, w1 = 0;
   std::size_t inbox_depth = 0;
   if (sh != nullptr) w0 = since_phase_start(std::chrono::steady_clock::now());
@@ -268,12 +258,13 @@ void NativeBackend::deliver_train(NodeId src, NodeId dst) {
     std::lock_guard<std::mutex> lk(dn.mu);
     if (sh != nullptr) {
       w1 = since_phase_start(std::chrono::steady_clock::now());
-      inbox_depth = dn.inbox.size() + batch.size();
+      inbox_depth = dn.inbox.size() + train.size();
     }
-    for (auto& t : batch) dn.inbox.push(std::move(t));
+    for (Packet& pkt : train)
+      dn.inbox.push(delivery(*handlers_[pkt.handler], dn.msg, std::move(pkt)));
     dn.has_mail.store(true, std::memory_order_relaxed);
   }
-  batch.clear();
+  train.clear();
   // After the mailbox append: the destination's host (whoever wins the
   // activation) is guaranteed to see the batch.
   activate(dst);
@@ -303,23 +294,20 @@ void NativeBackend::post(NodeId node, Task task) {
   DPA_DCHECK(node < nodes_.size());
   // The produced-shard bump must land strictly before the task becomes
   // runnable anywhere: a scan that misses the task's consumption must also
-  // account it as produced. Tasks buffered in a train count as produced —
-  // that is what keeps the phase alive until their owner flushes them.
+  // account it as produced.
   if (tls_node >= 0) {
-    Node& self = *nodes_[tls_node];
+    // A task's post: only to its own node. Another node is reached by
+    // send(), whose trains are the one way between nodes — and the only
+    // one a proc worker can carry to another process.
+    DPA_CHECK(tls_node == std::int32_t(node))
+        << "a task on node " << tls_node << " posted to node " << node
+        << "; between nodes, tasks send messages";
+    Node& self = *nodes_[node];
     self.produced.fetch_add(1, std::memory_order_seq_cst);
-    if (tls_node == std::int32_t(node)) {
-      // Self-post: the node is active (we are inside one of its tasks), so
-      // no activation is needed — run_node drains local before it can even
-      // consider deactivating.
-      self.local.push(std::move(task));
-      return;
-    }
-    std::vector<Task>& train = self.trains[node];
-    train.push_back(std::move(task));
-    ++self.pending;
-    if (train.size() >= tuning_.train_max)
-      deliver_train(NodeId(tls_node), node);
+    // The node is active (we are inside one of its tasks), so no
+    // activation is needed — run_node drains local before it can even
+    // consider deactivating.
+    self.local.push(std::move(task));
     return;
   }
   // Main thread: pre-phase seeding, or a held phase's delivery from
@@ -338,44 +326,32 @@ void NativeBackend::post(NodeId node, Task task) {
   activate(node);
 }
 
-Task NativeBackend::delivery(HandlerId handler, Packet pkt) {
-  DPA_DCHECK(handler < handlers_.size());
-  const Handler* fn = handlers_[handler].get();
-  Node* dn = nodes_[pkt.dst].get();
-  return [fn, dn, pkt = std::move(pkt)](Cpu& task_cpu) {
-    ++dn->msg.msgs_recv;
-    dn->msg.bytes_recv += pkt.bytes;
-    (*fn)(task_cpu, pkt);
-  };
-}
-
 void NativeBackend::send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
                          std::shared_ptr<void> data, std::uint32_t bytes) {
   (void)cpu;  // the real send cost is measured, not charged
   DPA_DCHECK(handler < handlers_.size());
+  DPA_DCHECK(tls_node == std::int32_t(src))
+      << "Backend::send must run on the node it sends from";
   Node& sn = *nodes_[src];
   ++sn.msg.msgs_sent;
   ++sn.msg.frags_sent;  // no MTU segmentation in-process
   sn.msg.bytes_sent += bytes;
-
-  Packet pkt{src, dst, handler, bytes, std::move(data)};
-  if (!remote_.empty() && remote_[dst]) {
-    // Bound for another process: the packet itself rides the train, for
-    // the sink to marshal when the train departs.
-    std::vector<Packet>& train = sn.wire_trains[dst];
-    train.push_back(std::move(pkt));
-    ++sn.pending;
-    if (train.size() >= tuning_.train_max) deliver_train(src, dst);
-    return;
-  }
-  post(dst, delivery(handler, std::move(pkt)));
+  // A message for a node of this pool counts as its delivery task, produced
+  // from the moment it is sent: the train holding it keeps the phase alive
+  // until its host departs it. One for another process is the proc
+  // backend's to count.
+  if (remote_.empty() || !remote_[dst])
+    sn.produced.fetch_add(1, std::memory_order_seq_cst);
+  std::vector<Packet>& train = sn.trains[dst];
+  train.push_back(Packet{src, dst, handler, bytes, std::move(data)});
+  ++sn.pending;
+  if (train.size() >= tuning_.train_max) deliver_train(src, dst);
 }
 
 void NativeBackend::set_remote(std::vector<bool> remote, RemoteSink sink) {
   DPA_CHECK(remote.size() == nodes_.size() && sink != nullptr);
   remote_ = std::move(remote);
   sink_ = std::move(sink);
-  for (auto& n : nodes_) n->wire_trains.resize(nodes_.size());
 }
 
 void NativeBackend::deliver(NodeId src, NodeId dst, HandlerId handler,
@@ -383,8 +359,9 @@ void NativeBackend::deliver(NodeId src, NodeId dst, HandlerId handler,
   DPA_DCHECK(tls_node < 0) << "deliver() runs outside the pool";
   DPA_DCHECK(held_.load(std::memory_order_relaxed));
   DPA_DCHECK(remote_.empty() || !remote_[dst]);
-  post(dst, delivery(handler, Packet{src, dst, handler, bytes,
-                                     std::move(data)}));
+  DPA_DCHECK(handler < handlers_.size());
+  post(dst, delivery(*handlers_[handler], nodes_[dst]->msg,
+                     Packet{src, dst, handler, bytes, std::move(data)}));
 }
 
 void NativeBackend::flush(Cpu& cpu, NodeId node) {
@@ -552,7 +529,7 @@ void NativeBackend::watchdog_main() {
     {
       std::unique_lock<std::mutex> lk(watchdog_->mu);
       watchdog_->cv.wait_for(
-          lk, std::chrono::nanoseconds(watchdog_->cfg.scan_interval),
+          lk, std::chrono::nanoseconds(tuning_.watchdog.scan_interval),
           [this] { return watchdog_->stop; });
       if (watchdog_->stop) return;
     }
@@ -562,7 +539,7 @@ void NativeBackend::watchdog_main() {
 
 bool NativeBackend::watchdog_sweep() {
   WatchdogState& wd = *watchdog_;
-  const WatchdogConfig& cfg = wd.cfg;
+  const WatchdogConfig& cfg = tuning_.watchdog;
   std::lock_guard<std::mutex> sweep_lk(wd.sweep_mu);
   if (watchdog_fired()) return true;
   // Per-NODE progress tracking. With whole-node stealing a node's work
@@ -634,7 +611,7 @@ bool NativeBackend::watchdog_sweep() {
 void NativeBackend::watchdog_fire(const char* reason, Time elapsed,
                                   std::uint64_t epoch, std::uint32_t stuck,
                                   const std::vector<bool>& node_stuck) {
-  const WatchdogConfig& cfg = watchdog_->cfg;
+  const WatchdogConfig& cfg = tuning_.watchdog;
   obs::FlightRecord rec;
   rec.reason = reason;
   rec.elapsed = elapsed;

@@ -17,29 +17,31 @@
 //     per-node ordering guarantee intact: a node's mailbox is still drained
 //     FIFO by exactly one thread at a time, so the deterministic
 //     (src, seq)-sorted accumulation commit is schedule-independent.
-//   * Each node keeps an MPSC mailbox (mutex + FIFO) for cross-node posts
-//     and an unlocked local queue for self-posts (a node's scheduler
-//     kicking itself never takes a lock). Its host drains the mailbox
-//     first and goes back to it between self-posted tasks as soon as a
-//     producer flags new mail, so a message waits behind at most one
+//   * Each node keeps an MPSC mailbox (mutex + FIFO) for arriving messages
+//     and main-thread seeds, and an unlocked local queue for self-posts (a
+//     node's scheduler kicking itself never takes a lock). A task posts
+//     only to its own node; between nodes it sends. The host drains the
+//     mailbox first and goes back to it between self-posted tasks as soon
+//     as a producer flags new mail, so a message waits behind at most one
 //     local task, not behind all of them.
-//   * send() appends a delivery task to the sending node's per-destination
-//     *train* — an outbound buffer in the sending Node, written only by
-//     that node's host, like its local queue. A train is handed to the
-//     destination mailbox under ONE lock acquisition (deliver_train: batch
-//     append, tracing, destination activation) when it reaches
-//     Tuning::train_max depth, when the engine calls Backend::flush() at a
-//     tile/strip boundary, or — unconditionally — before the node
-//     deactivates. That last rule makes trains invisible to termination:
-//     buffered messages always depart before their host worker can so much
-//     as look for quiescence. The host fabric thus applies the paper's
+//   * Messages are the only thing that travels between nodes, and they
+//     travel in *trains*: send() appends the packet to the sending node's
+//     train for its destination — an outbound buffer in the sending Node,
+//     written only by that node's host, like its local queue. A train
+//     departs (deliver_train) when it reaches Tuning::train_max depth,
+//     when the engine calls Backend::flush() at a tile/strip boundary, or
+//     — unconditionally — before the node deactivates. That last rule
+//     makes trains invisible to termination: buffered messages always
+//     depart before their host worker can so much as look for quiescence.
+//     A train for a node in this pool becomes delivery tasks in the
+//     destination mailbox under ONE lock acquisition (batch append,
+//     tracing, destination activation); a train for a node outside it
+//     (set_remote: the proc backend's other processes) goes to a
+//     RemoteSink instead. The host fabric thus applies the paper's
 //     aggregation idea to itself: per-message lock overhead is amortized
 //     across a batch, exactly like per-message wire overhead is amortized
 //     by pointer aggregation. In-process delivery stays lossless and
 //     per-(src,dst) FIFO, unordered across sources — like the model.
-//     Trains to nodes outside the pool (set_remote: the proc backend's
-//     other processes) carry packets instead of tasks and depart, at the
-//     same three points, into a RemoteSink rather than a mailbox.
 //   * A held phase (start_held_phase) runs with one unit of outstanding
 //     work owned by the caller, which meanwhile delivers messages from
 //     outside the pool into node mailboxes and reads idle() — "only the
@@ -95,11 +97,12 @@
 // shard index says only which ring holds it.
 // Every instrumentation point is gated on the shard pointer, and
 // DPA_TRACE=OFF folds the pointer to null at compile time so the task loop
-// carries zero instrumentation cost in measurement builds. arm_watchdog()
-// starts a monitor thread that sweeps the per-node quiescence counters and
-// dumps a flight-recorder JSON instead of letting a wedged phase hang CI.
-// A wedged node is simply a task that does not return; the tests build one
-// from a task that blocks on a latch they own.
+// carries zero instrumentation cost in measurement builds. An enabled
+// Tuning::watchdog makes the constructor start a monitor thread that sweeps
+// the per-node quiescence counters and dumps a flight-recorder JSON instead
+// of letting a wedged phase hang CI. A wedged node is simply a task that
+// does not return; the tests build one from a task that blocks on a latch
+// they own.
 //
 // Not supported (sim-only by design): fault injection — the fabric cannot
 // lose messages, so it needs no recovery protocol.
@@ -155,6 +158,9 @@ class NativeBackend final : public Backend {
     // Seeds the per-worker xorshift that randomizes steal-victim order
     // (the schedule fuzzer's main lever).
     std::uint64_t steal_seed = 0x9e3779b97f4a7c15ull;
+    // Stall policy. When enabled() the constructor starts the monitor
+    // thread (see WatchdogConfig); the default is off.
+    WatchdogConfig watchdog;
   };
 
   explicit NativeBackend(std::uint32_t num_nodes);
@@ -203,7 +209,7 @@ class NativeBackend final : public Backend {
   // Seed the phase's first tasks with post() before this call.
   void start_held_phase();
   // The holding thread only: hands a message from a remote node to dst's
-  // mailbox, as a train from a local node would.
+  // mailbox as a delivery task, as a train from a local node would.
   void deliver(NodeId src, NodeId dst, HandlerId handler,
                std::shared_ptr<void> data, std::uint32_t bytes);
   // Every task posted so far has run — in a held phase, only the hold is
@@ -218,9 +224,6 @@ class NativeBackend final : public Backend {
   // Attaches a sink directly, e.g. one of custom shard capacity; it grows
   // to nodes + workers shards. Must be called between phases.
   void attach_shards(obs::ShardedTraceSink* shards);
-  // Arms the stall watchdog (see WatchdogConfig); a disabled config is a
-  // no-op. Between phases, at most once per backend.
-  void arm_watchdog(const WatchdogConfig& cfg);
 
   // True once the armed watchdog has fired (it fires at most once).
   bool watchdog_fired() const {
@@ -234,17 +237,11 @@ class NativeBackend final : public Backend {
   // on host timing.
   bool watchdog_sweep_for_test() { return watchdog_sweep(); }
 
-  // Process-wide default watchdog, applied to every subsequently
-  // constructed NativeBackend. Bench harnesses build their Clusters deep
-  // inside app runners, so the watchdog — an operational guard, one policy
-  // per process — is installed here rather than threaded through every
-  // app signature.
-  static void set_default_watchdog(const WatchdogConfig& cfg);
-
   // Process-wide default tuning, applied to every subsequently constructed
-  // single-argument NativeBackend — the same plumbing rationale as the
-  // default watchdog (--workers is a harness flag; Clusters are built deep
-  // inside app runners).
+  // single-argument NativeBackend. Bench harnesses build their Clusters
+  // deep inside app runners, so the pool's policy — --workers and the
+  // --watchdog-ms guard, one policy per process — is installed here rather
+  // than threaded through every app signature.
   static void set_default_tuning(const Tuning& tuning);
   static Tuning default_tuning();
 
@@ -257,14 +254,22 @@ class NativeBackend final : public Backend {
   std::int32_t last_worker(NodeId id) const {
     return nodes_[id]->last_worker.load(std::memory_order_relaxed);
   }
+  // Test-only: condvar parks the workers have taken in the current phase
+  // (or the last one), readable while the phase runs.
+  std::uint64_t parks_so_far() const {
+    std::uint64_t parks = 0;
+    for (const auto& w : workers_)
+      parks += w->parks.load(std::memory_order_relaxed);
+    return parks;
+  }
 
  private:
   // Padded to a cache line boundary: stats and queues are written at task
   // rate by the hosting worker; neighbors must not false-share.
   struct alignas(64) Node {
-    // Cross-thread inbox (trains from other nodes' hosts, pre-phase seeding
-    // from the main thread). MPSC: producers under the mutex, drained in
-    // batches by the hosting worker.
+    // Cross-thread inbox (trains from other nodes' hosts, the main
+    // thread's seeds and deliveries). MPSC: producers under the mutex,
+    // drained in batches by the hosting worker.
     std::mutex mu;
     Fifo<Task> inbox;
     // Set by producers (under mu) whenever they append to the inbox and
@@ -278,12 +283,9 @@ class NativeBackend final : public Backend {
     // like `local`; the two swap storage, so neither regrows.
     Fifo<Task> batch;
     // Outbound trains, one per destination node, and the messages buffered
-    // across them. Host-only like `local` (main-thread posts bypass
-    // trains); a departed train's vector keeps its capacity for the next.
-    std::vector<std::vector<Task>> trains;
-    // Trains to remote nodes (sized only once set_remote() ran): packets,
-    // since they leave through the RemoteSink, not a mailbox.
-    std::vector<std::vector<Packet>> wire_trains;
+    // across them. Host-only like `local`; a departed train's vector keeps
+    // its capacity for the next.
+    std::vector<std::vector<Packet>> trains;
     std::uint32_t pending = 0;
     NodeStats stats;
     MsgStats msg;  // sent-side fields written by host, recv-side by host
@@ -301,11 +303,12 @@ class NativeBackend final : public Backend {
     // the cache lines).
     std::atomic<std::uint32_t> affinity{0};
     std::atomic<std::int32_t> last_worker{-1};
-    // Quiescence shards. produced = tasks created on this node (plus
-    // pre-phase seeds the main thread charged to it); consumed = tasks
-    // finished here. Written only by the current host (single writer at a
-    // time), own cache line; seq_cst so the detector's two-pass scan
-    // linearizes (see quiescent()).
+    // Quiescence shards. produced = tasks created on this node — its
+    // self-posts, and a delivery task for each message it sent to a node
+    // of this pool — plus the seeds and deliveries the main thread charged
+    // to it; consumed = tasks finished here. Written only by the current
+    // host (single writer at a time), own cache line; seq_cst so the
+    // detector's two-pass scan linearizes (see quiescent()).
     alignas(64) std::atomic<std::uint64_t> produced{0};
     alignas(64) std::atomic<std::uint64_t> consumed{0};
   };
@@ -366,15 +369,13 @@ class NativeBackend final : public Backend {
   bool watchdog_sweep();
   void watchdog_fire(const char* reason, Time elapsed, std::uint64_t epoch,
                      std::uint32_t stuck, const std::vector<bool>& node_stuck);
-  // Hands `src`'s train for `dst` (if non-empty) to the destination
-  // mailbox under one lock and activates the destination. Runs on src's
+  // Departs `src`'s train for `dst`, if non-empty: to the RemoteSink when
+  // dst is remote, otherwise into the destination mailbox as delivery
+  // tasks under one lock, then activates the destination. Runs on src's
   // host: at train_max depth, from flush(), and before src deactivates.
   void deliver_train(NodeId src, NodeId dst);
   // Delivers every non-empty train of `src`.
   void flush_trains(NodeId src);
-  // A message from `pkt.src` as a task on `pkt.dst`: counts the receipt,
-  // then runs the handler.
-  Task delivery(HandlerId handler, Packet pkt);
   // Publishes a new phase epoch to the workers, and waits for its end.
   void start_phase();
   PhaseExec finish_phase();
@@ -431,9 +432,10 @@ class NativeBackend final : public Backend {
   // epoch publish, the watchdog reads it under phase_mu_.
   obs::ShardedTraceSink* shards_ = nullptr;
 
-  // Stall watchdog: a monitor thread sweeping the quiescence counters.
+  // Stall watchdog: a monitor thread sweeping the quiescence counters,
+  // started by the constructor when tuning_.watchdog is enabled (null
+  // otherwise).
   struct WatchdogState {
-    WatchdogConfig cfg;
     std::mutex mu;
     std::condition_variable cv;
     bool stop = false;

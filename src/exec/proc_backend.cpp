@@ -119,8 +119,8 @@ ProcBackend::~ProcBackend() {
 HandlerId ProcBackend::register_handler(std::string name, Handler fn,
                                         WireCodec codec) {
   DPA_CHECK(role_ == Role::kCoordinator);
-  handlers_.push_back(std::make_unique<HandlerEntry>(
-      HandlerEntry{std::move(name), std::move(fn), std::move(codec)}));
+  handlers_.push_back(
+      HandlerEntry{std::move(name), std::move(fn), std::move(codec)});
   return HandlerId(handlers_.size() - 1);
 }
 
@@ -139,7 +139,8 @@ void ProcBackend::remove_phase_span(const void* addr) {
 void ProcBackend::post(NodeId node, Task task) {
   DPA_CHECK(node < num_nodes_);
   if (role_ == Role::kWorker) {
-    // In-phase post from an inner task (engine kick/self-reschedule).
+    // In-phase post from an inner task (engine kick/self-reschedule): to
+    // its own node only, which the pool checks.
     inner_->post(node, std::move(task));
     return;
   }
@@ -164,7 +165,7 @@ void ProcBackend::send_train(NodeId src, NodeId dst,
   std::vector<transport::FramePayload> frame(train.size());
   for (std::size_t i = 0; i < train.size(); ++i) {
     const Packet& pkt = train[i];
-    const HandlerEntry& entry = *handlers_[pkt.handler];
+    const HandlerEntry& entry = handlers_[pkt.handler];
     DPA_CHECK(bool(entry.codec.marshal))
         << "handler '" << entry.name
         << "' crosses a process boundary but has no wire codec";
@@ -620,22 +621,16 @@ void ProcBackend::worker_main(std::uint32_t self) {
   ctl.set_control(true);
 
   // The local execution substrate: a fresh pool (threads never survive a
-  // fork, so it must be built on this side of it), fronted by trampolines
-  // onto the registered handlers.
-  inner_ = std::make_unique<NativeBackend>(num_nodes_);
-  for (auto& h : handlers_) {
-    HandlerEntry* entry = h.get();
-    inner_->register_handler(
-        entry->name, Handler([entry](Cpu& cpu, const Packet& pkt) {
-          entry->fn(cpu, pkt);
-        }));
-  }
-  if (config_.watchdog.enabled()) {
-    WatchdogConfig cfg = config_.watchdog;
-    if (!cfg.dump_path.empty())
-      cfg.dump_path += ".w" + std::to_string(self);
-    inner_->arm_watchdog(cfg);
-  }
+  // fork, so it must be built on this side of it) under the coordinator's
+  // stall policy, its record named per worker. The registered handlers
+  // move into it; this process keeps their names and codecs for the wire.
+  NativeBackend::Tuning tuning = NativeBackend::default_tuning();
+  tuning.watchdog = config_.watchdog;
+  if (!tuning.watchdog.dump_path.empty())
+    tuning.watchdog.dump_path += ".w" + std::to_string(self);
+  inner_ = std::make_unique<NativeBackend>(num_nodes_, tuning);
+  for (HandlerEntry& h : handlers_)
+    inner_->register_handler(h.name, std::move(h.fn));
 
   // Data links: one framed channel per peer worker. Only this thread reads
   // them, and it posts each payload into its node's mailbox as the frame
@@ -654,7 +649,7 @@ void ProcBackend::worker_main(std::uint32_t self) {
       // Application payload from another process: [u32 modeled_bytes]
       // [codec bytes] under the handler-id tag.
       DPA_CHECK(p.tag < handlers_.size()) << "unknown handler tag on wire";
-      const HandlerEntry& entry = *handlers_[p.tag];
+      const HandlerEntry& entry = handlers_[p.tag];
       DPA_CHECK(bool(entry.codec.unmarshal))
           << "handler '" << entry.name << "' has no unmarshal";
       ByteReader r(p.bytes);

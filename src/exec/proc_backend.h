@@ -36,7 +36,10 @@
 //     train_max, on Backend::flush, before the sender deactivates): the
 //     departing train goes to send_train(), which marshals it and hands
 //     it to the peer link as one frame (PipeChannel::send_frame), instead
-//     of to a mailbox. The links keep no trains of their own.
+//     of to a mailbox. The links keep no trains of their own. Messages
+//     are the only way across: a task posts only to its own node, and a
+//     post to any other fails the pool's check, killing the worker —
+//     a peer death the coordinator reports, not a task stranded.
 //   * Termination is the two-pass quiescence shape lifted to frame
 //     level: the coordinator broadcasts probe rounds; each worker answers
 //     only once its pool is idle (only the hold outstanding), so every
@@ -104,10 +107,11 @@ class ProcBackend final : public Backend {
     // Worker process count; clamped to [1, num_nodes].
     std::uint32_t procs = 2;
     // Stall policy when enabled(): the coordinator enforces phase_deadline
-    // itself and arms each worker's inner pool with it, so an
-    // intra-worker wedge aborts the worker and surfaces as a reported peer
-    // death. dump_path names the coordinator's flight record; a worker's
-    // pool writes its own beside it, suffixed ".w<worker>".
+    // itself, and each worker builds its inner pool with this config as
+    // Tuning::watchdog, so an intra-worker wedge aborts the worker and
+    // surfaces as a reported peer death. dump_path names the
+    // coordinator's flight record; a worker's pool writes its own beside
+    // it, suffixed ".w<worker>".
     WatchdogConfig watchdog;
   };
 
@@ -150,7 +154,8 @@ class ProcBackend final : public Backend {
   void remove_phase_span(const void* addr) override;
 
  private:
-  // The name labels the "no wire codec" error.
+  // A worker moves `fn` into its pool and keeps the rest for the wire; the
+  // name labels the "no wire codec" error.
   struct HandlerEntry {
     std::string name;
     Handler fn;
@@ -198,7 +203,7 @@ class ProcBackend final : public Backend {
   std::uint32_t procs_;
   Role role_ = Role::kCoordinator;
 
-  std::vector<std::unique_ptr<HandlerEntry>> handlers_;
+  std::vector<HandlerEntry> handlers_;
 
   std::function<void(std::vector<PhaseSpan>&)> span_source_;
   std::vector<PhaseSpan> transient_spans_;  // app-registered, per step

@@ -30,13 +30,13 @@ HandlerId FmLayer::register_handler(Handler fn) {
 void FmLayer::begin_phase() {
   for (auto& s : stats_) s.reset();
   if (machine_.network().injector() == nullptr) return;
-  for (const transport::Reliable& r : rel_)
+  for (const Reliable& r : rel_)
     DPA_CHECK(r.in_flight() == 0) << "phase began with unacked messages";
   rel_.clear();
   const std::uint32_t n = machine_.num_nodes();
   rel_.reserve(n);
   for (NodeId i = 0; i < n; ++i)
-    rel_.emplace_back(n, transport::RetryPolicy{}, i);
+    rel_.emplace_back(n, RetryPolicy{}, i);
 }
 
 void FmLayer::send(sim::Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
@@ -146,7 +146,7 @@ void FmLayer::receive(sim::Cpu& cpu, const Packet& packet, std::uint64_t seq) {
   cpu.charge(machine_.network().params().recv_overhead, sim::Work::kComm);
   if (seq != 0) {
     auto& st = stats_[packet.dst];
-    transport::Reliable& rel = rel_[packet.dst];
+    Reliable& rel = rel_[packet.dst];
     if (packet.handler == kAckHandler) {
       if (rel.on_ack(seq)) ++st.acks_recv;
       return;
@@ -178,7 +178,7 @@ void FmLayer::arm_retransmit(NodeId src, std::uint64_t seq, Time at) {
 void FmLayer::retransmit(sim::Cpu& cpu, NodeId src, std::uint64_t seq) {
   // retry() bumps the attempt count (fatal past max_retries) and applies
   // the capped exponential backoff.
-  const transport::Reliable::Pending* p = rel_[src].retry(seq);
+  const Reliable::Pending* p = rel_[src].retry(seq);
   if (p == nullptr) return;  // the ack raced this task
   ++stats_[src].retries;
   cpu.charge(kRetransmitCost, sim::Work::kComm);

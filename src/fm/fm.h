@@ -12,7 +12,7 @@
 // lost or duplicated message, and the layers above never see an ack. On a
 // fault-free network that is free — no sequence numbers, no acks, no
 // timers. When the network has a fault injector (an armed sim::FaultPlan)
-// FM drives transport::Reliable, one per node: each message gets a
+// FM drives fm::Reliable, one per node: each message gets a
 // per-sender sequence number, the receiver acks every copy and drops
 // copies it already delivered, and the sender retransmits on timeout with
 // capped exponential backoff. Acks and retransmissions are FM-internal
@@ -29,10 +29,10 @@
 #include <vector>
 
 #include "exec/types.h"
+#include "fm/reliable.h"
 #include "sim/machine.h"
 #include "sim/network.h"
 #include "support/flat_map.h"
-#include "transport/reliable.h"
 
 namespace dpa::fm {
 
@@ -121,7 +121,7 @@ class FmLayer {
   FlatMap<std::uint64_t, std::uint32_t> partial_;
   // Exactly-once protocol state, one per node; empty on a fault-free
   // network.
-  std::vector<transport::Reliable> rel_;
+  std::vector<Reliable> rel_;
 };
 
 }  // namespace dpa::fm

@@ -132,6 +132,24 @@ TEST(BackendOptions, InstallWatchdogWarnsWhenBackendIsSim) {
   EXPECT_NE(err.find("--watchdog-ms=500 ignored"), std::string::npos) << err;
 }
 
+TEST(BackendOptions, InstallFoldsTheNativeWatchdogIntoTheDefaultTuning) {
+  // --watchdog-ms reaches every NativeBackend built afterwards through the
+  // default Tuning, the same path as --workers.
+  exec::ScopedDefaultTuning guard(exec::NativeBackend::default_tuning());
+
+  bench::BackendOptions b;
+  Options options;
+  b.add_flags(options);
+  const char* argv[] = {"bench", "--backend=native", "--watchdog-ms=250",
+                        "--watchdog-dump=flight.json"};
+  ASSERT_TRUE(options.parse(4, const_cast<char**>(argv)));
+  b.install();
+  const exec::WatchdogConfig want = b.watchdog_config();
+  EXPECT_TRUE(want.enabled());
+  EXPECT_EQ(want.dump_path, "flight.json");
+  EXPECT_EQ(exec::NativeBackend::default_tuning().watchdog, want);
+}
+
 TEST(BackendOptions, InstallPublishesWorkerPoolSizeForNativeOnly) {
   // Snapshot-and-restore the process-wide default so this test cannot leak
   // a pool size into later tests in the binary.

@@ -3,6 +3,7 @@
 // on real threads. This binary is the target of the ThreadSanitizer CI
 // job: everything here exercises genuine cross-thread message passing.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -37,6 +38,52 @@ namespace {
 // A watchdog scan interval no test outlives: its monitor thread never
 // sweeps, so the test places every sweep (watchdog_sweep_for_test()).
 constexpr exec::Time kTestDrivenSweeps = 3'600'000'000'000;  // 1 h
+
+// A recursive fan-out over messages: the root and every delivery count
+// themselves in `ran` and, while depth remains, send two children to the
+// nodes `next(node, child)` picks. A phase seeded with one root of depth d
+// runs 2^(d+1) - 1 tasks, every one but the root carried by its sender's
+// trains — so trains and the two-pass quiescence scan are tested together.
+struct Fanout {
+  using Pick = std::uint32_t (*)(std::uint32_t node, std::uint32_t child);
+
+  Fanout(exec::Backend& backend, Pick pick) : b(backend), next(pick) {
+    handler = b.register_handler(
+        "test.fanout", [this](exec::Cpu& cpu, const exec::Packet& pkt) {
+          run(cpu, pkt.dst, *static_cast<const int*>(pkt.data.get()));
+        });
+  }
+  void run(exec::Cpu& cpu, std::uint32_t node, int depth) {
+    ran.fetch_add(1, std::memory_order_relaxed);
+    if (depth == 0) return;
+    for (std::uint32_t c = 0; c < 2; ++c)
+      b.send(cpu, node, next(node, c), handler,
+             std::make_shared<int>(depth - 1), 8);
+  }
+  // Seeds a root of `depth` on `node`, between phases.
+  void seed(std::uint32_t node, int depth) {
+    b.post(node,
+           [this, node, depth](exec::Cpu& cpu) { run(cpu, node, depth); });
+  }
+
+  exec::Backend& b;
+  const Pick next;
+  exec::HandlerId handler = 0;
+  std::atomic<std::uint64_t> ran{0};
+};
+
+// CPU time the process's other threads have used, in ns: the whole process
+// less the calling thread.
+std::int64_t others_cpu_ns() {
+  const auto cpu_ns = [](int who) {
+    rusage ru{};
+    getrusage(who, &ru);
+    return (std::int64_t(ru.ru_utime.tv_sec) + ru.ru_stime.tv_sec) *
+               1'000'000'000 +
+           (std::int64_t(ru.ru_utime.tv_usec) + ru.ru_stime.tv_usec) * 1'000;
+  };
+  return cpu_ns(RUSAGE_SELF) - cpu_ns(RUSAGE_THREAD);
+}
 
 TEST(NativeBackend, FactoryAndKind) {
   auto native =
@@ -99,42 +146,28 @@ TEST(NativeBackend, MessagesCrossThreadsAndStatsAdd) {
 }
 
 TEST(NativeBackend, QuiescenceWaitsForRecursiveFanout) {
-  // A task tree: every task posts two children to other nodes until a depth
-  // budget runs out. run_phase must only return once all 2^d - 1 ran.
+  // A task tree: every task sends two children to other nodes as messages
+  // until a depth budget runs out. run_phase must only return once all
+  // 2^d - 1 ran.
   constexpr std::uint32_t kNodes = 4;
   constexpr int kDepth = 9;
   auto backend =
       exec::make_backend(exec::BackendKind::kNative, kNodes, sim::NetParams{});
-  std::atomic<std::uint64_t> ran{0};
-
-  struct Spawner {
-    exec::Backend* b;
-    std::atomic<std::uint64_t>* ran;
-    void operator()(int depth, std::uint32_t node) const {
-      ran->fetch_add(1, std::memory_order_relaxed);
-      if (depth == 0) return;
-      const Spawner self = *this;
-      for (int c = 0; c < 2; ++c) {
-        const std::uint32_t next = (node + 1 + std::uint32_t(c)) % kNodes;
-        b->post(next, [self, depth, next](exec::Cpu&) {
-          self(depth - 1, next);
-        });
-      }
-    }
-  };
-  Spawner spawner{backend.get(), &ran};
+  Fanout fanout(*backend, [](std::uint32_t node, std::uint32_t c) {
+    return (node + 1 + c) % kNodes;
+  });
 
   backend->begin_phase();
-  backend->post(0, [spawner](exec::Cpu&) { spawner(kDepth, 0); });
+  fanout.seed(0, kDepth);
   const exec::PhaseExec pe = backend->run_phase();
-  EXPECT_EQ(ran.load(), (1u << (kDepth + 1)) - 1);
+  EXPECT_EQ(fanout.ran.load(), (1u << (kDepth + 1)) - 1);
   EXPECT_EQ(pe.events, (1u << (kDepth + 1)) - 1);
 
   // The backend is immediately reusable for another phase.
   backend->begin_phase();
-  backend->post(2, [spawner](exec::Cpu&) { spawner(3, 2); });
+  fanout.seed(2, 3);
   backend->run_phase();
-  EXPECT_EQ(ran.load(), ((1u << (kDepth + 1)) - 1) + 15);
+  EXPECT_EQ(fanout.ran.load(), ((1u << (kDepth + 1)) - 1) + 15);
 }
 
 TEST(NativeBackend, TrainsPreservePerDestinationFifo) {
@@ -213,6 +246,22 @@ TEST(NativeBackend, FlushHookDrainsTrainsOnDemand) {
   EXPECT_EQ(dry.msgs.trains_sent, 1u);
 }
 
+TEST(NativeBackend, TaskPostToAnotherNodeFails) {
+  // Between nodes, tasks send: a post is not a message, so no train could
+  // carry it to another process, and the pool fails it loudly, naming both
+  // nodes. The backend is built inside the death statement, so this
+  // process has no pool threads when the test forks.
+  EXPECT_DEATH(
+      {
+        exec::NativeBackend backend(2);
+        exec::Backend* b = &backend;
+        backend.begin_phase();
+        backend.post(0, [b](exec::Cpu&) { b->post(1, [](exec::Cpu&) {}); });
+        backend.run_phase();
+      },
+      "a task on node 0 posted to node 1");
+}
+
 TEST(NativeBackend, OversubscribedNodesParkAndStillQuiesce) {
   // 64 nodes multiplexed onto a 4-worker pool on however few cores the
   // runner has: the idle ladder must escalate to condvar parks instead of
@@ -226,41 +275,38 @@ TEST(NativeBackend, OversubscribedNodesParkAndStillQuiesce) {
   tuning.idle_yields = 2;
   tuning.park_timeout_us = 50;
   auto backend = std::make_unique<exec::NativeBackend>(kNodes, tuning);
-  std::atomic<std::uint64_t> ran{0};
-
-  struct Spawner {
-    exec::Backend* b;
-    std::atomic<std::uint64_t>* ran;
-    void operator()(int depth, std::uint32_t node) const {
-      ran->fetch_add(1, std::memory_order_relaxed);
-      if (depth == 0) return;
-      const Spawner self = *this;
-      for (int c = 0; c < 2; ++c) {
-        const std::uint32_t next =
-            (node * 2 + 1 + std::uint32_t(c)) % kNodes;
-        b->post(next,
-                [self, depth, next](exec::Cpu&) { self(depth - 1, next); });
-      }
-    }
-  };
-  Spawner spawner{backend.get(), &ran};
+  Fanout fanout(*backend, [](std::uint32_t node, std::uint32_t c) {
+    return (node * 2 + 1 + c) % kNodes;
+  });
 
   for (int phase = 0; phase < 3; ++phase) {
-    ran.store(0);
+    fanout.ran.store(0);
     backend->begin_phase();
-    backend->post(0, [spawner](exec::Cpu&) { spawner(kDepth, 0); });
+    fanout.seed(0, kDepth);
     backend->run_phase();
-    EXPECT_EQ(ran.load(), (1u << (kDepth + 1)) - 1) << "phase " << phase;
+    EXPECT_EQ(fanout.ran.load(), (1u << (kDepth + 1)) - 1)
+        << "phase " << phase;
   }
   // Parking needs genuinely idle workers, which the fanout phases rarely
   // leave (with work stealing, a worker idles only when the whole pool's
   // queues are dry — that scarcity is the point of the M:N scheduler). One
-  // more phase with a single slow task: the other three workers have
-  // nothing to steal for its whole duration and must walk the 6-step
-  // ladder into a park instead of burning their cores.
+  // more phase with a single task that waits for a park: the other three
+  // workers have nothing to steal meanwhile and must walk the 6-step
+  // ladder into a park instead of burning their cores. The wait is bounded
+  // by the CPU time the other threads burn, not by wall time: a loaded
+  // host that deschedules them delays the park without spending the
+  // budget, while a ladder that never parks spends it within a fraction of
+  // a second. The wall-clock limit only stops a hang.
+  constexpr std::int64_t kParkCpuBudgetNs = 100'000'000;  // 100 ms
+  const exec::NativeBackend* b = backend.get();
   backend->begin_phase();
-  backend->post(0, [](exec::Cpu&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  backend->post(0, [b](exec::Cpu&) {
+    const std::int64_t cpu0 = others_cpu_ns();
+    const auto t0 = std::chrono::steady_clock::now();
+    while (b->parks_so_far() == 0 &&
+           others_cpu_ns() - cpu0 < kParkCpuBudgetNs &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(30))
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
   });
   EXPECT_GT(backend->run_phase().sched.parks, 0u);
 }
@@ -393,25 +439,11 @@ TEST(NativeBackend, QuiescenceStaysExactWhileStealsAreInFlight) {
   tuning.park_timeout_us = 50;
   tuning.train_max = 4;
   exec::NativeBackend backend(kNodes, tuning);
-  std::atomic<std::uint64_t> ran{0};
-
-  struct Spawner {
-    exec::Backend* b;
-    std::atomic<std::uint64_t>* ran;
-    void operator()(int depth, std::uint32_t node) const {
-      ran->fetch_add(1, std::memory_order_relaxed);
-      if (depth == 0) return;
-      const Spawner self = *this;
-      for (int c = 0; c < 2; ++c) {
-        // Fan out over nodes 1..15 only: node 0 hosts the blocker.
-        const std::uint32_t next =
-            1 + (node * 2 + std::uint32_t(c)) % (kNodes - 1);
-        b->post(next,
-                [self, depth, next](exec::Cpu&) { self(depth - 1, next); });
-      }
-    }
-  };
-  Spawner spawner{&backend, &ran};
+  // Fan out over nodes 1..15 only: node 0 hosts the blocker.
+  Fanout fanout(backend, [](std::uint32_t node, std::uint32_t c) {
+    return 1 + (node * 2 + c) % (kNodes - 1);
+  });
+  std::atomic<std::uint64_t>& ran = fanout.ran;
 
   std::uint64_t steals = 0;
   for (int phase = 0; phase < 3; ++phase) {
@@ -424,7 +456,7 @@ TEST(NativeBackend, QuiescenceStaysExactWhileStealsAreInFlight) {
       while (ran.load(std::memory_order_acquire) < kExpected)
         std::this_thread::yield();
     });
-    backend.post(4, [spawner](exec::Cpu&) { spawner(kDepth, 4); });
+    fanout.seed(4, kDepth);
     steals += backend.run_phase().sched.steals;
     EXPECT_EQ(ran.load(), kExpected) << "phase " << phase;
   }
@@ -447,12 +479,12 @@ TEST(NativeBackend, WatchdogStaysQuietWhileStolenNodeMakesProgress) {
   tuning.idle_spins = 4;
   tuning.idle_yields = 2;
   tuning.park_timeout_us = 50;
-  exec::NativeBackend backend(3, tuning);
   exec::WatchdogConfig cfg;
   cfg.stuck_scans = 2;
   cfg.scan_interval = kTestDrivenSweeps;
   cfg.fatal = false;
-  backend.arm_watchdog(cfg);
+  tuning.watchdog = cfg;
+  exec::NativeBackend backend(3, tuning);
 
   std::atomic<std::uint32_t> done{0};
   std::atomic<std::uint32_t> fired_sweeps{0};
@@ -684,9 +716,6 @@ TEST(NativeBackend, WatchdogFiresOnWedgedWorkerAndDumpsFlightRecord) {
   tuning.idle_spins = 4;
   tuning.idle_yields = 2;
   tuning.park_timeout_us = 50;
-  exec::NativeBackend backend(2, tuning);
-  obs::ShardedTraceSink sink(2, /*shard_capacity=*/256);
-  backend.attach_shards(&sink);  // no-op under DPA_TRACE=OFF
 
   // Named per process: copies of this binary running at once must not
   // remove each other's record.
@@ -698,7 +727,10 @@ TEST(NativeBackend, WatchdogFiresOnWedgedWorkerAndDumpsFlightRecord) {
   cfg.scan_interval = 2'000'000;  // 2 ms
   cfg.dump_path = dump;
   cfg.fatal = false;
-  backend.arm_watchdog(cfg);
+  tuning.watchdog = cfg;
+  exec::NativeBackend backend(2, tuning);
+  obs::ShardedTraceSink sink(2, /*shard_capacity=*/256);
+  backend.attach_shards(&sink);  // no-op under DPA_TRACE=OFF
 
   std::atomic<int> ran{0};
   std::latch wedge(1);
@@ -776,41 +808,44 @@ TEST(NativeBackend, WatchdogStaysQuietOnHealthyPhases) {
   // sweeps to finish: progress on the counters resets the stuck count.
   // Test-driven sweeps (the monitor thread's interval outlasts the test)
   // run at the start of every task of a chain that hops across the four
-  // nodes. Task i+1 reaches its node in a train that departs only after
-  // task i was counted consumed, so every sweep follows a counter move,
-  // whatever the host's timing. The control: sweeps with nothing moving
-  // in between count as stuck, and the stuck_scans-th fires.
+  // nodes as messages. Task i+1 reaches its node in a train that departs
+  // only after task i was counted consumed, so every sweep follows a
+  // counter move, whatever the host's timing. The control: sweeps with
+  // nothing moving in between count as stuck, and the stuck_scans-th
+  // fires.
   constexpr std::uint32_t kTasks = 64;
   exec::NativeBackend::Tuning tuning;
   tuning.idle_spins = 4;
   tuning.idle_yields = 2;
   tuning.park_timeout_us = 50;
-  exec::WatchdogConfig cfg;
-  cfg.stuck_scans = 2;
-  cfg.scan_interval = kTestDrivenSweeps;
-  cfg.fatal = false;
+  tuning.watchdog.stuck_scans = 2;
+  tuning.watchdog.scan_interval = kTestDrivenSweeps;
+  tuning.watchdog.fatal = false;
 
   exec::NativeBackend backend(4, tuning);
-  backend.arm_watchdog(cfg);
   std::atomic<std::uint32_t> ran{0};
   std::atomic<std::uint32_t> fired_sweeps{0};
   struct Hop {
     exec::NativeBackend* b;
+    exec::HandlerId h;
     std::atomic<std::uint32_t>* ran;
     std::atomic<std::uint32_t>* fired;
-    void operator()(std::uint32_t i) const {
+    void operator()(exec::Cpu& cpu, std::uint32_t i) const {
       if (b->watchdog_sweep_for_test()) fired->fetch_add(1);
       ran->fetch_add(1, std::memory_order_relaxed);
       if (i + 1 >= kTasks) return;
-      const Hop self = *this;
-      const std::uint32_t next = (i + 1) % 4;
-      b->post(next, [self, i](exec::Cpu&) { self(i + 1); });
+      b->send(cpu, i % 4, (i + 1) % 4, h,
+              std::make_shared<std::uint32_t>(i + 1), 8);
     }
   };
-  const Hop hop{&backend, &ran, &fired_sweeps};
+  Hop hop{&backend, 0, &ran, &fired_sweeps};
+  hop.h = backend.register_handler(
+      "test.hop", [&hop](exec::Cpu& cpu, const exec::Packet& pkt) {
+        hop(cpu, *static_cast<const std::uint32_t*>(pkt.data.get()));
+      });
   for (int phase = 0; phase < 2; ++phase) {
     backend.begin_phase();
-    backend.post(0, [hop](exec::Cpu&) { hop(0); });
+    backend.post(0, [&hop](exec::Cpu& cpu) { hop(cpu, 0); });
     backend.run_phase();
   }
   EXPECT_EQ(ran.load(), 2 * kTasks);
@@ -818,7 +853,6 @@ TEST(NativeBackend, WatchdogStaysQuietOnHealthyPhases) {
   EXPECT_FALSE(backend.watchdog_fired());
 
   exec::NativeBackend stalled(4, tuning);
-  stalled.arm_watchdog(cfg);
   std::vector<bool> fired;
   stalled.begin_phase();
   stalled.post(0, [&stalled, &fired](exec::Cpu&) {

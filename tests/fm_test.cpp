@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -291,6 +292,91 @@ TEST(Fm, MessagesBetweenManyNodesAllArrive) {
   }
   m.engine().run();
   EXPECT_EQ(count, 56);
+}
+
+// ---------- the reliability core ----------
+
+Reliable::Pending make_pending(NodeId dst) {
+  Reliable::Pending p;
+  p.dst = dst;
+  p.handler = 1;
+  p.bytes = 8;
+  return p;
+}
+
+TEST(Reliable, SequencesTrackAckAndDrain) {
+  Reliable rel(4, RetryPolicy{}, /*self=*/0);
+  EXPECT_EQ(rel.in_flight(), 0u);
+  EXPECT_EQ(rel.next_seq(), 1u);
+  EXPECT_EQ(rel.next_seq(), 2u);
+
+  const Time deadline = rel.track(1, make_pending(2), /*now=*/100);
+  EXPECT_EQ(deadline, 100 + RetryPolicy{}.timeout_ns);
+  rel.track(2, make_pending(3), 100);
+  EXPECT_EQ(rel.in_flight(), 2u);
+  EXPECT_TRUE(rel.is_pending(1));
+
+  EXPECT_TRUE(rel.on_ack(1));
+  EXPECT_FALSE(rel.on_ack(1));  // stale ack: already cleared
+  EXPECT_FALSE(rel.is_pending(1));
+  EXPECT_EQ(rel.in_flight(), 1u);
+  EXPECT_TRUE(rel.on_ack(2));
+  EXPECT_EQ(rel.in_flight(), 0u);
+}
+
+TEST(Reliable, RetryBacksOffExponentiallyAndCapsAtMaxTimeout) {
+  RetryPolicy policy;
+  policy.timeout_ns = 1000;
+  policy.backoff = 2.0;
+  policy.max_timeout_ns = 3500;
+  Reliable rel(2, policy, 0);
+  rel.track(rel.next_seq(), make_pending(1), 0);
+
+  const Reliable::Pending* p = rel.retry(1);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->attempts, 1u);
+  EXPECT_EQ(p->timeout, 2000);
+  p = rel.retry(1);
+  EXPECT_EQ(p->timeout, 3500);  // capped, not 4000
+  p = rel.retry(1);
+  EXPECT_EQ(p->timeout, 3500);  // stays at the cap
+
+  // Acked messages stop retrying: the timer that fires after the ack
+  // finds nothing and must get null (not a resurrection).
+  EXPECT_TRUE(rel.on_ack(1));
+  EXPECT_EQ(rel.retry(1), nullptr);
+}
+
+TEST(ReliableDeathTest, GivesUpLoudlyAfterMaxRetries) {
+  RetryPolicy policy;
+  policy.timeout_ns = 1000;
+  policy.max_retries = 3;
+  Reliable rel(4, policy, 0);
+
+  const std::uint64_t seq = rel.next_seq();
+  rel.track(seq, make_pending(3), /*now=*/0);
+
+  // max_retries retransmissions are granted...
+  for (std::uint32_t i = 1; i <= policy.max_retries; ++i) {
+    const Reliable::Pending* p = rel.retry(seq);
+    ASSERT_NE(p, nullptr) << "retry " << i;
+    EXPECT_EQ(p->attempts, i);
+  }
+  EXPECT_EQ(rel.in_flight(), 1u);
+
+  // ...and the next deadline gives the message up by dying, naming every
+  // transmission ever made — the original send plus max_retries
+  // retransmissions.
+  EXPECT_DEATH(rel.retry(seq),
+               R"(after 4 sends \(1 original \+ 3 retransmissions\))");
+}
+
+TEST(Reliable, AcceptDedupsPerSourceSequences) {
+  Reliable rel(3, RetryPolicy{}, /*self=*/2);
+  EXPECT_TRUE(rel.accept(0, 1));
+  EXPECT_FALSE(rel.accept(0, 1));  // duplicate from the same source
+  EXPECT_TRUE(rel.accept(1, 1));   // same seq, different source: distinct
+  EXPECT_TRUE(rel.accept(0, 2));
 }
 
 }  // namespace

@@ -398,6 +398,29 @@ TEST(ProcBackend, WorkerDeathFailsThePhaseInsteadOfHanging) {
   std::remove(dump.c_str());
 }
 
+TEST(ProcBackend, CrossProcessPostFailsThePhaseInsteadOfHanging) {
+  // Between nodes, tasks send. Node 0's task (worker 0) posting to node 1
+  // (worker 1) fails the post check in worker 0's pool, and the
+  // coordinator reports that worker's death. A post that no train carries
+  // across would instead leave the phase waiting on a task no process can
+  // run: the coordinator's deadline ends that with a diagnosis that names
+  // no worker, and the pools' own watchdog sweeps, an hour apart, never
+  // fire first.
+  exec::ProcBackend::Config cfg;
+  cfg.procs = 2;
+  cfg.watchdog.phase_deadline = 5'000'000'000;
+  cfg.watchdog.scan_interval = 3'600'000'000'000;
+  exec::ProcBackend backend(2, cfg);
+  exec::Backend* b = &backend;
+  backend.begin_phase();
+  backend.post(0, [b](exec::Cpu&) { b->post(1, [](exec::Cpu&) {}); });
+  const exec::PhaseExec pe = backend.run_phase();
+  EXPECT_NE(pe.diagnostics.find("worker 0 (pid"), std::string::npos)
+      << pe.diagnostics;
+  EXPECT_NE(pe.diagnostics.find("killed by signal"), std::string::npos)
+      << pe.diagnostics;
+}
+
 TEST(ProcBackend, RecoversCleanlyAfterAFailedPhase) {
   // A crash drill must not poison the process: the same test binary can
   // immediately run a fresh cluster (fork-per-phase means no long-lived
