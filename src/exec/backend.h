@@ -17,7 +17,9 @@
 //                     ones.
 //   * ProcBackend   — worker processes forked per phase, each running a
 //                     NativeBackend over the nodes it owns; cross-process
-//                     messages travel as frames over socketpairs.
+//                     messages travel as frames over socketpairs, and
+//                     every process counts its tasks into one shared
+//                     TaskTable, so a phase ends by the native rule.
 //
 // The contract the runtime relies on:
 //   * Tasks posted to a node run serially, in post order, on that node. A
@@ -78,12 +80,14 @@ struct PhaseExec {
 // coordinator's phase deadline). Default-constructed = disabled;
 // --watchdog-ms on the backend-aware benches arms both triggers. The
 // watchdog is a monitor thread that sweeps the quiescence counters every
-// scan_interval; it fires — dumps a flight-recorder JSON and (when fatal)
-// aborts — when a phase outlives phase_deadline, or when the counters make
-// no progress for stuck_scans consecutive sweeps while tasks are still
-// outstanding. Both triggers must be sized well above the longest
-// legitimate task: the watchdog cannot tell a wedged phase from one very
-// slow task, only from the counters' point of view they look the same.
+// scan_interval while tasks are outstanding and a node of its pool is busy
+// (on proc, only the worker whose node wedged sees that); it fires
+// — dumps a flight-recorder JSON and (when fatal) aborts — when a phase
+// outlives phase_deadline, or when the counters make no progress for
+// stuck_scans consecutive sweeps. Both triggers must be sized well above
+// the longest legitimate task: the watchdog cannot tell a wedged phase
+// from one very slow task, only from the counters' point of view they
+// look the same.
 struct WatchdogConfig {
   Time phase_deadline = 0;        // wall ns per phase; 0 = no deadline
   std::uint32_t stuck_scans = 0;  // no-progress sweeps before firing; 0 = off

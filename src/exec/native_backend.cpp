@@ -45,7 +45,7 @@ inline std::uint64_t mix64(std::uint64_t x) {
 // A message as a task on its destination node: counts the receipt in the
 // destination's `recv` stats, then runs the handler. Returned as the
 // closure itself, so a mailbox builds the Task in place.
-auto delivery(const Handler& fn, MsgStats& recv, Packet pkt) {
+auto delivery_closure(const Handler& fn, MsgStats& recv, Packet pkt) {
   return [fn = &fn, recv = &recv, pkt = std::move(pkt)](Cpu& cpu) {
     ++recv->msgs_recv;
     recv->bytes_recv += pkt.bytes;
@@ -69,10 +69,16 @@ std::uint32_t resolve_workers(const NativeBackend::Tuning& t,
 NativeBackend::NativeBackend(std::uint32_t num_nodes)
     : NativeBackend(num_nodes, default_tuning()) {}
 
-NativeBackend::NativeBackend(std::uint32_t num_nodes, const Tuning& tuning)
-    : tuning_(tuning) {
+NativeBackend::NativeBackend(std::uint32_t num_nodes, const Tuning& tuning,
+                             TaskTable* table)
+    : tuning_(tuning), table_(table) {
   DPA_CHECK(num_nodes > 0);
   DPA_CHECK(tuning_.train_max > 0);
+  if (table_ == nullptr) {
+    own_table_ = std::make_unique<TaskTable>(num_nodes);
+    table_ = own_table_.get();
+  }
+  DPA_CHECK(table_->num_nodes() == num_nodes);
   const std::uint32_t num_workers = resolve_workers(tuning_, num_nodes);
   nodes_.reserve(num_nodes);
   for (std::uint32_t i = 0; i < num_nodes; ++i) {
@@ -261,7 +267,8 @@ void NativeBackend::deliver_train(NodeId src, NodeId dst) {
       inbox_depth = dn.inbox.size() + train.size();
     }
     for (Packet& pkt : train)
-      dn.inbox.push(delivery(*handlers_[pkt.handler], dn.msg, std::move(pkt)));
+      dn.inbox.push(
+          delivery_closure(*handlers_[pkt.handler], dn.msg, std::move(pkt)));
     dn.has_mail.store(true, std::memory_order_relaxed);
   }
   train.clear();
@@ -292,38 +299,43 @@ void NativeBackend::flush_trains(NodeId src) {
 
 void NativeBackend::post(NodeId node, Task task) {
   DPA_DCHECK(node < nodes_.size());
-  // The produced-shard bump must land strictly before the task becomes
-  // runnable anywhere: a scan that misses the task's consumption must also
-  // account it as produced.
-  if (tls_node >= 0) {
-    // A task's post: only to its own node. Another node is reached by
-    // send(), whose trains are the one way between nodes — and the only
-    // one a proc worker can carry to another process.
-    DPA_CHECK(tls_node == std::int32_t(node))
-        << "a task on node " << tls_node << " posted to node " << node
-        << "; between nodes, tasks send messages";
-    Node& self = *nodes_[node];
-    self.produced.fetch_add(1, std::memory_order_seq_cst);
-    // The node is active (we are inside one of its tasks), so no
-    // activation is needed — run_node drains local before it can even
-    // consider deactivating.
-    self.local.push(std::move(task));
+  // A task's post: only to its own node. Another node is reached by
+  // send(), whose trains are the one way between nodes — and the only one
+  // a proc worker can carry to another process.
+  DPA_CHECK(tls_node < 0 || tls_node == std::int32_t(node))
+      << "a task on node " << tls_node << " posted to node " << node
+      << "; between nodes, tasks send messages";
+  // Counted strictly before the task becomes runnable anywhere: a scan
+  // that misses the task's consumption must also account it as produced.
+  table_->produce(node);
+  if (tls_node < 0) {
+    // Main thread: a seed, before the phase (its workers are parked, and
+    // the epoch publish orders these writes before the phase releases).
+    deliver(node, std::move(task));
     return;
   }
-  // Main thread: pre-phase seeding, or a held phase's delivery from
-  // outside the pool. Counted on the destination's shard. Before a phase
-  // its workers are parked (the epoch publish orders these writes before
-  // the phase releases); during a held phase the increment is an atomic
-  // read-modify-write beside the host's own, and the hold keeps the
-  // quiescence scan failing for as long as such posts can happen.
+  // The node is active (we are inside one of its tasks), so no activation
+  // is needed — run_node drains local before it can even consider
+  // deactivating.
+  nodes_[node]->local.push(std::move(task));
+}
+
+void NativeBackend::deliver(NodeId node, Task task) {
+  DPA_DCHECK(tls_node < 0) << "deliver() runs outside the pool";
+  DPA_DCHECK(remote_.empty() || !remote_[node]);
   Node& dn = *nodes_[node];
-  dn.produced.fetch_add(1, std::memory_order_seq_cst);
   {
     std::lock_guard<std::mutex> lk(dn.mu);
     dn.inbox.push(std::move(task));
     dn.has_mail.store(true, std::memory_order_relaxed);
   }
   activate(node);
+}
+
+Task NativeBackend::delivery(Packet pkt) {
+  DPA_DCHECK(pkt.handler < handlers_.size());
+  return delivery_closure(*handlers_[pkt.handler], nodes_[pkt.dst]->msg,
+                          std::move(pkt));
 }
 
 void NativeBackend::send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
@@ -336,12 +348,10 @@ void NativeBackend::send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
   ++sn.msg.msgs_sent;
   ++sn.msg.frags_sent;  // no MTU segmentation in-process
   sn.msg.bytes_sent += bytes;
-  // A message for a node of this pool counts as its delivery task, produced
-  // from the moment it is sent: the train holding it keeps the phase alive
-  // until its host departs it. One for another process is the proc
-  // backend's to count.
-  if (remote_.empty() || !remote_[dst])
-    sn.produced.fetch_add(1, std::memory_order_seq_cst);
+  // A message counts as its delivery task, produced from the moment it is
+  // sent, wherever dst lives: the train holding it, and after it departs
+  // the frame or mailbox, keep the phase alive until the delivery ran.
+  table_->produce(src);
   std::vector<Packet>& train = sn.trains[dst];
   train.push_back(Packet{src, dst, handler, bytes, std::move(data)});
   ++sn.pending;
@@ -354,16 +364,6 @@ void NativeBackend::set_remote(std::vector<bool> remote, RemoteSink sink) {
   sink_ = std::move(sink);
 }
 
-void NativeBackend::deliver(NodeId src, NodeId dst, HandlerId handler,
-                            std::shared_ptr<void> data, std::uint32_t bytes) {
-  DPA_DCHECK(tls_node < 0) << "deliver() runs outside the pool";
-  DPA_DCHECK(held_.load(std::memory_order_relaxed));
-  DPA_DCHECK(remote_.empty() || !remote_[dst]);
-  DPA_DCHECK(handler < handlers_.size());
-  post(dst, delivery(*handlers_[handler], nodes_[dst]->msg,
-                     Packet{src, dst, handler, bytes, std::move(data)}));
-}
-
 void NativeBackend::flush(Cpu& cpu, NodeId node) {
   (void)cpu;  // lock handoff cost is measured, not charged
   DPA_DCHECK(node < nodes_.size());
@@ -373,7 +373,9 @@ void NativeBackend::flush(Cpu& cpu, NodeId node) {
 }
 
 Time NativeBackend::begin_phase() {
-  DPA_CHECK(quiescent()) << "begin_phase with tasks still outstanding";
+  // The table is not checked: one shared with a proc coordinator already
+  // counts this phase's seeds. A task left from the last phase would sit
+  // in a node's queues, which are.
   quiesced_.store(false, std::memory_order_relaxed);
   for (NodeId i = 0; i < NodeId(nodes_.size()); ++i) {
     Node* n = nodes_[i].get();
@@ -401,22 +403,6 @@ PhaseExec NativeBackend::run_phase() {
   return finish_phase();
 }
 
-void NativeBackend::start_held_phase() {
-  held_.store(true, std::memory_order_seq_cst);
-  start_phase();
-}
-
-PhaseExec NativeBackend::release_hold() {
-  // After this store nothing outside the pool posts again. If the pool
-  // has already drained, its workers are parked on a scan the hold
-  // failed: confirm quiescence for them, as a worker's scan would, and
-  // wake them to leave the phase.
-  held_.store(false, std::memory_order_seq_cst);
-  if (quiescent()) quiesced_.store(true, std::memory_order_release);
-  wake_all_workers();
-  return finish_phase();
-}
-
 void NativeBackend::start_phase() {
   phase_t0_ = std::chrono::steady_clock::now();
   {
@@ -427,6 +413,13 @@ void NativeBackend::start_phase() {
 }
 
 PhaseExec NativeBackend::finish_phase() {
+  // A table shared with other processes balances when their last task
+  // ends, which wakes none of this pool's parked workers: confirm the end
+  // for them, as a worker's own scan would.
+  if (table_->balanced()) {
+    quiesced_.store(true, std::memory_order_release);
+    wake_all_workers();
+  }
   {
     std::unique_lock<std::mutex> lk(phase_mu_);
     done_cv_.wait(lk, [this] { return done_epoch_ == phase_epoch_; });
@@ -473,55 +466,6 @@ void NativeBackend::worker_main(std::uint32_t w) {
     }
     if (last) done_cv_.notify_one();
   }
-}
-
-// Two-phase (Dijkstra-style confirm) quiescence scan: read every consumed
-// counter, then every produced counter, all seq_cst. Why equality proves
-// quiescence: all these operations share one total order S (they are
-// seq_cst), and both counters only grow. Pick the instant t0 in S between
-// the last consumed-load and the first produced-load. Every consumed value
-// read was written before t0, so C <= sum(consumed at t0); every produced
-// load reads the latest write before it in S, so P >= sum(produced at t0).
-// A task's produce precedes its consume, hence sum(produced at t0) >=
-// sum(consumed at t0) >= C. If P == C the chain collapses: at t0 every
-// produced task was consumed — nothing queued, nothing in a train, nothing
-// running (a running task is consumed only after it returns). Quiescence is
-// stable within a phase (only running tasks produce; the main thread seeds
-// only before run_phase), so "quiescent at t0" means quiescent for good.
-//
-// The scan walks nodes, not workers — which worker hosts a node is
-// irrelevant, so stealing cannot perturb the proof. A corollary worth
-// stating: quiescence implies every run queue is empty, because a queued
-// activation exists only while its node has an unconsumed task (the
-// producer that won the CAS had already bumped `produced`).
-//
-// A held phase adds one producer outside the pool (deliver()), and the
-// hold is its one outstanding unit of work. quiescent() reads the hold
-// before the consumed pass, as if it were one more consumed counter: a
-// scan that sees it released comes after every external post in the
-// total order (the holder posts only before it releases), so the argument
-// above applies unchanged; a scan that sees it held fails.
-bool NativeBackend::quiescent() const {
-  return !held_.load(std::memory_order_seq_cst) && idle();
-}
-
-bool NativeBackend::idle() const {
-  std::uint64_t consumed = 0;
-  for (const auto& n : nodes_)
-    consumed += n->consumed.load(std::memory_order_seq_cst);
-  std::uint64_t produced = 0;
-  for (const auto& n : nodes_)
-    produced += n->produced.load(std::memory_order_seq_cst);
-  return produced == consumed;
-}
-
-std::uint64_t NativeBackend::outstanding() const {
-  std::uint64_t produced = 0, consumed = 0;
-  for (const auto& n : nodes_) {
-    consumed += n->consumed.load(std::memory_order_seq_cst);
-    produced += n->produced.load(std::memory_order_seq_cst);
-  }
-  return produced > consumed ? produced - consumed : 0;
 }
 
 void NativeBackend::watchdog_main() {
@@ -572,22 +516,26 @@ bool NativeBackend::watchdog_sweep() {
     std::fill(wd.last_consumed.begin(), wd.last_consumed.end(), 0);
   }
   bool progress = false;
-  std::uint64_t produced = 0, consumed = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const std::uint64_t c = nodes_[i]->consumed.load(std::memory_order_seq_cst);
-    const std::uint64_t p = nodes_[i]->produced.load(std::memory_order_seq_cst);
+  bool any_busy = false;
+  for (NodeId i = 0; i < NodeId(nodes_.size()); ++i) {
+    const std::uint64_t c = table_->consumed(i);
+    const std::uint64_t p = table_->produced(i);
     const bool moved = p != wd.last_produced[i] || c != wd.last_consumed[i];
     progress |= moved;
     wd.node_stuck[i] = !moved && p != c;
     wd.last_produced[i] = p;
     wd.last_consumed[i] = c;
-    produced += p;
-    consumed += c;
+    const Node& n = *nodes_[i];
+    any_busy |= n.active.load(std::memory_order_relaxed) != 0 ||
+                n.has_mail.load(std::memory_order_relaxed);
   }
-  // Drained (or about to finish): healthy. A held phase whose pool has
-  // run everything it was given waits here too — the hold is not a
-  // node's task, so it never reads as stuck.
-  if (produced == consumed) {
+  // Drained (or about to finish): healthy. So is a pool none of whose
+  // nodes is busy: outstanding work keeps its node active, queued or
+  // running, so what is outstanding on a shared table belongs to another
+  // process's pool, which reports it if it wedges. Mail counts as busy so
+  // that a task stranded in an idle node's mailbox, which only a lost
+  // activation could leave, still reads as a stall.
+  if (!any_busy || table_->balanced()) {
     wd.stuck = 0;
     return false;
   }
@@ -621,8 +569,8 @@ void NativeBackend::watchdog_fire(const char* reason, Time elapsed,
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node& n = *nodes_[i];
     auto& st = rec.nodes[i];
-    st.produced = n.produced.load(std::memory_order_seq_cst);
-    st.consumed = n.consumed.load(std::memory_order_seq_cst);
+    st.produced = table_->produced(NodeId(i));
+    st.consumed = table_->consumed(NodeId(i));
     st.active = n.active.load(std::memory_order_relaxed) != 0;
     st.stuck = node_stuck[i];
     std::lock_guard<std::mutex> lk(n.mu);
@@ -652,7 +600,7 @@ void NativeBackend::watchdog_fire(const char* reason, Time elapsed,
                "dpa watchdog: %s after %.1f ms (phase epoch %llu, %u "
                "no-progress sweeps, %llu tasks outstanding)\n",
                reason, double(elapsed) / 1e6, (unsigned long long)epoch,
-               stuck, (unsigned long long)outstanding());
+               stuck, (unsigned long long)table_->outstanding());
   if (!cfg.dump_path.empty()) {
     if (obs::write_flight_record(rec, shards, metrics, cfg.dump_path))
       std::fprintf(stderr, "dpa watchdog: flight record written to %s\n",
@@ -711,7 +659,7 @@ void NativeBackend::run_worker_phase(std::uint32_t w) {
       end_park_spell(obs::UnparkCause::kQuiesced);
       return;
     }
-    if (quiescent()) {
+    if (table_->balanced()) {
       if (sh != nullptr)
         sh->instant(obs::Ev::kQuiesceScan, w,
                     since_phase_start(std::chrono::steady_clock::now()), 0);
@@ -735,7 +683,7 @@ void NativeBackend::run_worker_phase(std::uint32_t w) {
       // second and must leave the ring quiescent while they wait.
       const Time t = since_phase_start(std::chrono::steady_clock::now());
       sh->instant(obs::Ev::kIdleYield, w, t);
-      sh->instant(obs::Ev::kQuiesceScan, w, t, outstanding());
+      sh->instant(obs::Ev::kQuiesceScan, w, t, table_->outstanding());
     }
     if (idle <= tuning_.idle_spins + tuning_.idle_yields) {
       std::this_thread::yield();
@@ -868,7 +816,7 @@ void NativeBackend::run_task(Node& n, NodeId id, Time start,
   ++n.stats.tasks_run;
   // Consume strictly after the task returned: while it ran (and possibly
   // produced more work) the scan kept seeing produced > consumed.
-  n.consumed.fetch_add(1, std::memory_order_seq_cst);
+  table_->consume(id);
 }
 
 }  // namespace dpa::exec

@@ -42,19 +42,15 @@
 //     across a batch, exactly like per-message wire overhead is amortized
 //     by pointer aggregation. In-process delivery stays lossless and
 //     per-(src,dst) FIFO, unordered across sources — like the model.
-//   * A held phase (start_held_phase) runs with one unit of outstanding
-//     work owned by the caller, which meanwhile delivers messages from
-//     outside the pool into node mailboxes and reads idle() — "only the
-//     hold is outstanding" — until release_hold() lets the phase quiesce.
-//     That is how a proc worker serves its peers while it computes.
-//   * Phase termination is global quiescence over *sharded* counters: each
-//     node owns a (produced, consumed) pair — tasks created on it vs. tasks
-//     finished on it — each written only by the thread currently running
-//     the node, on its own cache line. An idle worker decides "everything
-//     drained" with a two-phase Dijkstra-style confirm: read every consumed
-//     counter, then every produced counter; equality proves quiescence
-//     (argument in the .cpp). The scan walks nodes, not workers — it is
-//     oblivious to which worker hosts what.
+//   * Phase termination is global quiescence over the TaskTable
+//     (task_table.h): each node's (produced, consumed) pair — tasks created
+//     on it vs. tasks finished on it — each counter on its own cache line.
+//     An idle worker decides "everything drained" with the table's
+//     two-pass scan, balanced(), whose proof lives beside it. The scan
+//     walks nodes, not workers — it is oblivious to which worker hosts
+//     what. A pool builds its own table, or counts into one it is given:
+//     a proc worker's pool shares its coordinator's with the other worker
+//     processes, so it ends its phase when the whole machine balances.
 //   * Idle workers escalate spin (cpu_pause) -> yield -> park on their own
 //     condvar, so oversubscribed runs (workers >> cores) surrender the core
 //     instead of burning it. Producers wake the parked owner of the queue
@@ -99,10 +95,13 @@
 // DPA_TRACE=OFF folds the pointer to null at compile time so the task loop
 // carries zero instrumentation cost in measurement builds. An enabled
 // Tuning::watchdog makes the constructor start a monitor thread that sweeps
-// the per-node quiescence counters and dumps a flight-recorder JSON instead
-// of letting a wedged phase hang CI. A wedged node is simply a task that
-// does not return; the tests build one from a task that blocks on a latch
-// they own.
+// the table's counters and dumps a flight-recorder JSON instead of letting
+// a wedged phase hang CI. A wedged node is simply a task that does not
+// return; the tests build one from a task that blocks on a latch they own.
+// A sweep that finds none of this pool's nodes busy (active, or holding
+// mail) counts as healthy: outstanding work always keeps some node active
+// (queued or running), and a pool never runs another process's nodes, so
+// on a shared table only the pool whose node wedged reports it.
 //
 // Not supported (sim-only by design): fault injection — the fabric cannot
 // lose messages, so it needs no recovery protocol.
@@ -121,6 +120,7 @@
 #include <vector>
 
 #include "exec/backend.h"
+#include "exec/task_table.h"
 #include "support/fifo.h"
 
 namespace dpa::obs {
@@ -164,7 +164,10 @@ class NativeBackend final : public Backend {
   };
 
   explicit NativeBackend(std::uint32_t num_nodes);
-  NativeBackend(std::uint32_t num_nodes, const Tuning& tuning);
+  // The pool counts its tasks into `table`, which must have num_nodes
+  // nodes and outlive the pool; null makes the pool its own.
+  NativeBackend(std::uint32_t num_nodes, const Tuning& tuning,
+                TaskTable* table = nullptr);
   ~NativeBackend() override;
 
   BackendKind kind() const override { return BackendKind::kNative; }
@@ -203,21 +206,19 @@ class NativeBackend final : public Backend {
   // the sender deactivates). Call between phases, before the first one.
   void set_remote(std::vector<bool> remote, RemoteSink sink);
 
-  // Starts a phase while the caller holds one unit of outstanding work
-  // (the "hold"), so the pool cannot quiesce until release_hold(). While
-  // it holds, the caller may deliver() messages that arrived from outside.
-  // Seed the phase's first tasks with post() before this call.
-  void start_held_phase();
-  // The holding thread only: hands a message from a remote node to dst's
-  // mailbox as a delivery task, as a train from a local node would.
-  void deliver(NodeId src, NodeId dst, HandlerId handler,
-               std::shared_ptr<void> data, std::uint32_t bytes);
-  // Every task posted so far has run — in a held phase, only the hold is
-  // outstanding. The quiescence confirm's two-pass scan (see the .cpp).
-  bool idle() const;
-  // Drops the hold, waits for the phase to end as any phase ends (the last
-  // worker out publishes it) and returns its record.
-  PhaseExec release_hold();
+  // run_phase() in its two halves, so the caller can feed the pool while
+  // it runs: start_phase() releases the workers; finish_phase() waits for
+  // the table to balance and returns the phase record.
+  void start_phase();
+  PhaseExec finish_phase();
+  // Hands `task` to `node`'s mailbox from outside the pool without
+  // counting it: the table already holds it (a proc worker's seeds, which
+  // its coordinator counted, and its inbound messages, which their senders
+  // counted). Before a phase, or during one until the table balances.
+  void deliver(NodeId node, Task task);
+  // A message from outside the pool as its delivery task on pkt.dst: it
+  // counts the receipt in dst's message stats, then runs the handler.
+  Task delivery(Packet pkt);
 
   // Attaches session->ensure_shards(num_nodes()) (null detaches).
   void attach_obs(obs::Session* session) override;
@@ -303,14 +304,6 @@ class NativeBackend final : public Backend {
     // the cache lines).
     std::atomic<std::uint32_t> affinity{0};
     std::atomic<std::int32_t> last_worker{-1};
-    // Quiescence shards. produced = tasks created on this node — its
-    // self-posts, and a delivery task for each message it sent to a node
-    // of this pool — plus the seeds and deliveries the main thread charged
-    // to it; consumed = tasks finished here. Written only by the current
-    // host (single writer at a time), own cache line; seq_cst so the
-    // detector's two-pass scan linearizes (see quiescent()).
-    alignas(64) std::atomic<std::uint64_t> produced{0};
-    alignas(64) std::atomic<std::uint64_t> consumed{0};
   };
 
   // One scheduler lane. Padded: runq and counters are touched at activation
@@ -361,9 +354,6 @@ class NativeBackend final : public Backend {
   // attached / tracing compiled out — the null fold is what dead-codes the
   // record paths).
   obs::TraceShard* worker_shard(std::uint32_t w) const;
-  // Sum of produced - consumed across shards (instrumentation only; the
-  // correctness-bearing scan is quiescent()).
-  std::uint64_t outstanding() const;
   void watchdog_main();
   // One sweep over the per-node counters; true once the watchdog fired.
   bool watchdog_sweep();
@@ -376,11 +366,6 @@ class NativeBackend final : public Backend {
   void deliver_train(NodeId src, NodeId dst);
   // Delivers every non-empty train of `src`.
   void flush_trains(NodeId src);
-  // Publishes a new phase epoch to the workers, and waits for its end.
-  void start_phase();
-  PhaseExec finish_phase();
-  // idle(), and no hold outstanding: the phase is over.
-  bool quiescent() const;
   void wake_all_workers();
   Time since_phase_start(std::chrono::steady_clock::time_point t) const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(t - phase_t0_)
@@ -388,6 +373,9 @@ class NativeBackend final : public Backend {
   }
 
   Tuning tuning_;
+  // The table the pool counts into: own_table_, or the caller's.
+  std::unique_ptr<TaskTable> own_table_;
+  TaskTable* table_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Worker>> workers_;
   // Boxed so a delivery task can hold its handler across registrations.
@@ -397,9 +385,6 @@ class NativeBackend final : public Backend {
   // the rest leave the phase without a scan (quiescence is stable within a
   // phase). Reset by begin_phase while workers are parked between phases.
   std::atomic<bool> quiesced_{false};
-  // The external unit of work of a held phase (start_held_phase); while
-  // set, the quiescence scan fails.
-  std::atomic<bool> held_{false};
 
   // Nodes outside this pool and where their trains go (set_remote); empty
   // for a single-process pool.
@@ -432,7 +417,7 @@ class NativeBackend final : public Backend {
   // epoch publish, the watchdog reads it under phase_mu_.
   obs::ShardedTraceSink* shards_ = nullptr;
 
-  // Stall watchdog: a monitor thread sweeping the quiescence counters,
+  // Stall watchdog: a monitor thread sweeping the table's counters,
   // started by the constructor when tuning_.watchdog is enabled (null
   // otherwise).
   struct WatchdogState {

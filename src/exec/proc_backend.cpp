@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "exec/native_backend.h"
+#include "exec/task_table.h"
 #include "support/assert.h"
 #include "support/bytes.h"
 
@@ -25,15 +26,12 @@ namespace {
 
 // Control-channel message tags. Every frame on the control socketpair
 // carries kFrameFlagControl (PipeChannel set_control), the wire-visible
-// marker of termination-protocol traffic.
-constexpr std::uint16_t kTagProbe = 1;     // coordinator -> worker: [round]
-constexpr std::uint16_t kTagReport = 2;    // worker -> coordinator
-constexpr std::uint16_t kTagDone = 3;      // coordinator -> worker
-constexpr std::uint16_t kTagAbort = 4;     // coordinator -> worker
-constexpr std::uint16_t kTagSpan = 5;      // worker -> coordinator: diffs
-constexpr std::uint16_t kTagEpilogue = 6;  // worker -> coordinator: blob
-constexpr std::uint16_t kTagStats = 7;     // worker -> coordinator
-constexpr std::uint16_t kTagBye = 8;       // worker -> coordinator: all sent
+// marker of coordination traffic.
+constexpr std::uint16_t kTagAbort = 1;     // coordinator -> worker
+constexpr std::uint16_t kTagSpan = 2;      // worker -> coordinator: diffs
+constexpr std::uint16_t kTagEpilogue = 3;  // worker -> coordinator: blob
+constexpr std::uint16_t kTagStats = 4;     // worker -> coordinator
+constexpr std::uint16_t kTagBye = 5;       // worker -> coordinator: all sent
 
 // On the control channel, node 0 is the coordinator and node 1 the worker.
 constexpr NodeId kCtlCoord = 0;
@@ -47,27 +45,15 @@ constexpr std::uint8_t kRunSum = 1;    // add: u64 delta lanes
 constexpr std::size_t kSpanChunkBytes = 512 * 1024;
 
 // The pump loop's longest sleep; arrivals, the coordinator and room for a
-// backlog wake it sooner. While a probe waits for a busy pool, nothing
-// wakes it when the pool drains, so it rechecks at the shorter interval.
-constexpr long kPumpWaitNs = 1'000'000;
-constexpr long kIdleRecheckNs = 50'000;
+// backlog wake it sooner. Nothing wakes it when the table balances, so it
+// rechecks the table at this interval.
+constexpr long kPumpWaitNs = 50'000;
 
 std::int64_t mono_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-// One worker's termination-protocol report: its per-peer sent/recv
-// payload counts. A worker reports only once its pool is idle, so every
-// report also says "locally quiescent".
-struct Report {
-  bool valid = false;
-  std::vector<std::uint64_t> sent;
-  std::vector<std::uint64_t> recv;
-
-  friend bool operator==(const Report&, const Report&) = default;
-};
 
 std::mutex g_defaults_mu;
 ProcBackend::Config g_default_config;
@@ -144,8 +130,12 @@ void ProcBackend::post(NodeId node, Task task) {
     inner_->post(node, std::move(task));
     return;
   }
-  // Coordinator: pre-phase seeding. The worker owning `node` replays these
-  // into its inner pool after the fork.
+  // Coordinator: pre-phase seeding. Counted here, before the fork: a
+  // worker that counted its own seeds could see the table balance before
+  // a slower sibling had counted its. The worker owning `node` hands these
+  // to its inner pool after the fork.
+  DPA_CHECK(table_ != nullptr) << "proc backend post before begin_phase";
+  table_->produce(node);
   staged_posts_[node].push_back(std::move(task));
 }
 
@@ -153,10 +143,6 @@ void ProcBackend::send(Cpu& cpu, NodeId src, NodeId dst, HandlerId handler,
                        std::shared_ptr<void> data, std::uint32_t bytes) {
   DPA_CHECK(role_ == Role::kWorker)
       << "proc backend send outside a phase (no task context)";
-  // Counted before the message can leave, inside the sending task: a pool
-  // that reports idle has counted every message it sent, so one still in
-  // a train shows as a sent/recv mismatch, never as quiet.
-  if (owner_of(dst) != self_) links_[owner_of(dst)]->sent.fetch_add(1);
   inner_->send(cpu, src, dst, handler, std::move(data), bytes);
 }
 
@@ -188,6 +174,12 @@ void ProcBackend::flush(Cpu& cpu, NodeId node) {
 
 Time ProcBackend::begin_phase() {
   DPA_CHECK(role_ == Role::kCoordinator);
+  // Every worker of the last phase is reaped, so nothing counts into the
+  // table; a failed phase may have left it unbalanced.
+  if (table_ == nullptr)
+    table_ = std::make_unique<TaskTable>(num_nodes_);
+  else
+    table_->reset();
   for (auto& q : staged_posts_) q.clear();
   for (auto& s : node_stats_) s.reset();
   return clock_ns_;
@@ -201,6 +193,7 @@ std::vector<NodeId> ProcBackend::nodes_owned_by(std::uint32_t worker) const {
 
 PhaseExec ProcBackend::run_phase() {
   DPA_CHECK(role_ == Role::kCoordinator);
+  DPA_CHECK(table_ != nullptr) << "proc backend run_phase before begin_phase";
   const auto t0 = std::chrono::steady_clock::now();
   phase_ = PhaseExec{};
   phase_.epilogues.resize(num_nodes_);
@@ -290,34 +283,24 @@ void ProcBackend::spawn_workers() {
 
 void ProcBackend::coordinator_loop() {
   struct WorkerState {
-    Report cur;
-    Report prev;
     bool bye = false;
     bool dead = false;
+    pid_t pid = -1;  // once dead: the reaped pid, for the diagnosis
     int wait_status = 0;
   };
   std::vector<WorkerState> ws(procs_);
-  bool done_sent = false;
-  std::uint32_t round = 0;
 
-  // Deliveries run inside poll(), on this thread: the current report is
-  // reset before the next probe goes out.
+  // Deliveries run inside poll(), on this thread.
   for (std::uint32_t w = 0; w < procs_; ++w) {
-    ctl_[w]->set_deliver([this, &ws, &round, w](
-                             const transport::FrameHeader& h,
-                             const transport::FramePayload& p) {
+    ctl_[w]->set_deliver([this, &ws, w](const transport::FrameHeader& h,
+                                        const transport::FramePayload& p) {
       (void)h;
-      coordinator_apply(w, p.tag, p.bytes, round, &ws[w].cur, &ws[w].bye);
+      if (p.tag == kTagBye)
+        ws[w].bye = true;
+      else
+        coordinator_apply(w, p.tag, p.bytes);
     });
   }
-
-  auto broadcast = [this, &ws](std::uint16_t tag,
-                               std::vector<std::uint8_t> bytes) {
-    for (std::uint32_t w = 0; w < procs_; ++w) {
-      if (ws[w].dead) continue;
-      send_ctl(*ctl_[w], kCtlCoord, kCtlWorker, tag, bytes);
-    }
-  };
 
   auto check_deaths = [this, &ws]() -> std::int32_t {
     for (std::uint32_t w = 0; w < procs_; ++w) {
@@ -335,8 +318,12 @@ void ProcBackend::coordinator_loop() {
       // A buffered bye means clean shutdown, not death.
       ctl_[w]->poll();
       if (!exited) waitpid(pids_[w], &st, 0);
+      // Reaped: the pid is no longer ours to wait for or to signal (the
+      // kernel may hand it to a new process), so only the record keeps it.
       ws[w].dead = true;
+      ws[w].pid = pids_[w];
       ws[w].wait_status = st;
+      pids_[w] = -1;
       if (ws[w].bye && st == 0) continue;
       return std::int32_t(w);
     }
@@ -351,18 +338,14 @@ void ProcBackend::coordinator_loop() {
     ::poll(fds.data(), nfds_t(fds.size()), timeout_ms);
   };
 
-  {
-    std::vector<std::uint8_t> probe;
-    put(probe, round);
-    broadcast(kTagProbe, std::move(probe));
-  }
-
+  // The workers end the phase themselves, on the shared table; this loop
+  // collects what they ship home and watches for deaths and the deadline.
   const std::int64_t t_start = mono_ns();
   for (;;) {
     for (auto& ch : ctl_) ch->poll();
     const std::int32_t dead = check_deaths();
     if (dead >= 0) {
-      fail_phase("worker process died mid-phase", dead, pids_[dead],
+      fail_phase("worker process died mid-phase", dead, ws[dead].pid,
                  ws[dead].wait_status);
       return;
     }
@@ -371,46 +354,9 @@ void ProcBackend::coordinator_loop() {
       fail_phase("phase deadline exceeded (coordinator watchdog)", -1, -1, 0);
       return;
     }
-
-    if (!done_sent) {
-      bool all_reported = true;
-      for (auto& s : ws) all_reported = all_reported && s.cur.valid;
-      if (all_reported) {
-        // Done = two consecutive identical rounds of reports (each sent
-        // by a locally quiescent worker) and the pairwise sent/recv
-        // matrices matching — the native pool's two-pass quiescence
-        // confirm, lifted to frame level. The reports carry no task
-        // counts, and need none: after an idle report a worker's pool runs
-        // new tasks only for payloads its pump loop delivers, each counted
-        // in recv, so two rounds with equal sent/recv also ran the same
-        // tasks.
-        bool quiet = true;
-        for (auto& s : ws) quiet = quiet && s.prev.valid && s.cur == s.prev;
-        if (quiet) {
-          for (std::uint32_t a = 0; a < procs_ && quiet; ++a)
-            for (std::uint32_t b = 0; b < procs_ && quiet; ++b)
-              if (a != b) quiet = ws[a].cur.sent[b] == ws[b].cur.recv[a];
-        }
-        if (quiet) {
-          broadcast(kTagDone, {});
-          done_sent = true;
-        } else {
-          for (auto& s : ws) {
-            s.prev = s.cur;
-            s.cur = Report{};
-          }
-          ++round;
-          std::vector<std::uint8_t> probe;
-          put(probe, round);
-          broadcast(kTagProbe, std::move(probe));
-        }
-        continue;
-      }
-    } else {
-      bool all_bye = true;
-      for (auto& s : ws) all_bye = all_bye && s.bye;
-      if (all_bye) break;
-    }
+    bool all_bye = true;
+    for (auto& s : ws) all_bye = all_bye && s.bye;
+    if (all_bye) break;
     wait_ctl(2);
   }
 
@@ -419,30 +365,13 @@ void ProcBackend::coordinator_loop() {
     if (ws[w].dead) continue;  // already reaped by check_deaths
     int st = 0;
     waitpid(pids_[w], &st, 0);
+    pids_[w] = -1;
   }
 }
 
 void ProcBackend::coordinator_apply(std::uint32_t from, std::uint16_t tag,
-                                    const std::vector<std::uint8_t>& bytes,
-                                    std::uint32_t round, void* cur_report,
-                                    bool* bye) {
-  Report& cur = *static_cast<Report*>(cur_report);
+                                    const std::vector<std::uint8_t>& bytes) {
   switch (tag) {
-    case kTagReport: {
-      ByteReader r(bytes);
-      const auto rnd = r.get<std::uint32_t>();
-      // A worker answers only its newest probe, and the next probe goes out
-      // only once every worker answered this one. A report from any other
-      // round would feed the done decision stale counts.
-      DPA_CHECK(rnd == round) << "worker " << from << " reported round "
-                              << rnd << " during round " << round;
-      cur.valid = true;
-      cur.sent.assign(procs_, 0);
-      cur.recv.assign(procs_, 0);
-      for (auto& v : cur.sent) v = r.get<std::uint64_t>();
-      for (auto& v : cur.recv) v = r.get<std::uint64_t>();
-      break;
-    }
     case kTagSpan: {
       ByteReader r(bytes);
       while (r.remaining() > 0) {
@@ -492,9 +421,6 @@ void ProcBackend::coordinator_apply(std::uint32_t from, std::uint16_t tag,
       }
       break;
     }
-    case kTagBye:
-      *bye = true;
-      break;
     default:
       DPA_PANIC("unexpected control tag " << tag << " from worker " << from);
   }
@@ -621,20 +547,22 @@ void ProcBackend::worker_main(std::uint32_t self) {
   ctl.set_control(true);
 
   // The local execution substrate: a fresh pool (threads never survive a
-  // fork, so it must be built on this side of it) under the coordinator's
-  // stall policy, its record named per worker. The registered handlers
-  // move into it; this process keeps their names and codecs for the wire.
+  // fork, so it must be built on this side of it) counting into the
+  // coordinator's table, under its stall policy, its record named per
+  // worker. The registered handlers move into it; this process keeps their
+  // names and codecs for the wire.
   NativeBackend::Tuning tuning = NativeBackend::default_tuning();
   tuning.watchdog = config_.watchdog;
   if (!tuning.watchdog.dump_path.empty())
     tuning.watchdog.dump_path += ".w" + std::to_string(self);
-  inner_ = std::make_unique<NativeBackend>(num_nodes_, tuning);
+  inner_ = std::make_unique<NativeBackend>(num_nodes_, tuning, table_.get());
   for (HandlerEntry& h : handlers_)
     inner_->register_handler(h.name, std::move(h.fn));
 
   // Data links: one framed channel per peer worker. Only this thread reads
-  // them, and it posts each payload into its node's mailbox as the frame
-  // decodes, so per-(src, dst) FIFO order holds.
+  // them, and it delivers each payload into its node's mailbox as the
+  // frame decodes, so per-(src, dst) FIFO order holds. The sender counted
+  // the message in the table; its delivery is not counted again.
   links_.clear();
   links_.resize(procs_);
   for (std::uint32_t v = 0; v < procs_; ++v) {
@@ -643,9 +571,8 @@ void ProcBackend::worker_main(std::uint32_t self) {
     auto link = std::make_unique<PeerLink>();
     link->pipe = std::make_unique<transport::PipeChannel>(
         transport::PipeChannel::Endpoint{fd});
-    PeerLink* raw = link.get();
-    link->pipe->set_deliver([this, raw](const transport::FrameHeader& h,
-                                        const transport::FramePayload& p) {
+    link->pipe->set_deliver([this](const transport::FrameHeader& h,
+                                   const transport::FramePayload& p) {
       // Application payload from another process: [u32 modeled_bytes]
       // [codec bytes] under the handler-id tag.
       DPA_CHECK(p.tag < handlers_.size()) << "unknown handler tag on wire";
@@ -654,10 +581,10 @@ void ProcBackend::worker_main(std::uint32_t self) {
           << "handler '" << entry.name << "' has no unmarshal";
       ByteReader r(p.bytes);
       const auto modeled = r.get<std::uint32_t>();
-      ++raw->recv;
-      inner_->deliver(h.src, h.dst, p.tag,
-                      entry.codec.unmarshal(r.pos(), r.remaining()),
-                      modeled);
+      inner_->deliver(
+          h.dst, inner_->delivery(Packet{
+                     h.src, h.dst, p.tag, modeled,
+                     entry.codec.unmarshal(r.pos(), r.remaining())}));
     });
     links_[v] = std::move(link);
   }
@@ -672,41 +599,26 @@ void ProcBackend::worker_main(std::uint32_t self) {
                        });
   }
 
-  // Control-message flags, written by the delivery callback on this
-  // thread, inside ctl.poll().
-  bool got_done = false;
+  // The coordinator's one message, written by the delivery callback on
+  // this thread, inside ctl.poll().
   bool got_abort = false;
-  bool probe_pending = false;
-  std::uint32_t probe_round = 0;
   ctl.set_deliver([&](const transport::FrameHeader& h,
                       const transport::FramePayload& p) {
     (void)h;
-    switch (p.tag) {
-      case kTagProbe:
-        probe_round = ByteReader(p.bytes).get<std::uint32_t>();
-        probe_pending = true;
-        break;
-      case kTagDone:
-        got_done = true;
-        break;
-      case kTagAbort:
-        got_abort = true;
-        break;
-      default:
-        DPA_PANIC("unexpected control tag " << p.tag << " at worker "
-                                            << self_);
-    }
+    DPA_CHECK(p.tag == kTagAbort)
+        << "unexpected control tag " << p.tag << " at worker " << self_;
+    got_abort = true;
   });
 
-  // One live phase: seed the owned nodes, then run the pool under a hold
-  // while this thread pumps the links into it.
+  // One live phase: hand the pool the owned nodes' seeds, which the
+  // coordinator counted, then run it while this thread pumps the links
+  // into it.
   const std::vector<NodeId> owned = nodes_owned_by(self);
   inner_->begin_phase();
   for (NodeId n : owned)
-    for (Task& task : staged_posts_[n]) inner_->post(n, std::move(task));
-  inner_->start_held_phase();
+    for (Task& task : staged_posts_[n]) inner_->deliver(n, std::move(task));
+  inner_->start_phase();
 
-  std::int64_t last_reported = -1;
   std::vector<pollfd> fds;
   for (;;) {
     // 1. Pump the data links: arrivals go straight into node mailboxes,
@@ -723,29 +635,12 @@ void ProcBackend::worker_main(std::uint32_t self) {
     if (got_abort || ctl.status() == transport::ChannelStatus::kPeerDown)
       _exit(1);
 
-    // 3. Done broadcast: release the pool, then commit, diff, ship, leave.
-    if (got_done) break;
+    // 3. The table balanced: every task of the phase, in every process,
+    // has run, so no frame is on its way here. Commit, diff, ship, leave.
+    if (table_->balanced()) break;
 
-    // 4. Answer the latest probe once the pool has drained what it holds:
-    // a report from a busy pool could only say "not quiescent" and cost
-    // the coordinator a round. Reading the links before the counters
-    // means every payload counted as received is already a posted task.
-    const bool idle = inner_->idle();
-    if (probe_pending && idle && std::int64_t(probe_round) > last_reported) {
-      last_reported = std::int64_t(probe_round);
-      probe_pending = false;
-      std::vector<std::uint8_t> rep;
-      put(rep, probe_round);
-      for (std::uint32_t v = 0; v < procs_; ++v)
-        put(rep, links_[v] == nullptr ? std::uint64_t(0)
-                                      : links_[v]->sent.load());
-      for (std::uint32_t v = 0; v < procs_; ++v)
-        put(rep, links_[v] == nullptr ? std::uint64_t(0) : links_[v]->recv);
-      send_ctl(ctl, kCtlWorker, kCtlCoord, kTagReport, std::move(rep));
-    }
-
-    // 5. Sleep on the wire: arrivals, the coordinator or room for a
-    // backlog wake us; a probe held for a busy pool, the recheck timeout.
+    // 4. Sleep on the wire: arrivals, the coordinator or room for a
+    // backlog wake us; the table, only the timeout.
     fds.clear();
     fds.push_back(pollfd{ctl.wire_fd(), POLLIN, 0});
     for (auto& link : links_) {
@@ -755,10 +650,10 @@ void ProcBackend::worker_main(std::uint32_t self) {
           link->pipe->tx_backlog() > 0 ? POLLIN | POLLOUT : POLLIN;
       fds.push_back(pollfd{link->pipe->wire_fd(), events, 0});
     }
-    const timespec wait{0, probe_pending ? kIdleRecheckNs : kPumpWaitNs};
+    const timespec wait{0, kPumpWaitNs};
     ::ppoll(fds.data(), nfds_t(fds.size()), &wait, nullptr);
   }
-  worker_finalize(ctl, owned, inner_->release_hold());
+  worker_finalize(ctl, owned, inner_->finish_phase());
 }
 
 void ProcBackend::worker_finalize(transport::PipeChannel& ctl,

@@ -7,8 +7,8 @@
 // Cross-process messages travel as encoded frames over one AF_UNIX
 // socketpair per process pair (a transport::PipeChannel at each end); a
 // per-worker control socketpair — every frame stamped kFrameFlagControl —
-// carries the coordinator-driven termination protocol, the span diffs,
-// and the result blobs.
+// carries the coordinator's abort, and the span diffs, result blobs and
+// sign-off home.
 //
 // Reliability: none is layered on. A stream socket between live
 // processes is lossless and FIFO — exactly the guarantee the paper's
@@ -18,16 +18,17 @@
 //
 // Execution model (fork-per-phase):
 //   * Between phases the coordinator is the only thread alive. post() and
-//     register_handler() stage work/handlers; run_phase() builds the span
-//     list, creates the socketpairs, and forks the workers — each child a
+//     register_handler() stage work/handlers, and post() counts each seed
+//     in the coordinator's TaskTable (task_table.h), a shared mapping made
+//     at the first begin_phase(). run_phase() builds the span list,
+//     creates the socketpairs, and forks the workers — each child a
 //     copy-on-write replica of the engines, handlers and application
-//     state at phase start.
-//   * A worker builds its pool (threads never survive a fork), seeds the
-//     staged posts of its owned nodes, and runs ONE live held phase of
-//     it (NativeBackend::start_held_phase): the worker's main thread
-//     holds one unit of outstanding work, so the pool cannot quiesce on
-//     its own while the main thread pumps the links. Each inbound frame
-//     is posted into its destination node's mailbox as it decodes — the
+//     state at phase start, sharing the one table.
+//   * A worker builds its pool on that table (threads never survive a
+//     fork), hands it the staged posts of its owned nodes without counting
+//     them again (NativeBackend::deliver), and runs ONE live phase of it
+//     while the worker's main thread pumps the links. Each inbound frame
+//     is delivered into its destination node's mailbox as it decodes — the
 //     way Illinois FM ran handlers on arrival — so a node's peers are
 //     served while it computes. Only the pump loop reads the links, which
 //     keeps per-(src, dst) FIFO order.
@@ -40,15 +41,15 @@
 //     are the only way across: a task posts only to its own node, and a
 //     post to any other fails the pool's check, killing the worker —
 //     a peer death the coordinator reports, not a task stranded.
-//   * Termination is the two-pass quiescence shape lifted to frame
-//     level: the coordinator broadcasts probe rounds; each worker answers
-//     only once its pool is idle (only the hold outstanding), so every
-//     report says "locally quiescent", with its per-peer sent/recv
-//     payload counts. Sends are counted inside the sending task, before
-//     the message can leave. The phase is done when two consecutive
-//     rounds are identical and the sent/recv matrices match pairwise; the
-//     done broadcast then releases each worker's hold.
-//   * After the done broadcast each worker runs the phase epilogue for
+//   * Termination is the native pool's own: every process counts into the
+//     one table, a message's `produced` in its sending task before its
+//     frame leaves and its `consumed` after its delivery ran in the
+//     receiving process, so the table balances exactly when every task of
+//     the phase, in every process, has run (task_table.h argues it). Each
+//     pool's workers leave the phase when their scan sees the balance, and
+//     so does each pump loop. The coordinator only forks, collects results
+//     and sign-offs, and diagnoses.
+//   * Once its phase ends each worker runs the phase epilogue for
 //     its owned nodes (committing staged accumulations (src, seq)-sorted
 //     — the determinism-bearing step), diffs every registered span
 //     against the phase-start snapshot, and ships only the changed runs
@@ -60,9 +61,8 @@
 //   * Each control payload leaves at once as its own frame (send_frame);
 //     frames are read and delivered only by poll(), on the thread that
 //     owns the channel. The worker's pump loop sleeps in ppoll(2) on its
-//     control and data links; while a probe waits for its busy pool it
-//     wakes every 50 us to recheck the pool, so the probe is answered
-//     soon after the pool drains.
+//     control and data links, and wakes at least every 50 us to read the
+//     table: nothing on the wire announces that it balanced.
 //
 // Byte-identity across sim / native / proc: replies carry phase-start
 // object state (the fork snapshot) exactly as the single-process phases
@@ -85,7 +85,6 @@
 #include <sys/types.h>
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -100,6 +99,7 @@
 namespace dpa::exec {
 
 class NativeBackend;
+class TaskTable;
 
 class ProcBackend final : public Backend {
  public:
@@ -164,14 +164,10 @@ class ProcBackend final : public Backend {
 
   // One worker's data link to a peer process: a duplex socketpair end
   // speaking the frame codec. `mu` serializes the inner pool's departing
-  // trains against the pump loop; `sent` (bumped by sending tasks) and
-  // `recv` (by the pump loop) count application payloads for the
-  // termination protocol.
+  // trains against the pump loop.
   struct PeerLink {
     std::mutex mu;
     std::unique_ptr<transport::PipeChannel> pipe;
-    std::atomic<std::uint64_t> sent{0};
-    std::uint64_t recv = 0;
   };
 
   enum class Role : std::uint8_t { kCoordinator, kWorker };
@@ -185,11 +181,9 @@ class ProcBackend final : public Backend {
                                     const std::vector<NodeId>& owned,
                                     const PhaseExec& pe);
   void coordinator_loop();
-  // Applies one control payload from worker `from` (ctl delivery callback)
-  // during probe round `round`.
+  // Applies one result payload from worker `from` (ctl delivery callback).
   void coordinator_apply(std::uint32_t from, std::uint16_t tag,
-                         const std::vector<std::uint8_t>& bytes,
-                         std::uint32_t round, void* cur_report, bool* bye);
+                         const std::vector<std::uint8_t>& bytes);
   void fail_phase(const std::string& reason, std::int32_t dead_worker,
                   pid_t dead_pid, int wait_status);
   void kill_and_reap_all();
@@ -216,9 +210,14 @@ class ProcBackend final : public Backend {
   // Coordinator staging between begin_phase and run_phase (pre-phase
   // seeds from engine start()). Inherited copy-on-write by the workers.
   std::vector<std::deque<Task>> staged_posts_;
+  // The one table every process of a phase counts into (see
+  // task_table.h). Made at the first begin_phase(), not by the
+  // constructor: the mapping there measurably lengthened a proc cluster's
+  // set-up.
+  std::unique_ptr<TaskTable> table_;
 
   // --- Coordinator-side per-phase state --------------------------------
-  std::vector<pid_t> pids_;
+  std::vector<pid_t> pids_;  // -1 once reaped
   std::vector<std::array<int, 2>> ctl_fds_;  // [coordinator end, worker end]
   // data_fds_[a][b] (a < b): [a's end, b's end] of the (a, b) socketpair.
   std::vector<std::vector<std::array<int, 2>>> data_fds_;

@@ -311,6 +311,62 @@ TEST(NativeBackend, OversubscribedNodesParkAndStillQuiesce) {
   EXPECT_GT(backend->run_phase().sched.parks, 0u);
 }
 
+TEST(NativeBackend, SharedTableHoldsThePhaseForAMessageCountedOutside) {
+  // A proc worker's pool runs on a table it does not own: a message from
+  // another process is counted by its sender there, and reaches the pool
+  // later through deliver(), uncounted. Here the test is that sender. The
+  // seed on node 0 runs and the pool parks with the table unbalanced by
+  // the message alone; the phase must wait for it, run its handler inside
+  // the phase, and only then end.
+  exec::TaskTable table(2);
+  exec::NativeBackend::Tuning tuning;
+  tuning.workers = 2;
+  tuning.idle_spins = 4;
+  tuning.idle_yields = 2;
+  tuning.park_timeout_us = 50;
+  exec::NativeBackend backend(2, tuning, &table);
+  std::atomic<int> handled{0};
+  const exec::HandlerId h = backend.register_handler(
+      "test.outside", [&handled](exec::Cpu&, const exec::Packet&) {
+        handled.fetch_add(1, std::memory_order_relaxed);
+      });
+
+  std::atomic<bool> seed_ran{false};
+  table.produce(1);  // node 1 sent a message, as a remote sender counts it
+  backend.begin_phase();
+  backend.post(0, [&seed_ran](exec::Cpu&) {
+    seed_ran.store(true, std::memory_order_release);
+  });
+  backend.start_phase();
+  std::atomic<bool> delivered{false};
+  exec::PhaseExec pe;
+  bool ended_after_delivery = false;
+  std::thread phase([&] {
+    pe = backend.finish_phase();
+    ended_after_delivery = delivered.load(std::memory_order_acquire);
+  });
+
+  // The wall-clock limit only stops a hang: parked workers re-park every
+  // 50 us, so the park count grows as soon as the seed has run.
+  const auto t0 = std::chrono::steady_clock::now();
+  while ((!seed_ran.load(std::memory_order_acquire) ||
+          backend.parks_so_far() == 0) &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(30))
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  EXPECT_TRUE(seed_ran.load());
+  EXPECT_GT(backend.parks_so_far(), 0u);
+  EXPECT_FALSE(table.balanced());
+
+  delivered.store(true, std::memory_order_release);
+  backend.deliver(0, backend.delivery(exec::Packet{1, 0, h, 8, nullptr}));
+  phase.join();
+  EXPECT_TRUE(ended_after_delivery);
+  EXPECT_EQ(handled.load(), 1);
+  EXPECT_EQ(pe.msgs.msgs_recv, 1u);
+  EXPECT_EQ(pe.events, 2u);  // the seed and the delivery
+  EXPECT_TRUE(table.balanced());
+}
+
 TEST(NativeBackend, WorkerPoolSizeResolvesFromTuningAndDefaults) {
   {
     // Explicit pool size wins; more workers than nodes clamps to nodes (a

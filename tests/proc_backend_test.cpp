@@ -173,11 +173,12 @@ struct PingPong {
 };
 
 TEST(ProcBackend, BackToBackPhasesAllTerminate) {
-  // Termination rounds back to back: one cluster runs a 6-node ring phase
-  // after phase, and every dependency crosses a process boundary at both
-  // process counts. Each round is a probe to every worker and a report
-  // back; a worker that lost a probe would leave the coordinator waiting,
-  // and the phase deadline turns that into a failed phase with a diagnosis
+  // Phase ends back to back: one cluster runs a 6-node ring phase after
+  // phase, and every dependency crosses a process boundary at both process
+  // counts, so each phase ends only once every process has counted its
+  // deliveries into the shared task table. A count lost between processes
+  // would leave some worker waiting for a balance that never comes, and
+  // the phase deadline turns that into a failed phase with a diagnosis
   // instead of a hang. One inner thread per worker process keeps the 400
   // forks light next to concurrently running tests.
   constexpr std::uint32_t kNodes = 6;
@@ -419,6 +420,65 @@ TEST(ProcBackend, CrossProcessPostFailsThePhaseInsteadOfHanging) {
       << pe.diagnostics;
   EXPECT_NE(pe.diagnostics.find("killed by signal"), std::string::npos)
       << pe.diagnostics;
+}
+
+TEST(ProcBackend, WedgedWorkerIsTheOneItsPoolReports) {
+  // Every worker's pool watches the one table all processes count into,
+  // so while node 1's task never returns, the table stops moving for
+  // worker 0's pool too. Only the pool whose node is wedged may report it:
+  // worker 0 has no node busy and must read as healthy, or a race
+  // between the two pools would name the wrong worker. The coordinator's
+  // deadline is only the backstop; the pools' stuck sweeps fire first.
+  const std::string dump = ::testing::TempDir() + "proc_wedge." +
+                           std::to_string(getpid()) + ".json";
+  const std::string w0 = dump + ".w0";
+  const std::string w1 = dump + ".w1";
+  for (const std::string& f : {dump, w0, w1}) std::remove(f.c_str());
+
+  exec::ProcBackend::Config cfg;
+  cfg.procs = 2;
+  cfg.watchdog.phase_deadline = 30'000'000'000;
+  cfg.watchdog.stuck_scans = 3;
+  cfg.watchdog.scan_interval = 20'000'000;  // 20 ms
+  cfg.watchdog.dump_path = dump;
+  exec::ProcBackend backend(2, cfg);
+  backend.begin_phase();
+  backend.post(0, [](exec::Cpu&) {});
+  backend.post(1, [](exec::Cpu&) {
+    for (;;) pause();  // ends only with its process
+  });
+  const exec::PhaseExec pe = backend.run_phase();
+
+  EXPECT_NE(pe.diagnostics.find("worker 1 (pid"), std::string::npos)
+      << pe.diagnostics;
+  EXPECT_TRUE(std::ifstream(w1).good()) << "no flight record at " << w1;
+  EXPECT_FALSE(std::ifstream(w0).good()) << "worker 0's idle pool fired";
+  for (const std::string& f : {dump, w0, w1}) std::remove(f.c_str());
+}
+
+TEST(ProcBackend, SameBackendRunsAPhaseAfterAFailedOne) {
+  // A worker that dies mid-phase leaves its seed counted and never
+  // finished in the task table the backend keeps across phases. The next
+  // phase on the same backend must start from a clean table, or it would
+  // wait for that task until the deadline.
+  exec::ProcBackend::Config cfg;
+  cfg.procs = 2;
+  cfg.watchdog.phase_deadline = 5'000'000'000;
+  exec::ProcBackend backend(2, cfg);
+  backend.begin_phase();
+  backend.post(0, [](exec::Cpu&) { _exit(42); });
+  EXPECT_FALSE(backend.run_phase().diagnostics.empty());
+
+  int ran[2] = {0, 0};
+  const exec::ScopedPhaseSpan span(backend,
+                                   exec::PhaseSpan{ran, sizeof(ran)});
+  backend.begin_phase();
+  for (exec::NodeId n = 0; n < 2; ++n)
+    backend.post(n, [&ran, n](exec::Cpu&) { ran[n] = 1; });
+  const exec::PhaseExec pe = backend.run_phase();
+  EXPECT_TRUE(pe.diagnostics.empty()) << pe.diagnostics;
+  EXPECT_EQ(ran[0], 1);
+  EXPECT_EQ(ran[1], 1);
 }
 
 TEST(ProcBackend, RecoversCleanlyAfterAFailedPhase) {
